@@ -15,12 +15,6 @@ module Svc = Capri_service
 module Pool = Capri_util.Pool
 module Table = Capri_util.Table
 
-let modes =
-  [
-    Arch.Persist.Capri; Arch.Persist.Naive_sync; Arch.Persist.Undo_sync;
-    Arch.Persist.Redo_nowb; Arch.Persist.Volatile;
-  ]
-
 let mixes = [ Svc.Client.A; Svc.Client.B; Svc.Client.C ]
 
 type row = {
@@ -58,7 +52,9 @@ let trial ~shards ~ops ~crashes ~txns (mode, mix) =
 
 let rows ~jobs ~shards ~ops ~crashes ~txns =
   let cells =
-    List.concat_map (fun mode -> List.map (fun mix -> (mode, mix)) mixes) modes
+    List.concat_map
+      (fun mode -> List.map (fun mix -> (mode, mix)) mixes)
+      Arch.Persist.all_modes
   in
   Pool.with_pool ~jobs (fun pool ->
       Pool.map_list pool (trial ~shards ~ops ~crashes ~txns) cells)
@@ -107,12 +103,6 @@ let table ~jobs ~shards ~ops ~crashes ~txns =
    modes fan out over the Pool in input order, so the rendered output
    is byte-identical at any --jobs count. *)
 
-let recoverable =
-  [
-    Arch.Persist.Capri; Arch.Persist.Naive_sync; Arch.Persist.Undo_sync;
-    Arch.Persist.Redo_nowb;
-  ]
-
 type rolling_row = {
   r_mode : Arch.Persist.mode;
   r_stats : Svc.Sla.stats;
@@ -160,7 +150,7 @@ let rolling_rows ~jobs ~shards ~ops ~crashes ~period =
   Pool.with_pool ~jobs (fun pool ->
       Pool.map_list pool
         (rolling_trial ~shards ~ops ~crashes ~period)
-        recoverable)
+        (List.filter Arch.Persist.crash_recoverable Arch.Persist.all_modes))
 
 let render_rolling rows =
   let t =

@@ -241,7 +241,7 @@ let profile_cmd =
   let mode_arg =
     let doc = "Focus mode for the trace and region profile ($(docv))." in
     let modes =
-      List.map (fun m -> (Persist.mode_name m, m)) Profile.all_modes
+      List.map (fun m -> (Persist.mode_name m, m)) Persist.all_modes
     in
     Arg.(
       value
@@ -311,14 +311,14 @@ let trace_cmd =
     let k = find_kernel name scale in
     let options = Options.with_threshold threshold Options.default in
     let compiled = Pipeline.compile options k.W.Kernel.program in
-    let tr = Trace.create () in
+    let obs = Capri_obs.Obs.create () in
     let session =
-      Executor.start ~trace:tr ~program:compiled.Compiled.program
+      Executor.start ~obs ~program:compiled.Compiled.program
         ~threads:k.W.Kernel.threads ()
     in
     (match Executor.run session with
      | Executor.Finished _ | Executor.Crashed _ -> ());
-    print_string (Trace.render tr)
+    print_string (Executor.render_timeline obs.Capri_obs.Obs.tracer)
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Show the dynamic region timeline of a kernel")
@@ -367,7 +367,7 @@ let serve_cmd =
     Arg.(value & opt int 2 & info [ "txn-items" ] ~docv:"N" ~doc)
   in
   let mode_enum =
-    List.map (fun m -> (Persist.mode_name m, m)) Profile.all_modes
+    List.map (fun m -> (Persist.mode_name m, m)) Persist.all_modes
   in
   let focus_arg =
     let doc =
@@ -535,7 +535,7 @@ let serve_cmd =
     in
     let results =
       Capri_util.Pool.with_pool ~jobs:(max 1 jobs) (fun pool ->
-          Capri_util.Pool.map_list pool serve Profile.all_modes)
+          Capri_util.Pool.map_list pool serve Persist.all_modes)
     in
     let failed = ref false in
     List.iter

@@ -42,15 +42,16 @@ let () =
   print_newline ();
   (* Dynamic region timeline under the full optimization set. *)
   let compiled = Pipeline.compile Options.all_opts kernel.W.Kernel.program in
-  let tr = Trace.create () in
+  let obs = Capri_obs.Obs.create () in
   let session =
-    Executor.start ~trace:tr ~program:compiled.Compiled.program
+    Executor.start ~obs ~program:compiled.Compiled.program
       ~threads:kernel.W.Kernel.threads ()
   in
   (match Executor.run session with
    | Executor.Finished _ | Executor.Crashed _ -> ());
   print_endline "dynamic region timeline (all optimizations):";
-  print_string (Trace.render ~max_rows:24 tr);
+  print_string
+    (Executor.render_timeline ~max_rows:24 obs.Capri_obs.Obs.tracer);
   print_newline ();
   (* Show the compiled IR of the smallest configuration for reading. *)
   let compiled = Pipeline.compile Options.up_to_ckpt kernel.W.Kernel.program in

@@ -36,11 +36,13 @@
                     sections and steal windows
 
    The report goes to stdout; the exit status is 1 iff any oracle
-   failed. Every failure line includes the exact --seed to reproduce it
-   in isolation. *)
+   failed. Every failure carries a repro line: the exact --seed plus
+   every non-default flag that shapes the trial, which replays it in
+   isolation. *)
 
 module Campaign = Capri_fuzz.Campaign
 module Service_fuzz = Capri_fuzz.Service_fuzz
+module Persist = Capri_arch.Persist
 
 let usage =
   "usage: fuzz/main.exe [--seed N] [--budget N] [--jobs N] [--mode M]\n\
@@ -62,9 +64,9 @@ let modes_arg v =
   |> List.concat_map (fun name ->
          match String.lowercase_ascii (String.trim name) with
          | "" -> []
-         | "all" -> Campaign.all_modes
+         | "all" -> Persist.all_modes
          | m -> (
-           match Campaign.mode_of_string m with
+           match Persist.mode_of_string m with
            | Some mode -> [ mode ]
            | None -> bad (Printf.sprintf "unknown mode %S" name)))
 
@@ -136,7 +138,7 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let jobs = if !jobs > 0 then !jobs else Capri_util.Pool.default_jobs () in
-  let modes = if !modes = [] then Campaign.all_modes else !modes in
+  let modes = if !modes = [] then Persist.all_modes else !modes in
   if !steal && not !service then bad "--steal requires --service";
   if !service then begin
     let cfg =

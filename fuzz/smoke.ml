@@ -1,41 +1,32 @@
-(* fuzz-smoke: a fixed-seed, tightly budgeted campaign wired into
-   `dune runtest` (mirroring bench/smoke.exe). Two properties:
+(* fuzz-smoke: fixed-seed, tightly budgeted campaigns wired into
+   `dune runtest` (mirroring bench/smoke.exe). Each campaign must hold
+   two properties:
 
-   - the campaign finds no failures at the pinned seed — the whole-
-     system-persistence property holds across every enumerated crash
-     schedule and every compiled/uncompiled differential pair it covers;
+   - it finds no failures at the pinned seed — the whole-system-
+     persistence property holds across every crash schedule and every
+     compiled/uncompiled differential pair it covers (for the service
+     campaigns: the serializability + acked-durability oracle);
 
-   - the report is byte-identical at jobs=1 and jobs=2 — the Pool
+   - its report is byte-identical at jobs=1 and jobs=2 — the Pool
      fan-out is a pure scheduling change.
 
-   The same two properties are then held over the service campaign
-   (--service): the serializability + acked-durability oracle finds no
-   violation at the pinned seed, and its report is jobs-invariant too —
-   and once more over a dedicated txn campaign (min_txns = 1, every
-   trial a cross-shard 2PC store crashed mid-protocol).
+   The campaigns: the kernel crash/differential campaign, the service
+   campaign, a txn campaign (min_txns = 1, every trial a cross-shard
+   2PC store crashed mid-protocol) and a steal campaign (every trial
+   served through the work-stealing scheduler).
 
-   Budget is deliberately small to keep runtest fast. *)
+   Budgets are deliberately small to keep runtest fast. *)
 
 module Campaign = Capri_fuzz.Campaign
 module Service_fuzz = Capri_fuzz.Service_fuzz
 
-let cfg jobs =
-  {
-    Campaign.default_cfg with
-    Campaign.seed = 7;
-    budget = 60;
-    jobs;
-    max_schedules = 10;
-    diff_combos = 2;
-  }
-
-let () =
-  let r1 = Campaign.run (cfg 1) in
-  let r2 = Campaign.run (cfg 2) in
-  let seq = Campaign.render r1 in
-  let par = Campaign.render r2 in
+let smoke name ~render ~clean campaign =
+  let r1 = campaign 1 in
+  let seq = render r1 in
+  let par = render (campaign 2) in
   if seq <> par then begin
-    prerr_endline "fuzz-smoke: parallel report differs from sequential:";
+    Printf.eprintf "fuzz-smoke: parallel %s report differs from sequential:\n"
+      name;
     prerr_endline "--- jobs=1 ---";
     prerr_string seq;
     prerr_endline "--- jobs=2 ---";
@@ -43,56 +34,46 @@ let () =
     exit 1
   end;
   print_string seq;
-  if r1.Campaign.failures <> [] then begin
-    prerr_endline "fuzz-smoke: campaign reported failures";
+  if not (clean r1) then begin
+    Printf.eprintf "fuzz-smoke: %s campaign reported failures\n" name;
     exit 1
-  end;
-  let scfg jobs =
-    { Service_fuzz.default_cfg with Service_fuzz.seed = 7; budget = 40; jobs }
-  in
-  let s1 = Service_fuzz.run (scfg 1) in
-  let s2 = Service_fuzz.run (scfg 2) in
-  let sseq = Service_fuzz.render s1 in
-  let spar = Service_fuzz.render s2 in
-  if sseq <> spar then begin
-    prerr_endline "fuzz-smoke: parallel service report differs:";
-    prerr_endline "--- jobs=1 ---";
-    prerr_string sseq;
-    prerr_endline "--- jobs=2 ---";
-    prerr_string spar;
-    exit 1
-  end;
-  print_string sseq;
-  if s1.Service_fuzz.failures <> [] then begin
-    prerr_endline "fuzz-smoke: service campaign reported failures";
-    exit 1
-  end;
-  let tcfg jobs =
+  end
+
+let service name cfg =
+  smoke name ~render:Service_fuzz.render
+    ~clean:(fun r -> r.Service_fuzz.failures = [])
+    (fun jobs -> Service_fuzz.run { cfg with Service_fuzz.jobs })
+
+let () =
+  smoke "kernel" ~render:Campaign.render
+    ~clean:(fun r -> r.Campaign.failures = [])
+    (fun jobs ->
+      Campaign.run
+        {
+          Campaign.default_cfg with
+          Campaign.seed = 7;
+          budget = 60;
+          jobs;
+          max_schedules = 10;
+          diff_combos = 2;
+        });
+  service "service"
+    { Service_fuzz.default_cfg with Service_fuzz.seed = 7; budget = 40 };
+  service "txn"
     {
       Service_fuzz.default_cfg with
       Service_fuzz.seed = 11;
       budget = 25;
-      jobs;
       max_schedules = 4;
       min_txns = 1;
       max_txns = 2;
-    }
-  in
-  let t1 = Service_fuzz.run (tcfg 1) in
-  let t2 = Service_fuzz.run (tcfg 2) in
-  let tseq = Service_fuzz.render t1 in
-  let tpar = Service_fuzz.render t2 in
-  if tseq <> tpar then begin
-    prerr_endline "fuzz-smoke: parallel txn report differs:";
-    prerr_endline "--- jobs=1 ---";
-    prerr_string tseq;
-    prerr_endline "--- jobs=2 ---";
-    prerr_string tpar;
-    exit 1
-  end;
-  print_string tseq;
-  if t1.Service_fuzz.failures <> [] then begin
-    prerr_endline "fuzz-smoke: txn campaign reported failures";
-    exit 1
-  end;
+    };
+  service "steal"
+    {
+      Service_fuzz.default_cfg with
+      Service_fuzz.seed = 5;
+      budget = 30;
+      max_schedules = 4;
+      steal = true;
+    };
   print_endline "fuzz-smoke OK"

@@ -10,6 +10,14 @@ let mode_name = function
   | Redo_nowb -> "redo-nowb"
   | Volatile -> "volatile"
 
+let all_modes = [ Capri; Naive_sync; Undo_sync; Redo_nowb; Volatile ]
+
+let mode_of_string s =
+  let s = String.map (function '_' -> '-' | c -> c) s in
+  List.find_opt (fun m -> mode_name m = s) all_modes
+
+let crash_recoverable m = m <> Volatile
+
 (* The public snapshot view; the live counters are registry cells (see
    [counters] below) so a profiled run exports them without a copy. *)
 type stats = {

@@ -36,6 +36,15 @@ val mode_name : mode -> string
 (** Canonical lower-case name ("capri", "naive-sync", ...), used as the
     ["mode"] metric label. *)
 
+val mode_of_string : string -> mode option
+(** Inverse of {!mode_name}; underscores are accepted for dashes. *)
+
+val all_modes : mode list
+(** The five design points, in the fixed order reports list them. *)
+
+val crash_recoverable : mode -> bool
+(** Every mode but [Volatile], which keeps nothing across a crash. *)
+
 (** Snapshot of the engine's counters, rebuilt by {!stats} on each call.
     The live cells are registry counters (named [persist_*], labelled
     with the mode) so a profiled run exports them without copying;

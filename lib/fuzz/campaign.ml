@@ -1,9 +1,11 @@
 (* The fuzzing campaign driver.
 
    A campaign is a sequence of trials. Trial state is a pure function of
-   its trial seed (base seed + trial index): program shape, core count,
-   compiler options and crash schedules all derive from it, so any
-   failure reproduces from `--seed <trial_seed> --budget 1` alone.
+   its trial seed (base seed + trial index) and the flags that shape a
+   trial: program shape, core count, compiler options and crash
+   schedules all derive from them, so any failure reproduces from its
+   repro line — `--seed <trial_seed> --budget 1 --mode <mode>` plus
+   those flags — alone.
 
    Each trial: generate a program, compile it under a seed-chosen
    crash-capable configuration, enumerate crash schedules from one traced
@@ -14,45 +16,14 @@
    the trial and is shrunk to a minimal schedule + program.
 
    Budget = total oracle executions (crash checks + differential
-   checks). Trials fan out over Capri_util.Pool in waves of [jobs];
-   results are consumed strictly in trial order and the budget cut uses
-   only in-order cumulative counts, so the report is identical at any
-   job count — waves only change how much speculative work past the cut
-   is wasted. *)
+   checks), spent by {!drive}, the wave loop this campaign shares with
+   Service_fuzz. *)
 
 module Arch = Capri_arch
 module Opt = Capri_compiler.Options
 module Pipeline = Capri_compiler.Pipeline
 module Gen = Capri_workloads.Gen
 module Pool = Capri_util.Pool
-
-(* ---------------- modes ---------------- *)
-
-let mode_name = function
-  | Arch.Persist.Capri -> "capri"
-  | Arch.Persist.Naive_sync -> "naive-sync"
-  | Arch.Persist.Undo_sync -> "undo-sync"
-  | Arch.Persist.Redo_nowb -> "redo-nowb"
-  | Arch.Persist.Volatile -> "volatile"
-
-let mode_of_string = function
-  | "capri" -> Some Arch.Persist.Capri
-  | "naive-sync" | "naive_sync" -> Some Arch.Persist.Naive_sync
-  | "undo-sync" | "undo_sync" -> Some Arch.Persist.Undo_sync
-  | "redo-nowb" | "redo_nowb" -> Some Arch.Persist.Redo_nowb
-  | "volatile" -> Some Arch.Persist.Volatile
-  | _ -> None
-
-let all_modes =
-  [
-    Arch.Persist.Capri;
-    Arch.Persist.Naive_sync;
-    Arch.Persist.Undo_sync;
-    Arch.Persist.Redo_nowb;
-    Arch.Persist.Volatile;
-  ]
-
-let crash_recoverable m = m <> Arch.Persist.Volatile
 
 (* ---------------- configuration ---------------- *)
 
@@ -74,7 +45,7 @@ let default_cfg =
     seed = 0;
     budget = 400;
     jobs = 1;
-    modes = all_modes;
+    modes = Arch.Persist.all_modes;
     config = Arch.Config.sim_default;
     max_cores = 3;
     array_words = 32;
@@ -199,6 +170,19 @@ let shrink_diff_failure cfg ~options ~threads:_ prog =
   in
   Shrink.shrink_prog ~test:test_prog prog
 
+(* The command line that replays trial [seed] alone: the failing mode
+   plus every non-default flag that shapes the trial — the core count,
+   the schedule enumeration and the differential combos. *)
+let repro_string cfg seed mode =
+  let flag name value default =
+    if value = default then "" else Printf.sprintf " --%s %d" name value
+  in
+  Printf.sprintf "fuzz/main.exe --seed %d --budget 1 --mode %s%s%s%s" seed
+    (Arch.Persist.mode_name mode)
+    (flag "max-cores" cfg.max_cores default_cfg.max_cores)
+    (flag "max-schedules" cfg.max_schedules default_cfg.max_schedules)
+    (flag "diff-combos" cfg.diff_combos default_cfg.diff_combos)
+
 let run_trial cfg k =
   let seed = cfg.seed + k in
   let cores = cores_of_seed cfg seed in
@@ -217,10 +201,6 @@ let run_trial cfg k =
       minimized;
       repro;
     }
-  in
-  let repro_flag mode =
-    Printf.sprintf "fuzz/main.exe --seed %d --budget 1 --mode %s" seed
-      (mode_name mode)
   in
   match Gen.lower prog with
   | exception e ->
@@ -251,7 +231,7 @@ let run_trial cfg k =
           [
             fail ~oracle:"compiler"
               ~detail:(Oracle.options_string options)
-              ~repro:(repro_flag Arch.Persist.Capri)
+              ~repro:(repro_string cfg seed Arch.Persist.Capri)
               (Printexc.to_string e);
           ];
       }
@@ -262,7 +242,7 @@ let run_trial cfg k =
       let schedules =
         Schedule.enumerate ~max_schedules:cfg.max_schedules info
       in
-      let crash_modes = List.filter crash_recoverable cfg.modes in
+      let crash_modes = List.filter Arch.Persist.crash_recoverable cfg.modes in
       let crash_checks = ref 0 in
       let failure = ref None in
       (* crash oracle: every schedule under every requested mode *)
@@ -290,9 +270,11 @@ let run_trial cfg k =
                   failure :=
                     Some
                       (fail ~schedule ~shrunk_schedule ~shrunk_keep ~minimized
-                         ~oracle:(Printf.sprintf "crash(%s)" (mode_name mode))
+                         ~oracle:
+                           (Printf.sprintf "crash(%s)"
+                              (Arch.Persist.mode_name mode))
                          ~detail:(Oracle.options_string options)
-                         ~repro:(repro_flag mode) reason)
+                         ~repro:(repro_string cfg seed mode) reason)
               end)
             schedules)
         crash_modes;
@@ -322,7 +304,8 @@ let run_trial cfg k =
                   Some
                     (fail ~shrunk_keep:keep ~minimized ~oracle:"differential"
                        ~detail:(Oracle.options_string opts)
-                       ~repro:(repro_flag Arch.Persist.Volatile) reason)
+                       ~repro:(repro_string cfg seed Arch.Persist.Volatile)
+                       reason)
             end)
           (diff_options_of_seed cfg seed)
       end;
@@ -337,49 +320,44 @@ let run_trial cfg k =
 
 (* ---------------- the campaign loop ---------------- *)
 
+let drive ~jobs ~budget ~cost trial =
+  Pool.with_pool ~jobs (fun pool ->
+      (* One wave of [jobs] speculative trials at a time. Results are
+         folded in strictly ascending trial order and the budget cut
+         depends only on those in-order totals, so the wave size never
+         changes the outcome — only how much past-the-cut work is thrown
+         away. *)
+      let consume (spent, acc) t =
+        if spent >= budget then (spent, acc) else (spent + cost t, t :: acc)
+      in
+      let rec wave next spent acc =
+        let spent, acc =
+          List.fold_left consume (spent, acc)
+            (Pool.map_list pool trial (List.init jobs (( + ) next)))
+        in
+        if spent >= budget then List.rev acc else wave (next + jobs) spent acc
+      in
+      wave 0 0 [])
+
 let run cfg =
   let cfg = { cfg with jobs = max 1 cfg.jobs; budget = max 1 cfg.budget } in
-  Pool.with_pool ~jobs:cfg.jobs (fun pool ->
-      let trials = ref 0 in
-      let schedules = ref 0 in
-      let crash_checks = ref 0 in
-      let diff_checks = ref 0 in
-      let failures = ref [] in
-      let executions () = !crash_checks + !diff_checks in
-      let next = ref 0 in
-      let continue = ref true in
-      while !continue do
-        (* One wave of [jobs] speculative trials. Results are folded in
-           strictly ascending trial order and the budget cut depends only
-           on those in-order totals, so the wave size never changes the
-           report — only how much past-the-cut work is thrown away. *)
-        let wave = List.init cfg.jobs (fun i -> !next + i) in
-        next := !next + cfg.jobs;
-        let futures =
-          List.map (fun k -> Pool.submit pool (fun () -> run_trial cfg k)) wave
-        in
-        List.iter
-          (fun future ->
-            let t = Pool.await pool future in
-            if !continue then begin
-              incr trials;
-              schedules := !schedules + t.t_schedules;
-              crash_checks := !crash_checks + t.t_crash_checks;
-              diff_checks := !diff_checks + t.t_diff_checks;
-              failures := !failures @ t.t_failures;
-              if executions () >= cfg.budget then continue := false
-            end)
-          futures
-      done;
-      {
-        cfg;
-        trials = !trials;
-        schedules = !schedules;
-        crash_checks = !crash_checks;
-        diff_checks = !diff_checks;
-        executions = executions ();
-        failures = !failures;
-      })
+  let trials =
+    drive ~jobs:cfg.jobs ~budget:cfg.budget
+      ~cost:(fun t -> t.t_crash_checks + t.t_diff_checks)
+      (run_trial cfg)
+  in
+  let sum f = List.fold_left (fun n t -> n + f t) 0 trials in
+  let crash_checks = sum (fun t -> t.t_crash_checks) in
+  let diff_checks = sum (fun t -> t.t_diff_checks) in
+  {
+    cfg;
+    trials = List.length trials;
+    schedules = sum (fun t -> t.t_schedules);
+    crash_checks;
+    diff_checks;
+    executions = crash_checks + diff_checks;
+    failures = List.concat_map (fun t -> t.t_failures) trials;
+  }
 
 (* ---------------- rendering ---------------- *)
 
@@ -417,7 +395,7 @@ let render r =
        "fuzz campaign: seed=%d budget=%d modes=%s\n\
         trials=%d schedules=%d crash-checks=%d diff-checks=%d executions=%d\n"
        r.cfg.seed r.cfg.budget
-       (String.concat "," (List.map mode_name r.cfg.modes))
+       (String.concat "," (List.map Arch.Persist.mode_name r.cfg.modes))
        r.trials r.schedules r.crash_checks r.diff_checks r.executions);
   if r.failures = [] then Buffer.add_string buf "failures: none\n"
   else begin

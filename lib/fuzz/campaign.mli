@@ -1,28 +1,23 @@
 (** Deterministic, parallel fuzzing campaigns.
 
     Trial state is a pure function of the trial seed ([cfg.seed] + trial
-    index), so every reported failure reproduces from
-    [fuzz/main.exe --seed <trial_seed> --budget 1]. Trials fan out over
-    {!Capri_util.Pool}; reports are identical at any [jobs] count. *)
+    index) and the flags that shape a trial, so every reported failure
+    reproduces from its printed [repro] line
+    ([fuzz/main.exe --seed <trial_seed> --budget 1 --mode <mode>] plus
+    each non-default [--max-cores], [--max-schedules] and
+    [--diff-combos]). Trials fan out over {!Capri_util.Pool}; reports
+    are identical at any [jobs] count. *)
 
 module Arch = Capri_arch
-
-val mode_name : Arch.Persist.mode -> string
-val mode_of_string : string -> Arch.Persist.mode option
-
-val all_modes : Arch.Persist.mode list
-(** The five persist design points. [Volatile] is exercised by the
-    differential oracle (it is not crash-recoverable); the other four by
-    the crash oracle. *)
-
-val crash_recoverable : Arch.Persist.mode -> bool
-(** Every mode but [Volatile]. *)
 
 type cfg = {
   seed : int;  (** base seed; trial [k] uses [seed + k] *)
   budget : int;  (** total oracle executions before stopping *)
   jobs : int;  (** pool width; never affects the report *)
   modes : Arch.Persist.mode list;
+      (** {!Arch.Persist.all_modes} by default. [Volatile] selects the
+          differential oracle (it is not crash-recoverable); the other
+          four select the crash oracle. *)
   config : Arch.Config.t;
   max_cores : int;  (** trial core counts cycle in [1 .. max_cores] *)
   array_words : int;  (** per-thread data-slice words (power of two) *)
@@ -67,6 +62,15 @@ type report = {
 
 val run_trial : cfg -> int -> trial
 (** One trial, sequential, pure in [cfg.seed + k] — exposed for tests. *)
+
+val drive :
+  jobs:int -> budget:int -> cost:('t -> int) -> (int -> 't) -> 't list
+(** The wave loop both campaigns spend their budget with: trials [0],
+    [1], ... fan out over a pool of [jobs] domains in waves of [jobs]
+    and are consumed strictly in trial order until the running total of
+    [cost] reaches [budget]; returns the consumed trials in order. The
+    cut reads only in-order totals, so the result is identical at any
+    [jobs]. *)
 
 val run : cfg -> report
 

@@ -14,8 +14,8 @@
    replay of the first, including repeated crashes of the same region. *)
 
 module Executor = Capri_runtime.Executor
-module Trace = Capri_runtime.Trace
 module Verify = Capri_runtime.Verify
+module Obs = Capri_obs.Obs
 
 type info = {
   total : int;  (* dynamic instructions of the crash-free run *)
@@ -23,12 +23,13 @@ type info = {
 }
 
 let observe ?config ?threads compiled =
-  let trace = Trace.create () in
-  let reference = Verify.reference ?config ~trace ?threads compiled in
+  (* a tracer-only bundle: the region spans are all this run is for *)
+  let obs = { Obs.null with Obs.tracer = Capri_obs.Tracer.create () } in
+  let reference = Verify.reference ?config ~obs ?threads compiled in
   let info =
     {
       total = reference.Executor.instrs;
-      boundaries = Trace.boundary_instrs trace;
+      boundaries = Executor.boundary_instrs obs.Obs.tracer;
     }
   in
   (reference, info)

@@ -17,7 +17,8 @@ val observe :
   Capri_compiler.Compiled.t ->
   Capri_runtime.Executor.result * info
 (** One traced crash-free reference run (Capri mode): the result doubles
-    as the oracle's reference, the trace yields boundary indices. *)
+    as the oracle's reference, its tracer's region spans yield the
+    boundary indices. *)
 
 val enumerate : ?max_schedules:int -> info -> int list list
 (** Deterministic schedule list: crash points at every region-boundary

@@ -1,25 +1,25 @@
 (* Crash fuzzing of the serving layer.
 
-   Mirrors Campaign's structure — seed-pure trials fanned out over the
-   Pool in waves, budget counted in oracle executions, reports identical
-   at any job count — but the subject is capri.service: each trial plans
-   a small store from a seed-derived client workload (optionally weaving
-   in multi-key transactions), then drives crash schedules through
-   Server.run in every requested recoverable persistence mode, holding
-   Sla.check (the serializability + acked-durability oracle) over every
-   crash image and the completed run. Crash points mix uniform draws
-   with points aimed at region boundaries harvested from a traced
-   reference run — on a transactional store those boundaries bracket the
-   2PC phases (after a vote record seals, between votes, after the
-   decision record, inside a participant's apply loop), so the campaign
-   lands crashes mid-protocol by construction. Violations shrink twice:
+   Mirrors Campaign's structure — seed-pure trials spent by the same
+   wave loop (Campaign.drive), budget counted in oracle executions,
+   reports identical at any job count — but the subject is
+   capri.service: each trial plans one small store from a seed-derived
+   client workload (optionally weaving in multi-key transactions), then
+   drives crash schedules through Server.run in every requested
+   recoverable persistence mode, holding Sla.check (the serializability
+   + acked-durability oracle) over every crash image and the completed
+   run. Crash points mix uniform draws with points aimed at region
+   boundaries read back from each mode's crash-free oracle run — on a
+   transactional store those boundaries bracket the 2PC phases (after a
+   vote record seals, between votes, after the decision record, inside
+   a participant's apply loop), so the campaign lands crashes
+   mid-protocol by construction. Violations shrink twice:
    the crash schedule through the generic ddmin, then the workload at
    whole-unit granularity (single requests, or entire transactions with
    their markers; surviving tids are renumbered), the oracle re-tested
    on each candidate subset. *)
 
 module Arch = Capri_arch
-module Pool = Capri_util.Pool
 module Rng = Capri_util.Rng
 module Runtime = Capri_runtime
 module Svc = Capri_service
@@ -52,7 +52,7 @@ let default_cfg =
     seed = 0;
     budget = 400;
     jobs = 1;
-    modes = Campaign.all_modes;
+    modes = Arch.Persist.all_modes;
     config = Arch.Config.sim_default;
     max_shards = 2;
     max_ops = 24;
@@ -93,7 +93,7 @@ type report = {
 
 let mixes = [| Svc.Client.A; Svc.Client.B; Svc.Client.C |]
 
-let service_cfg cfg seed ~mode =
+let service_cfg cfg seed =
   let rng = Rng.create (0x5eed + seed) in
   let shards =
     if cfg.steal then
@@ -156,7 +156,6 @@ let service_cfg cfg seed ~mode =
     Svc.Server.shards;
     client;
     batch = 1 + Rng.int rng 6;
-    mode;
     config = { cfg.config with Arch.Config.compact_interval };
     sched;
     tenants;
@@ -191,6 +190,10 @@ let service_string (c : Svc.Server.cfg) =
     c.Svc.Server.config.Arch.Config.compact_interval c.Svc.Server.recovery_jobs
     sched tenants
 
+(* The command line that replays trial [seed] alone: every non-default
+   flag that shapes the trial. The mode list is one of them — one RNG
+   draws the crash points of all modes in list order, so a failure
+   found under [--mode undo-sync] replays only under that list. *)
 let repro_string cfg seed =
   let txn_flags =
     if
@@ -200,28 +203,44 @@ let repro_string cfg seed =
     else Printf.sprintf " --max-txns %d --min-txns %d" cfg.max_txns cfg.min_txns
   in
   let steal_flag = if cfg.steal then " --steal" else "" in
-  Printf.sprintf "fuzz/main.exe --service%s --seed %d --budget 1%s" steal_flag
-    seed txn_flags
+  let recoverable = List.filter Arch.Persist.crash_recoverable in
+  let modes = recoverable cfg.modes in
+  let mode_flag =
+    if modes = recoverable default_cfg.modes then ""
+    else
+      " --mode " ^ String.concat "," (List.map Arch.Persist.mode_name modes)
+  in
+  let schedules_flag =
+    (* fuzz/main.exe fills an absent --max-schedules from the kernel
+       campaign's default for both campaigns *)
+    if cfg.max_schedules = Campaign.default_cfg.Campaign.max_schedules then ""
+    else Printf.sprintf " --max-schedules %d" cfg.max_schedules
+  in
+  Printf.sprintf "fuzz/main.exe --service%s --seed %d --budget 1%s%s%s"
+    steal_flag seed txn_flags mode_flag schedules_flag
 
 (* ---------------- oracle drive and shrinking ---------------- *)
 
-let violates t schedule =
+let serve t schedule =
   (* Each run gets a fresh obs bundle: trace well-formedness across the
      crash schedule is itself an oracle — a dangling span at a crash
      point or a non-monotone stitch across a recovery boundary is
      reported like any other violation. (Fresh because origin stitching
      is per-run state; sharing a tracer across runs would interleave
-     timelines.) *)
+     timelines.) A clean run returns its outcome and tracer. *)
   let obs = Capri_obs.Obs.create () in
   match Svc.Server.run ~obs ~crash_at:schedule t with
   | outcome -> (
     match Svc.Server.check t outcome with
     | Ok () -> (
-      match Capri_obs.Tracer.validate obs.Capri_obs.Obs.tracer with
-      | Ok () -> None
-      | Error msg -> Some ("trace invalid: " ^ msg))
-    | Error v -> Some (Format.asprintf "%a" Svc.Sla.pp_violation v))
-  | exception e -> Some (Printexc.to_string e)
+      let tracer = obs.Capri_obs.Obs.tracer in
+      match Capri_obs.Tracer.validate tracer with
+      | Ok () -> Ok (outcome, tracer)
+      | Error msg -> Error ("trace invalid: " ^ msg))
+    | Error v -> Error (Format.asprintf "%a" Svc.Sla.pp_violation v))
+  | exception e -> Error (Printexc.to_string e)
+
+let violates t schedule = Result.is_error (serve t schedule)
 
 (* Shrink units: one per single request (shard-major stream position)
    followed by one per whole transaction. Dropping a txn unit removes
@@ -300,14 +319,14 @@ let restrict_requests (t : Svc.Server.t) units keep =
   { t with Svc.Server.kv = kv'; compiled }
 
 let shrink_failure t schedule =
-  let test s = violates t s <> None in
+  let test s = violates t s in
   let shrunk = Shrink.shrink_schedule ~test schedule in
   let units = workload_units t in
   let total = List.length units in
   let all = List.init total Fun.id in
   let test_keep keep =
     match restrict_requests t units keep with
-    | t' -> violates t' shrunk <> None
+    | t' -> violates t' shrunk
     | exception _ -> false
   in
   let kept = Shrink.shrink_schedule ~test:test_keep all in
@@ -316,7 +335,7 @@ let shrink_failure t schedule =
 (* ---------------- crash-point selection ---------------- *)
 
 (* Half the points are uniform over the dynamic instruction count; the
-   other half aim at region boundaries from the traced reference run —
+   other half aim at region boundaries from the crash-free oracle run —
    the neighbourhood offsets land just before a boundary commits, on
    it, and into the drain window after it. On a transactional store the
    vote fence, decision fence, spin loops and apply loops all head
@@ -340,97 +359,82 @@ let pick_point rng ~total ~boundaries =
 let run_trial cfg k =
   let seed = cfg.seed + k in
   let rng = Rng.create (0xca11 + seed) in
-  let crash_modes = List.filter Campaign.crash_recoverable cfg.modes in
   let checks = ref 0 in
   let schedules_run = ref 0 in
   let failure = ref None in
-  List.iter
-    (fun mode ->
-      if !failure = None then begin
-        let scfg = service_cfg cfg seed ~mode in
-        match Svc.Server.plan scfg with
-        | exception e ->
-          failure :=
-            Some
-              {
-                trial_seed = seed;
-                mode;
-                service = service_string scfg;
-                reason = "plan: " ^ Printexc.to_string e;
-                schedule = [];
-                shrunk_schedule = [];
-                kept_requests = [];
-                repro = repro_string cfg seed;
-              }
-        | t ->
-          (* reference run doubles as the completion-oracle check *)
-          incr checks;
-          (match violates t [] with
-          | Some reason ->
-            (* a crash-free violation: no schedule to shrink, but the
-               workload still minimizes (e.g. down to the one
-               transaction a broken commit path half-applies) *)
-            let _, kept =
-              if cfg.shrink then shrink_failure t [] else ([], [])
-            in
-            failure :=
-              Some
-                {
-                  trial_seed = seed;
-                  mode;
-                  service = service_string scfg;
-                  reason;
-                  schedule = [];
-                  shrunk_schedule = [];
-                  kept_requests = kept;
-                  repro = repro_string cfg seed;
-                }
-          | None ->
-            let trace = Runtime.Trace.create () in
-            let reference = Svc.Server.run ~trace t in
-            let total =
-              reference.Svc.Server.result.Capri_runtime.Executor.instrs
-            in
-            let boundaries =
-              Array.of_list (Runtime.Trace.boundary_instrs trace)
-            in
-            let schedule () =
-              let crashes = 1 + Rng.int rng 3 in
-              List.init crashes (fun i ->
-                  (* entries after the first count instructions in a
-                     resumed segment: a small draw there crashes again
-                     right inside the recovery-block replay / journal
-                     re-serve window of the previous recovery *)
-                  if i > 0 && Rng.int rng 3 = 0 then 1 + Rng.int rng 8
-                  else pick_point rng ~total ~boundaries)
-            in
-            for _ = 1 to cfg.max_schedules do
-              if !failure = None then begin
-                let s = schedule () in
-                incr checks;
-                incr schedules_run;
-                match violates t s with
-                | None -> ()
-                | Some reason ->
-                  let shrunk, kept =
-                    if cfg.shrink then shrink_failure t s else (s, [])
-                  in
-                  failure :=
-                    Some
-                      {
-                        trial_seed = seed;
-                        mode;
-                        service = service_string scfg;
-                        reason;
-                        schedule = s;
-                        shrunk_schedule = shrunk;
-                        kept_requests = kept;
-                        repro = repro_string cfg seed;
-                      }
-              end
-            done)
-      end)
-    crash_modes;
+  (match List.filter Arch.Persist.crash_recoverable cfg.modes with
+   | [] -> ()
+   | first :: _ as crash_modes -> (
+     let scfg = service_cfg cfg seed in
+     let fail ~mode ?(schedule = []) ?(shrunk = []) ?(kept = []) reason =
+       failure :=
+         Some
+           {
+             trial_seed = seed;
+             mode;
+             service = service_string scfg;
+             reason;
+             schedule;
+             shrunk_schedule = shrunk;
+             kept_requests = kept;
+             repro = repro_string cfg seed;
+           }
+     in
+     (* One plan serves every mode: planning reads the mode only in
+        admission control, which a closed-loop fuzz client never runs. *)
+     match Svc.Server.plan scfg with
+     | exception e -> fail ~mode:first ("plan: " ^ Printexc.to_string e)
+     | planned ->
+       List.iter
+         (fun mode ->
+           if !failure = None then begin
+             let cfg' = { planned.Svc.Server.cfg with Svc.Server.mode } in
+             let t = { planned with Svc.Server.cfg = cfg' } in
+             (* the crash-free oracle run also yields the crash points'
+                range and the boundaries they aim at *)
+             incr checks;
+             match serve t [] with
+             | Error reason ->
+               (* a crash-free violation: no schedule to shrink, but the
+                  workload still minimizes (e.g. down to the one
+                  transaction a broken commit path half-applies) *)
+               let _, kept =
+                 if cfg.shrink then shrink_failure t [] else ([], [])
+               in
+               fail ~mode ~kept reason
+             | Ok (reference, tracer) ->
+               let total =
+                 reference.Svc.Server.result.Runtime.Executor.instrs
+               in
+               let boundaries =
+                 Array.of_list (Runtime.Executor.boundary_instrs tracer)
+               in
+               let schedule () =
+                 let crashes = 1 + Rng.int rng 3 in
+                 List.init crashes (fun i ->
+                     (* entries after the first count instructions in a
+                        resumed segment: a small draw there crashes again
+                        right inside the recovery-block replay / journal
+                        re-serve window of the previous recovery *)
+                     if i > 0 && Rng.int rng 3 = 0 then 1 + Rng.int rng 8
+                     else pick_point rng ~total ~boundaries)
+               in
+               for _ = 1 to cfg.max_schedules do
+                 if !failure = None then begin
+                   let s = schedule () in
+                   incr checks;
+                   incr schedules_run;
+                   match serve t s with
+                   | Ok _ -> ()
+                   | Error reason ->
+                     let shrunk, kept =
+                       if cfg.shrink then shrink_failure t s else (s, [])
+                     in
+                     fail ~mode ~schedule:s ~shrunk ~kept reason
+                 end
+               done
+           end)
+         crash_modes));
   {
     t_seed = seed;
     t_schedules = !schedules_run;
@@ -442,40 +446,19 @@ let run_trial cfg k =
 
 let run cfg =
   let cfg = { cfg with jobs = max 1 cfg.jobs; budget = max 1 cfg.budget } in
-  Pool.with_pool ~jobs:cfg.jobs (fun pool ->
-      let trials = ref 0 in
-      let schedules = ref 0 in
-      let checks = ref 0 in
-      let failures = ref [] in
-      let next = ref 0 in
-      let continue = ref true in
-      while !continue do
-        (* same wave discipline as Campaign.run: in-order folding makes
-           the report independent of the job count *)
-        let wave = List.init cfg.jobs (fun i -> !next + i) in
-        next := !next + cfg.jobs;
-        let futures =
-          List.map (fun k -> Pool.submit pool (fun () -> run_trial cfg k)) wave
-        in
-        List.iter
-          (fun future ->
-            let t = Pool.await pool future in
-            if !continue then begin
-              incr trials;
-              schedules := !schedules + t.t_schedules;
-              checks := !checks + t.t_checks;
-              failures := !failures @ t.t_failures;
-              if !checks >= cfg.budget then continue := false
-            end)
-          futures
-      done;
-      {
-        cfg;
-        trials = !trials;
-        schedules = !schedules;
-        checks = !checks;
-        failures = !failures;
-      })
+  let trials =
+    Campaign.drive ~jobs:cfg.jobs ~budget:cfg.budget
+      ~cost:(fun t -> t.t_checks)
+      (run_trial cfg)
+  in
+  let sum f = List.fold_left (fun n t -> n + f t) 0 trials in
+  {
+    cfg;
+    trials = List.length trials;
+    schedules = sum (fun t -> t.t_schedules);
+    checks = sum (fun t -> t.t_checks);
+    failures = List.concat_map (fun t -> t.t_failures) trials;
+  }
 
 (* ---------------- rendering ---------------- *)
 
@@ -486,7 +469,7 @@ let render r =
        "service fuzz campaign: seed=%d budget=%d modes=%s txns=%d..%d%s\n\
         trials=%d schedules=%d checks=%d\n"
        r.cfg.seed r.cfg.budget
-       (String.concat "," (List.map Campaign.mode_name r.cfg.modes))
+       (String.concat "," (List.map Arch.Persist.mode_name r.cfg.modes))
        (min r.cfg.min_txns r.cfg.max_txns)
        r.cfg.max_txns
        (if r.cfg.steal then " steal=on" else "")
@@ -501,7 +484,7 @@ let render r =
           (Printf.sprintf
              "failure #%d: serializability/durability, trial seed %d, %s\n"
              (i + 1) f.trial_seed
-             (Campaign.mode_name f.mode));
+             (Arch.Persist.mode_name f.mode));
         Buffer.add_string buf (Printf.sprintf "  service:  %s\n" f.service);
         Buffer.add_string buf (Printf.sprintf "  reason:   %s\n" f.reason);
         if f.schedule <> [] then

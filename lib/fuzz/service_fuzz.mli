@@ -1,15 +1,16 @@
 (** Crash fuzzing of the serving layer ([fuzz/main.exe --service]).
 
-    Seed-pure trials plan a small {!Capri_service.Server} store —
+    Seed-pure trials plan one small {!Capri_service.Server} store —
     optionally carrying multi-key transactions — and drive crash
     schedules through it in every requested recoverable persistence
     mode, holding the serializability + acked-durability oracle
     ({!Capri_service.Sla.check}) over each crash image plus the
-    completed run. Crash points mix uniform draws with points aimed at
-    region boundaries harvested from a traced reference run, which on a
-    transactional store bracket the 2PC phases (after prepare, between
-    votes, after the decision, during a participant's apply). Violations
-    are shrunk twice: the crash schedule, then the workload at
+    completed run. Each mode runs the store crash-free once; that
+    oracle run's region spans give the crash points' range and the
+    region boundaries half of them aim at, which on a transactional
+    store bracket the 2PC phases (after prepare, between votes, after
+    the decision, during a participant's apply). Violations are shrunk
+    twice: the crash schedule, then the workload at
     whole-unit granularity (single requests or entire transactions,
     surviving tids renumbered), both through
     {!Shrink.shrink_schedule}'s ddmin. Reports are byte-identical at
@@ -68,9 +69,10 @@ type report = {
   failures : failure list;
 }
 
-val service_cfg :
-  cfg -> int -> mode:Arch.Persist.mode -> Capri_service.Server.cfg
-(** The seed-derived store shape a trial serves — exposed for tests. *)
+val service_cfg : cfg -> int -> Capri_service.Server.cfg
+(** The seed-derived store shape a trial serves, in the default mode
+    ({!run_trial} serves the one plan in each mode in turn) — exposed
+    for tests. *)
 
 val service_string : Capri_service.Server.cfg -> string
 (** One-line provenance (shape, scheduler, tenants) for reports. *)

@@ -137,7 +137,6 @@ type session = {
       (* domain-pool width for the per-core planning half of
          {!Persist.crash_recover}; the recovered image is byte-identical
          at any value (the repo's determinism contract) *)
-  trace : Trace.t option;
   program : Program.t;
   code : Code.t;
       (* per-session resolved code: sessions over distinct programs (even
@@ -257,7 +256,7 @@ let entry_boundary_id program fname =
   | _ :: _ | [] -> None
 
 let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
-    ?(journal_io = false) ?(recovery_jobs = 1) ?trace ?(obs = Obs.null)
+    ?(journal_io = false) ?(recovery_jobs = 1) ?(obs = Obs.null)
     ?check_threshold ?engine ~program ~threads () =
   let engine = match engine with Some e -> e | None -> !default_engine in
   let config = { config with Config.cores = max 1 (List.length threads) } in
@@ -292,7 +291,6 @@ let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
     config;
     journal_io;
     recovery_jobs;
-    trace;
     program;
     code;
     memory;
@@ -323,7 +321,7 @@ let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
   }
 
 let resume ?(config = Config.sim_default) ?(mode = Persist.Capri)
-    ?(journal_io = false) ?(recovery_jobs = 1) ?trace ?(obs = Obs.null)
+    ?(journal_io = false) ?(recovery_jobs = 1) ?(obs = Obs.null)
     ?check_threshold ?engine ~(compiled : Capri_compiler.Compiled.t)
     ~(image : Persist.image) ~threads () =
   let engine = match engine with Some e -> e | None -> !default_engine in
@@ -395,7 +393,6 @@ let resume ?(config = Config.sim_default) ?(mode = Persist.Capri)
     config;
     journal_io;
     recovery_jobs;
-    trace;
     program;
     code;
     memory;
@@ -496,6 +493,16 @@ let close_dyn_region s (th : thread) ~next_id =
 
 let region_name id = if id < 0 then "entry" else "b" ^ string_of_int id
 
+(* Names the region timeline is written under in the tracer and read
+   back by {!boundary_instrs} and {!render_timeline}: a region span's
+   begin event carries the closed region's store count and the
+   boundary's global instruction index as arguments. *)
+let stall_span = "boundary-stall"
+let halt_instant = "halt"
+let crash_instant = "crash"
+let stores_arg = "stores"
+let instr_arg = "instr"
+
 (* One architectural store: functional update, word-delta hand-off to the
    persist engine (which snapshots the line itself only when it creates a
    proxy entry — the merge path allocates nothing), cache timing. Returns
@@ -553,13 +560,6 @@ let goto s (th : thread) idx =
    account it. Both return the cycle cost. *)
 let exec_boundary s (th : thread) ~id =
   s.boundary_count <- s.boundary_count + 1;
-  (match s.trace with
-   | Some tr ->
-     Trace.record tr
-       (Trace.Boundary
-          { core = th.core; boundary = id; cycle = th.cycle;
-            stores = th.cur_region_stores; instr = s.instr_count })
-   | None -> ());
   (* Capture the closing region's costs before the reset; the profiler
      record goes out after Persist flushes so the boundary stall (sync
      modes) is attributed to the region it closes. *)
@@ -583,19 +583,20 @@ let exec_boundary s (th : thread) ~id =
   if Tracer.enabled tr then begin
     let track = Tracer.Core th.core in
     if closing then Tracer.end_span tr ~track ~ts:th.cycle;
-    Tracer.begin_span tr ~track ~name:(region_name id) ~ts:th.cycle;
+    Tracer.begin_span tr ~track ~name:(region_name id) ~ts:th.cycle
+      ~args:
+        [
+          (stores_arg, string_of_int stores);
+          (instr_arg, string_of_int s.instr_count);
+        ];
     if stall > 0 then begin
-      Tracer.begin_span tr ~track ~name:"boundary-stall" ~ts:th.cycle;
+      Tracer.begin_span tr ~track ~name:stall_span ~ts:th.cycle;
       Tracer.end_span tr ~track ~ts:(th.cycle + stall)
     end
   end;
   1 + stall
 
 let exec_halt s (th : thread) =
-  (match s.trace with
-   | Some tr ->
-     Trace.record tr (Trace.Halted { core = th.core; cycle = th.cycle })
-   | None -> ());
   let closing = th.in_region in
   let closing_id = th.cur_region_id in
   let stores = th.cur_region_stores in
@@ -622,7 +623,7 @@ let exec_halt s (th : thread) =
   if Tracer.enabled tr then begin
     let track = Tracer.Core th.core in
     if closing then Tracer.end_span tr ~track ~ts:th.cycle;
-    Tracer.instant tr ~track ~name:"halt" ~ts:th.cycle
+    Tracer.instant tr ~track ~name:halt_instant ~ts:th.cycle
   end;
   th.halted <- true;
   1 + stall
@@ -1061,13 +1062,10 @@ let livelock (th : thread) =
          steps = th.steps })
 
 let fire_crash s crashed (th : thread) =
-  (match s.trace with
-   | Some tr -> Trace.record tr (Trace.Crashed { cycle = th.cycle })
-   | None -> ());
   if Tracer.enabled s.obs.Obs.tracer then begin
-    Tracer.instant s.obs.Obs.tracer ~track:Tracer.Proxy ~name:"crash"
+    Tracer.instant s.obs.Obs.tracer ~track:Tracer.Proxy ~name:crash_instant
       ~ts:th.cycle
-      ~args:[ ("instr", string_of_int s.instr_count) ];
+      ~args:[ (instr_arg, string_of_int s.instr_count) ];
     (* The crash tears down mid-region: close the spans it interrupted
        so the trace stays balanced across the boundary. *)
     Tracer.close_open s.obs.Obs.tracer ~ts:th.cycle
@@ -1205,3 +1203,58 @@ let positions s =
       (th.cur.Code.fname, Label.to_string th.cur.Code.label, th.index,
        th.cycle))
     s.threads
+
+(* ------------------------------------------------------------------ *)
+(* The region timeline, read back from the tracer.                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A region span's begin event, as [(core, instr)]. Boundary-stall
+   sub-spans and the serving layer's request spans are not region
+   spans; neither is anything without the [instr] argument. *)
+let region_begin (e : Tracer.event) =
+  match (e.Tracer.phase, e.Tracer.track) with
+  | Tracer.B, Tracer.Core core when e.Tracer.name <> stall_span ->
+    Option.map (fun i -> (core, i)) (List.assoc_opt instr_arg e.Tracer.args)
+  | _ -> None
+
+let boundary_instrs tr =
+  List.filter_map
+    (fun e -> Option.map (fun (_, i) -> int_of_string i) (region_begin e))
+    (Tracer.events tr)
+  |> List.sort_uniq Int.compare
+
+let timeline_row (e : Tracer.event) =
+  match (region_begin e, e.Tracer.phase, e.Tracer.track) with
+  | Some (core, instr), _, _ ->
+    (* region spans are named by [region_name]: "b" ^ boundary id *)
+    let id = String.sub e.Tracer.name 1 (String.length e.Tracer.name - 1) in
+    let stores =
+      Option.value ~default:"?" (List.assoc_opt stores_arg e.Tracer.args)
+    in
+    Some
+      (Printf.sprintf
+         "%-10d %-5d boundary #%s (region closed with %s stores, instr %s)\n"
+         e.Tracer.ts core id stores instr)
+  | None, Tracer.I, Tracer.Core core when e.Tracer.name = halt_instant ->
+    Some (Printf.sprintf "%-10d %-5d halt\n" e.Tracer.ts core)
+  | None, Tracer.I, Tracer.Proxy when e.Tracer.name = crash_instant ->
+    Some (Printf.sprintf "%-10d ----- POWER FAILURE\n" e.Tracer.ts)
+  | None, _, _ -> None
+
+let render_timeline ?(max_rows = 64) tr =
+  let rows = List.filter_map timeline_row (Tracer.events tr) in
+  let total = List.length rows in
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "cycle      core  event\n";
+  List.iteri
+    (fun i row ->
+      if total <= max_rows || i < max_rows / 2 || i >= total - (max_rows / 2)
+      then Buffer.add_string buf row
+      else if i = max_rows / 2 then
+        Buffer.add_string buf
+          (Printf.sprintf "  ... %d events elided ...\n" (total - max_rows)))
+    rows;
+  if total > max_rows then
+    Buffer.add_string buf
+      (Printf.sprintf "… (+%d more rows)\n" (total - max_rows));
+  Buffer.contents buf

@@ -96,7 +96,7 @@ type session
 
 val start :
   ?config:Arch.Config.t -> ?mode:Arch.Persist.mode -> ?journal_io:bool ->
-  ?recovery_jobs:int -> ?trace:Trace.t -> ?obs:Capri_obs.Obs.t ->
+  ?recovery_jobs:int -> ?obs:Capri_obs.Obs.t ->
   ?check_threshold:int -> ?engine:engine -> program:Program.t ->
   threads:thread_spec list -> unit -> session
 (** Fresh machine: zeroed memory (plus the program's data image), cold
@@ -113,11 +113,15 @@ val start :
     on its core's trace track (with nested boundary-stall spans in the
     synchronous modes), fences/atomics/halts/crashes emit instant
     events, and the region profiler receives one record per closed
-    region, joined with Persist's commit reports by (core, seq). *)
+    region, joined with Persist's commit reports by (core, seq). A
+    region span's begin event carries the boundary's global instruction
+    index ([instr]) and the store count of the region it closed
+    ([stores]); {!boundary_instrs} and {!render_timeline} read them
+    back. *)
 
 val resume :
   ?config:Arch.Config.t -> ?mode:Arch.Persist.mode -> ?journal_io:bool ->
-  ?recovery_jobs:int -> ?trace:Trace.t -> ?obs:Capri_obs.Obs.t ->
+  ?recovery_jobs:int -> ?obs:Capri_obs.Obs.t ->
   ?check_threshold:int -> ?engine:engine ->
   compiled:Capri_compiler.Compiled.t -> image:Arch.Persist.image ->
   threads:thread_spec list -> unit -> session
@@ -139,3 +143,20 @@ val run : ?crash_at_instr:int -> ?max_steps:int -> session -> outcome
 val positions : session -> (string * string * int * int) array
 (** Per-core (function, block label, instruction index, cycle) — where
     each thread currently stands; for debugging and liveness tests. *)
+
+(** {1 The region timeline}
+
+    Readers over a tracer that recorded one or more sessions. *)
+
+val boundary_instrs : Capri_obs.Tracer.t -> int list
+(** Sorted, deduplicated global instruction indices of every region
+    boundary crossed (all cores): the [instr] argument of each region
+    span's begin event. Boundary-stall spans, request-track spans and
+    instants are ignored. *)
+
+val render_timeline : ?max_rows:int -> Capri_obs.Tracer.t -> string
+(** A per-core timeline table: one row per boundary crossing (cycle,
+    core, boundary id, the closed region's store count, instruction
+    index), one per halt and one per crash. When there are more than
+    [max_rows] (default 64) rows, the middle is elided and a final
+    ["… (+K more rows)"] line reports how many rows the table dropped. *)

@@ -17,12 +17,12 @@ let threshold_of (compiled : Compiled.t) =
   compiled.Compiled.options.Capri_compiler.Options.threshold
 
 let reference ?(config = Arch.Config.sim_default) ?(mode = Arch.Persist.Capri)
-    ?trace ?threads compiled =
+    ?obs ?threads compiled =
   let threads =
     match threads with Some t -> t | None -> default_threads compiled
   in
   let session =
-    Executor.start ~config ~mode ?trace
+    Executor.start ~config ~mode ?obs
       ~check_threshold:(threshold_of compiled)
       ~program:compiled.Compiled.program ~threads ()
   in

@@ -23,12 +23,13 @@ type failure = {
 }
 
 val reference :
-  ?config:Arch.Config.t -> ?mode:Arch.Persist.mode -> ?trace:Trace.t ->
+  ?config:Arch.Config.t -> ?mode:Arch.Persist.mode -> ?obs:Capri_obs.Obs.t ->
   ?threads:Executor.thread_spec list ->
   Capri_compiler.Compiled.t -> Executor.result
 (** Crash-free run of the compiled program (default mode: [Capri]). Pass
-    a [trace] to record the boundary timeline — the fuzzer's schedule
-    enumeration reads boundary instruction indices from it. *)
+    an [obs] bundle with a tracer to record the region timeline — the
+    fuzzer's schedule enumeration reads boundary instruction indices
+    from it ({!Executor.boundary_instrs}). *)
 
 val run_with_crashes :
   ?config:Arch.Config.t -> ?mode:Arch.Persist.mode ->

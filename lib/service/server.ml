@@ -465,7 +465,7 @@ let instrument obs t outcome =
       logical
   end
 
-let run ?(obs = Obs.null) ?trace ?(crash_at = []) t =
+let run ?(obs = Obs.null) ?(crash_at = []) t =
   let cfg = t.cfg in
   if cfg.mode = Arch.Persist.Volatile && crash_at <> [] then
     invalid_arg "Server.run: a volatile store cannot recover from a crash";
@@ -543,14 +543,14 @@ let run ?(obs = Obs.null) ?trace ?(crash_at = []) t =
           (max !base (Tracer.max_ts obs.Obs.tracer));
         let session =
           Executor.resume ~config:cfg.config ~mode:cfg.mode ~journal_io:true
-            ~recovery_jobs:cfg.recovery_jobs ?trace ~obs
+            ~recovery_jobs:cfg.recovery_jobs ~obs
             ~check_threshold:threshold ~compiled:t.compiled ~image ~threads ()
         in
         go session rest)
   in
   let session =
     Executor.start ~config:cfg.config ~mode:cfg.mode ~journal_io:true
-      ~recovery_jobs:cfg.recovery_jobs ?trace ~obs ~check_threshold:threshold
+      ~recovery_jobs:cfg.recovery_jobs ~obs ~check_threshold:threshold
       ~program:t.compiled.Comp.Compiled.program ~threads ()
   in
   let result = go session crash_at in

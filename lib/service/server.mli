@@ -110,7 +110,6 @@ type outcome = {
 
 val run :
   ?obs:Capri_obs.Obs.t ->
-  ?trace:Capri_runtime.Trace.t ->
   ?crash_at:int list ->
   t ->
   outcome
@@ -118,10 +117,11 @@ val run :
     own segment (first entry in the fresh run, second after the first
     recovery, ...), as in {!Capri_runtime.Verify.run_with_crashes}. The
     run always completes: after the schedule is exhausted the final
-    segment drains every remaining request. [trace] records region
-    boundary events across every segment (the fuzz campaign uses a
-    crash-free traced run to aim crash points at 2PC phases). With an
-    enabled [obs], per-request ack instants land on each core's trace
+    segment drains every remaining request. With an enabled [obs], the
+    executor's region spans cover every segment (the fuzz campaign reads
+    a crash-free run's boundaries back with
+    {!Capri_runtime.Executor.boundary_instrs} to aim crash points at
+    2PC phases), per-request ack instants land on each core's trace
     track ([txn_commit]/[txn_abort] instants on the coordinator's), each
     served request gets a lifecycle span (admission, batch enqueue,
     proxy commit, ack; 2PC outcomes carry prepare/decision instants and

@@ -102,3 +102,8 @@ let expect_outputs result core expected =
   Alcotest.(check (list int))
     (Printf.sprintf "outputs core %d" core)
     expected result.Executor.outputs.(core)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0

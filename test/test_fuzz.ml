@@ -147,6 +147,34 @@ let test_differential_option_matrix () =
 
 (* ---------------- oracle sensitivity ---------------- *)
 
+(* [base] with a repro line's flags applied in order: [--flag value]
+   pairs and bare [--flag]s. The sensitivity tests configure their
+   replaying trial this way, so a flag the line leaves out stays at its
+   default and the replay fails if that flag mattered. *)
+let apply_repro repro ~apply base =
+  let is_flag a = String.length a > 2 && String.sub a 0 2 = "--" in
+  let rec go cfg = function
+    | [] -> cfg
+    | flag :: v :: rest when is_flag flag && not (is_flag v) ->
+      go (apply cfg flag (Some v)) rest
+    | flag :: rest when is_flag flag -> go (apply cfg flag None) rest
+    | _program :: rest -> go cfg rest
+  in
+  go base (String.split_on_char ' ' repro)
+
+let modes_of_flag v =
+  List.map
+    (fun m -> Option.get (Persist.mode_of_string m))
+    (String.split_on_char ',' v)
+
+let check_repro_names repro flags =
+  List.iter
+    (fun flag ->
+      Alcotest.(check bool)
+        (Printf.sprintf "repro %S names %s" repro flag)
+        true (contains repro flag))
+    flags
+
 (* Dropped undo is only observable when a dirty line of a still-open
    region reaches NVM before the crash AND the replay re-reads it: the
    region must dirty more lines than the caches hold and its stores must
@@ -184,6 +212,17 @@ let sensitivity_cfg =
     diff_combos = 0;
   }
 
+let campaign_flag (cfg : Fz.Campaign.cfg) flag v =
+  let n () = int_of_string (Option.get v) in
+  match flag with
+  | "--seed" -> { cfg with Fz.Campaign.seed = n () }
+  | "--budget" -> { cfg with budget = n () }
+  | "--mode" -> { cfg with modes = modes_of_flag (Option.get v) }
+  | "--max-cores" -> { cfg with max_cores = n () }
+  | "--max-schedules" -> { cfg with max_schedules = n () }
+  | "--diff-combos" -> { cfg with diff_combos = n () }
+  | _ -> Alcotest.failf "unexpected repro flag %s" flag
+
 let test_oracle_catches_dropped_undo () =
   (* sanity: the same campaign is clean without the fault *)
   let clean = Fz.Campaign.run sensitivity_cfg in
@@ -207,36 +246,42 @@ let test_oracle_catches_dropped_undo () =
        <= List.length f.Fz.Campaign.schedule);
     Alcotest.(check bool) "minimized program rendered" true
       (f.Fz.Campaign.minimized <> "");
-    (* the reported trial seed reproduces the failure in isolation,
-       with the fault still armed *)
+    (* The repro line names every non-default flag the campaign ran
+       with, and a trial configured from that line alone reproduces the
+       failure with the fault still armed. The cache shape and slice
+       size have no flag; they stay as the campaign had them. *)
+    check_repro_names f.Fz.Campaign.repro
+      [
+        Printf.sprintf "--seed %d " f.Fz.Campaign.trial_seed;
+        "--mode capri"; "--max-cores 2"; "--max-schedules 28";
+        "--diff-combos 0";
+      ];
+    let trial_cfg =
+      apply_repro f.Fz.Campaign.repro ~apply:campaign_flag
+        {
+          Fz.Campaign.default_cfg with
+          Fz.Campaign.config = tiny_config;
+          array_words = 64;
+          shrink = false;
+        }
+    in
     let repro =
       Atomic.set Persist.fault_drop_undo true;
       Fun.protect
         ~finally:(fun () -> Atomic.set Persist.fault_drop_undo false)
-        (fun () ->
-          Fz.Campaign.run_trial
-            {
-              sensitivity_cfg with
-              Fz.Campaign.seed = f.Fz.Campaign.trial_seed;
-              shrink = false;
-            }
-            0)
+        (fun () -> Fz.Campaign.run_trial trial_cfg 0)
     in
     (match repro.Fz.Campaign.t_failures with
-     | [] -> Alcotest.fail "trial seed did not reproduce the failure"
+     | [] -> Alcotest.fail "the repro line did not reproduce the failure"
      | rf :: _ ->
        Alcotest.(check int) "same trial seed" f.Fz.Campaign.trial_seed
-         rf.Fz.Campaign.trial_seed);
+         rf.Fz.Campaign.trial_seed;
+       Alcotest.(check string) "same oracle" f.Fz.Campaign.oracle
+         rf.Fz.Campaign.oracle;
+       Alcotest.(check (list int)) "same schedule" f.Fz.Campaign.schedule
+         rf.Fz.Campaign.schedule);
     (* and the fix (not dropping undo) makes the exact schedule pass *)
-    let fixed =
-      Fz.Campaign.run_trial
-        {
-          sensitivity_cfg with
-          Fz.Campaign.seed = f.Fz.Campaign.trial_seed;
-          shrink = false;
-        }
-        0
-    in
+    let fixed = Fz.Campaign.run_trial trial_cfg 0 in
     Alcotest.(check int) "clean once undo is applied again" 0
       (List.length fixed.Fz.Campaign.t_failures)
 
@@ -304,21 +349,34 @@ let test_oracle_catches_skipped_decision () =
    single-word cursor flip exists to rule out. Acked responses vanish
    from the durable ledger, so the campaign's prefix/completion oracle
    must fire (half its trials draw a live compact interval), the
-   reported trial seed must reproduce in isolation, and the same trial
-   runs clean once truncation is failure-atomic again. *)
+   reported repro line must replay it in isolation, and the same trial
+   runs clean once truncation is failure-atomic again. The campaign
+   runs with a non-default mode list — one RNG draws every mode's crash
+   points in list order, so the repro line has to carry it. *)
 let compaction_sensitivity_cfg =
   {
     Fz.Service_fuzz.default_cfg with
     Fz.Service_fuzz.seed = 11;
     budget = 40;
     jobs = 1;
-    modes = [ Persist.Capri ];
-    max_shards = 2;
-    max_ops = 16;
+    modes = [ Persist.Undo_sync; Persist.Capri ];
     max_schedules = 3;
     max_txns = 0;
     shrink = false;
   }
+
+let service_flag (cfg : Fz.Service_fuzz.cfg) flag v =
+  let n () = int_of_string (Option.get v) in
+  match flag with
+  | "--service" -> cfg
+  | "--seed" -> { cfg with Fz.Service_fuzz.seed = n () }
+  | "--budget" -> { cfg with budget = n () }
+  | "--mode" -> { cfg with modes = modes_of_flag (Option.get v) }
+  | "--max-schedules" -> { cfg with max_schedules = n () }
+  | "--max-txns" -> { cfg with max_txns = n () }
+  | "--min-txns" -> { cfg with min_txns = n () }
+  | "--steal" -> { cfg with steal = true }
+  | _ -> Alcotest.failf "unexpected repro flag %s" flag
 
 let test_oracle_catches_torn_compaction () =
   let armed f =
@@ -337,19 +395,26 @@ let test_oracle_catches_torn_compaction () =
   match report.Fz.Service_fuzz.failures with
   | [] -> Alcotest.fail "fuzzer failed to catch the torn compaction"
   | f :: _ ->
+    check_repro_names f.Fz.Service_fuzz.repro
+      [
+        Printf.sprintf "--seed %d " f.Fz.Service_fuzz.trial_seed;
+        "--mode undo-sync,capri"; "--max-schedules 3"; "--max-txns 0";
+      ];
     let trial_cfg =
-      {
-        compaction_sensitivity_cfg with
-        Fz.Service_fuzz.seed = f.Fz.Service_fuzz.trial_seed;
-        shrink = false;
-      }
+      apply_repro f.Fz.Service_fuzz.repro ~apply:service_flag
+        { Fz.Service_fuzz.default_cfg with Fz.Service_fuzz.shrink = false }
     in
     let repro = armed (fun () -> Fz.Service_fuzz.run_trial trial_cfg 0) in
     (match repro.Fz.Service_fuzz.t_failures with
-    | [] -> Alcotest.fail "trial seed did not reproduce the failure"
+    | [] -> Alcotest.fail "the repro line did not reproduce the failure"
     | rf :: _ ->
       Alcotest.(check int) "same trial seed" f.Fz.Service_fuzz.trial_seed
-        rf.Fz.Service_fuzz.trial_seed);
+        rf.Fz.Service_fuzz.trial_seed;
+      Alcotest.(check string) "same mode"
+        (Persist.mode_name f.Fz.Service_fuzz.mode)
+        (Persist.mode_name rf.Fz.Service_fuzz.mode);
+      Alcotest.(check (list int)) "same schedule" f.Fz.Service_fuzz.schedule
+        rf.Fz.Service_fuzz.schedule);
     let fixed = Fz.Service_fuzz.run_trial trial_cfg 0 in
     Alcotest.(check int) "clean once truncation is failure-atomic" 0
       (List.length fixed.Fz.Service_fuzz.t_failures)

@@ -195,10 +195,10 @@ let test_crash_at_instruction_zero () =
       (match Verify.check_equivalence ~reference ~candidate:result with
        | Ok () -> ()
        | Error e ->
-         Alcotest.failf "mode %s: %s" (Capri_fuzz.Campaign.mode_name mode) e);
+         Alcotest.failf "mode %s: %s" (Persist.mode_name mode) e);
       Alcotest.(check int) "final cell" 21
         (Memory.read result.Executor.memory cell))
-    [ Persist.Capri; Persist.Naive_sync; Persist.Undo_sync; Persist.Redo_nowb ]
+    (List.filter Persist.crash_recoverable Persist.all_modes)
 
 let test_two_crashes_same_region () =
   (* The second crash lands one instruction into the replay of the
@@ -289,10 +289,10 @@ let test_crash_after_core_halts () =
           | Ok () -> ()
           | Error e ->
             Alcotest.failf "mode %s, crash at %d: %s"
-              (Capri_fuzz.Campaign.mode_name mode)
+              (Persist.mode_name mode)
               at e)
         [ (3 * n) / 4; n - 10; n - 2 ])
-    [ Persist.Capri; Persist.Naive_sync; Persist.Undo_sync; Persist.Redo_nowb ]
+    (List.filter Persist.crash_recoverable Persist.all_modes)
 
 let suite =
   [

@@ -227,72 +227,109 @@ let suite =
       test_emit_barrier_synchronizes;
   ]
 
+(* The region timeline is read back from the tracer the executor
+   writes its region spans to. *)
+let timeline_lines ?max_rows f =
+  let obs = Capri_obs.Obs.create () in
+  let outcome = f obs in
+  ( outcome,
+    String.split_on_char '\n'
+      (Executor.render_timeline ?max_rows obs.Capri_obs.Obs.tracer) )
+
 let test_trace_records_regions () =
   let program, _ = Helpers.sum_program ~n:30 () in
   let compiled = compile program in
-  let tr = Capri_runtime.Trace.create () in
-  let session =
-    Executor.start ~trace:tr ~program:compiled.Compiled.program
+  let start obs =
+    Executor.start ~obs ~program:compiled.Compiled.program
       ~threads:[ Executor.main_thread compiled.Compiled.program ] ()
   in
-  (match Executor.run session with
-   | Executor.Finished r ->
-     Alcotest.(check int) "boundary events match" r.Executor.boundaries
-       (Capri_runtime.Trace.region_count tr ~core:0)
-   | Executor.Crashed _ -> Alcotest.fail "unexpected crash");
-  let rendered = Capri_runtime.Trace.render tr in
-  Alcotest.(check bool) "renders" true (String.length rendered > 0);
-  (* crash events appear *)
-  let tr2 = Capri_runtime.Trace.create () in
-  let session2 =
-    Executor.start ~trace:tr2 ~program:compiled.Compiled.program
-      ~threads:[ Executor.main_thread compiled.Compiled.program ] ()
+  let rows needle lines =
+    List.length (List.filter (fun l -> contains l needle) lines)
   in
-  (match Executor.run ~crash_at_instr:20 session2 with
-   | Executor.Crashed _ -> ()
-   | Executor.Finished _ -> Alcotest.fail "expected crash");
-  Alcotest.(check bool) "crash recorded" true
-    (List.exists
-       (function
-         | Capri_runtime.Trace.Crashed _ -> true
-         | Capri_runtime.Trace.Boundary _ | Capri_runtime.Trace.Halted _ ->
-           false)
-       (Capri_runtime.Trace.events tr2))
+  (match
+     timeline_lines ~max_rows:max_int (fun obs -> Executor.run (start obs))
+   with
+   | Executor.Finished r, lines ->
+     Alcotest.(check int) "one boundary row per boundary"
+       r.Executor.boundaries (rows " boundary #" lines);
+     Alcotest.(check int) "one halt row" 1 (rows " halt" lines);
+     Alcotest.(check int) "no crash row" 0 (rows "POWER FAILURE" lines)
+   | Executor.Crashed _, _ -> Alcotest.fail "unexpected crash");
+  match
+    timeline_lines ~max_rows:max_int (fun obs ->
+        Executor.run ~crash_at_instr:20 (start obs))
+  with
+  | Executor.Crashed _, lines ->
+    Alcotest.(check int) "crash row" 1 (rows "POWER FAILURE" lines)
+  | Executor.Finished _, _ -> Alcotest.fail "expected crash"
+
+let region_span tr ~core ~ts ~instr =
+  Capri_obs.Tracer.begin_span tr ~track:(Capri_obs.Tracer.Core core)
+    ~name:(Printf.sprintf "b%d" instr) ~ts
+    ~args:[ ("stores", "1"); ("instr", string_of_int instr) ]
 
 let test_trace_render_truncation () =
-  let module Trace = Capri_runtime.Trace in
-  let tr = Trace.create () in
+  let module Tracer = Capri_obs.Tracer in
+  let tr = Tracer.create () in
   for i = 0 to 99 do
-    Trace.record tr
-      (Trace.Boundary { core = 0; boundary = i; cycle = i; stores = 1; instr = i })
+    region_span tr ~core:0 ~ts:i ~instr:i
   done;
-  let rendered = Trace.render ~max_rows:10 tr in
-  let lines = String.split_on_char '\n' rendered in
+  let lines =
+    String.split_on_char '\n' (Executor.render_timeline ~max_rows:10 tr)
+  in
   let last_line =
     List.fold_left (fun acc l -> if l <> "" then l else acc) "" lines
   in
   Alcotest.(check string) "truncation footer" "… (+90 more rows)" last_line;
   Alcotest.(check bool) "elision marker" true
-    (List.exists
-       (fun l -> String.length l > 2 && String.sub l 0 2 = "  ")
-       lines);
+    (List.mem "  ... 90 events elided ..." lines);
+  Alcotest.(check bool) "rows kept at both ends" true
+    (List.mem
+       "0          0     boundary #0 (region closed with 1 stores, instr 0)"
+       lines
+     && List.mem
+          "99         0     boundary #99 (region closed with 1 stores, instr \
+           99)"
+          lines);
   (* below the limit: no footer *)
-  let tr2 = Trace.create () in
-  Trace.record tr2 (Trace.Halted { core = 0; cycle = 5 });
-  let rendered2 = Trace.render ~max_rows:10 tr2 in
-  Alcotest.(check bool) "no footer when it fits" false
-    (let needle = "more rows" in
-     let n = String.length rendered2 and m = String.length needle in
-     let rec found i =
-       i + m <= n && (String.sub rendered2 i m = needle || found (i + 1))
-     in
-     found 0)
+  let tr2 = Tracer.create () in
+  Tracer.instant tr2 ~track:(Tracer.Core 0) ~name:"halt" ~ts:5;
+  Alcotest.(check string) "no footer when it fits"
+    "cycle      core  event\n5          0     halt\n"
+    (Executor.render_timeline ~max_rows:10 tr2)
+
+(* Only region spans count as boundaries: sorted and deduplicated
+   across cores, with boundary-stall sub-spans, request-lifecycle spans
+   and the crash instant's own [instr] argument left out. *)
+let test_boundary_instrs_reader () =
+  let module Tracer = Capri_obs.Tracer in
+  let tr = Tracer.create () in
+  region_span tr ~core:1 ~ts:0 ~instr:40;
+  region_span tr ~core:0 ~ts:0 ~instr:7;
+  Tracer.begin_span tr ~track:(Tracer.Core 0) ~name:"boundary-stall" ~ts:0
+    ~args:[ ("instr", "3") ];
+  Tracer.end_span tr ~track:(Tracer.Core 0) ~ts:2;
+  Tracer.end_span tr ~track:(Tracer.Core 0) ~ts:4;
+  region_span tr ~core:0 ~ts:4 ~instr:40;
+  Tracer.begin_span tr ~track:(Tracer.Request 0) ~name:"read" ~ts:1
+    ~args:[ ("instr", "5") ];
+  Tracer.end_span tr ~track:(Tracer.Request 0) ~ts:6;
+  region_span tr ~core:2 ~ts:6 ~instr:12;
+  Tracer.instant tr ~track:(Tracer.Core 2) ~name:"fence" ~ts:7;
+  Tracer.instant tr ~track:Tracer.Proxy ~name:"crash" ~ts:8
+    ~args:[ ("instr", "50") ];
+  Alcotest.(check (list int)) "region-span instrs only" [ 7; 12; 40 ]
+    (Executor.boundary_instrs tr);
+  Alcotest.(check (list int)) "empty tracer" []
+    (Executor.boundary_instrs (Tracer.create ()))
 
 let suite = suite @ [
     Alcotest.test_case "trace records regions" `Quick
       test_trace_records_regions;
     Alcotest.test_case "trace render truncation" `Quick
       test_trace_render_truncation;
+    Alcotest.test_case "trace boundary reader" `Quick
+      test_boundary_instrs_reader;
   ]
 
 (* Address-space layout with many disjoint heaps: shard tables and

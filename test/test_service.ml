@@ -220,10 +220,7 @@ let test_txn_oracle_under_crashes_all_modes () =
       Alcotest.(check int) "recoveries" 3 outcome.Server.recoveries;
       Alcotest.(check bool) "streams equal" true
         (outcome.Server.final = reference.Server.final))
-    [
-      Arch.Persist.Capri; Arch.Persist.Naive_sync; Arch.Persist.Undo_sync;
-      Arch.Persist.Redo_nowb;
-    ]
+    (List.filter Arch.Persist.crash_recoverable Arch.Persist.all_modes)
 
 let test_oracle_under_crashes_all_modes () =
   List.iter
@@ -240,10 +237,7 @@ let test_oracle_under_crashes_all_modes () =
       (* the crashes must not change what the clients ultimately see *)
       Alcotest.(check bool) "streams equal" true
         (outcome.Server.final = reference.Server.final))
-    [
-      Arch.Persist.Capri; Arch.Persist.Naive_sync; Arch.Persist.Undo_sync;
-      Arch.Persist.Redo_nowb;
-    ]
+    (List.filter Arch.Persist.crash_recoverable Arch.Persist.all_modes)
 
 let test_volatile_rejects_crashes () =
   let t = Server.plan (mk ~mode:Arch.Persist.Volatile ~ops:10 ()) in
@@ -357,10 +351,7 @@ let test_trace_valid_across_crashes () =
         (Arch.Persist.mode_name mode ^ ": one downtime window per recovery")
         outcome.Server.recoveries
         (List.length outcome.Server.downtime))
-    [
-      Arch.Persist.Capri; Arch.Persist.Naive_sync; Arch.Persist.Undo_sync;
-      Arch.Persist.Redo_nowb;
-    ]
+    (List.filter Arch.Persist.crash_recoverable Arch.Persist.all_modes)
 
 let test_slo_report_and_timeline () =
   let t = Server.plan (mk ~ops:40 ()) in
@@ -1055,10 +1046,7 @@ let prop_txn_batches_serializable =
             QCheck.Test.fail_reportf "seed %d mode %s: %s" seed
               (Arch.Persist.mode_name mode)
               (Format.asprintf "%a" Sla.pp_violation v))
-        [
-          Arch.Persist.Capri; Arch.Persist.Naive_sync; Arch.Persist.Undo_sync;
-          Arch.Persist.Redo_nowb; Arch.Persist.Volatile;
-        ])
+        Arch.Persist.all_modes)
 
 let suite =
   [
