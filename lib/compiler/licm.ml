@@ -338,17 +338,31 @@ let dedup_in_region f (region : Region_map.region) =
   !removed
 
 let run (options : Options.t) (program : Program.t) (map : Region_map.t) =
-  let hoisted = ref 0 in
-  let deduped = ref 0 in
-  List.iter
-    (fun (region : Region_map.region) ->
-      let f = Program.find_func program region.Region_map.func in
-      let loops = Loops.compute f in
-      hoisted := !hoisted + sink_in_region options map f loops region)
-    (Region_map.regions map);
-  List.iter
-    (fun (region : Region_map.region) ->
-      let f = Program.find_func program region.Region_map.func in
-      deduped := !deduped + dedup_in_region f region)
-    (Region_map.regions map);
-  { ckpts_hoisted = !hoisted; ckpts_deduped = !deduped }
+  let regions = Region_map.regions map in
+  (* One loop analysis per function serves all of its regions: regions
+     partition the function's blocks, and sinking in one region only
+     splits edges leaving it, with split blocks that no other region's
+     members contain. A loop lying wholly inside another region keeps its
+     header and body, so that region's instance loops are the same as
+     after a fresh analysis. *)
+  let hoisted =
+    List.fold_left
+      (fun acc f ->
+        let name = Func.name f in
+        let loops = Loops.compute f in
+        List.fold_left
+          (fun acc (region : Region_map.region) ->
+            if String.equal region.Region_map.func name then
+              acc + sink_in_region options map f loops region
+            else acc)
+          acc regions)
+      0 program.Program.funcs
+  in
+  let deduped =
+    List.fold_left
+      (fun acc (region : Region_map.region) ->
+        let f = Program.find_func program region.Region_map.func in
+        acc + dedup_in_region f region)
+      0 regions
+  in
+  { ckpts_hoisted = hoisted; ckpts_deduped = deduped }

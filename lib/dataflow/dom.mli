@@ -1,4 +1,9 @@
-(** Dominator analysis, used to find natural-loop back edges. *)
+(** Dominator analysis, used to find natural-loop back edges.
+
+    Only blocks reachable from the entry take part in the fixpoint, which
+    runs in reverse postorder and costs a couple of passes over them. An
+    unreachable block dominates itself only, and an unreachable
+    predecessor does not weaken a reachable block's dominators. *)
 
 open Capri_ir
 

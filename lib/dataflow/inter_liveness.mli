@@ -12,7 +12,12 @@
       convention, r0) joined with the live-ins of every caller's
       continuation block: a value may flow callee -> caller -> later
       reader without the caller touching the register, and the
-      checkpoint analysis must see it live across the return. *)
+      checkpoint analysis must see it live across the return.
+
+    Each block is summarised once as the registers it reads before writing
+    and the registers it writes, held as 32-bit masks, so a fixpoint
+    visit costs a few integer operations; the accessors convert to
+    [Reg.Set.t]. *)
 
 open Capri_ir
 

@@ -11,8 +11,7 @@ type t = { loops : loop list; headers : Label.Set.t }
 
 (* Natural loop of a back edge latch->header: header plus everything that
    reaches the latch without going through the header. *)
-let natural_loop f ~header ~latch =
-  let preds = Func.preds_map f in
+let natural_loop preds ~header ~latch =
   let body = ref (Label.Set.singleton header) in
   let rec visit l =
     if not (Label.Set.mem l !body) then begin
@@ -47,13 +46,14 @@ let compute f =
           m)
       Label.Map.empty back_edges
   in
+  let preds = Func.preds_map f in
   let raw =
     Label.Map.fold
       (fun header latches acc ->
         let body =
           Label.Set.fold
             (fun latch acc ->
-              Label.Set.union acc (natural_loop f ~header ~latch))
+              Label.Set.union acc (natural_loop preds ~header ~latch))
             latches Label.Set.empty
         in
         (header, latches, body) :: acc)

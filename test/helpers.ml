@@ -107,3 +107,105 @@ let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
+
+(* Reference interprocedural liveness, independent of Inter_liveness: a
+   round-robin fixpoint over every instruction of the program with the
+   Call/Ret rules inter_liveness.mli states. The live-out of a Call block
+   is the live-in of its return block plus the callee's entry live-in; the
+   live-out of a Ret block is r0 plus the live-in of every continuation
+   of a call to its function; a Halt block has nothing live after it. *)
+let reference_liveness (program : Program.t) =
+  let live_in = Hashtbl.create 64 in
+  let get name l =
+    Option.value ~default:Reg.Set.empty (Hashtbl.find_opt live_in (name, l))
+  in
+  let entry_in callee =
+    match List.find_opt (fun f -> Func.name f = callee) program.Program.funcs with
+    | Some f -> get callee (Func.entry f)
+    | None -> Reg.Set.empty
+  in
+  let ret_out name =
+    List.fold_left
+      (fun acc f ->
+        List.fold_left
+          (fun acc (b : Block.t) ->
+            match b.Block.term with
+            | Instr.Call { callee; ret_to } when callee = name ->
+              Reg.Set.union acc (get (Func.name f) ret_to)
+            | Instr.Call _ | Instr.Jump _ | Instr.Branch _ | Instr.Ret
+            | Instr.Halt ->
+              acc)
+          acc (Func.blocks f))
+      (Reg.Set.singleton (r 0)) program.Program.funcs
+  in
+  let live_out f (b : Block.t) =
+    match b.Block.term with
+    | Instr.Ret -> ret_out (Func.name f)
+    | Instr.Halt -> Reg.Set.empty
+    | Instr.Call { callee; ret_to } ->
+      Reg.Set.union (get (Func.name f) ret_to) (entry_in callee)
+    | Instr.Jump _ | Instr.Branch _ ->
+      List.fold_left
+        (fun acc s -> Reg.Set.union acc (get (Func.name f) s))
+        Reg.Set.empty (Instr.term_succs b.Block.term)
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun f ->
+        List.iter
+          (fun (b : Block.t) ->
+            let before =
+              List.fold_right
+                (fun i live ->
+                  Reg.Set.union (Instr.uses i)
+                    (Reg.Set.diff live (Instr.defs i)))
+                b.Block.instrs
+                (Reg.Set.union (live_out f b) (Instr.term_uses b.Block.term))
+            in
+            if not (Reg.Set.equal before (get (Func.name f) b.Block.label))
+            then begin
+              Hashtbl.replace live_in (Func.name f, b.Block.label) before;
+              changed := true
+            end)
+          (Func.blocks f))
+      program.Program.funcs
+  done;
+  (fun f l -> get (Func.name f) l), live_out, ret_out
+
+(* The first block (or function) where Inter_liveness disagrees with
+   {!reference_liveness}, if any. *)
+let liveness_mismatch (program : Program.t) =
+  let live = Inter_liveness.compute program in
+  let ref_in, ref_out, ref_ret = reference_liveness program in
+  let show s =
+    String.concat "," (List.map Reg.to_string (Reg.Set.elements s))
+  in
+  let differs what expected got =
+    if Reg.Set.equal expected got then None
+    else Some (Printf.sprintf "%s: expected {%s}, got {%s}" what
+                 (show expected) (show got))
+  in
+  List.find_map
+    (fun f ->
+      let name = Func.name f in
+      match
+        differs (name ^ " ret_live_out") (ref_ret name)
+          (Inter_liveness.ret_live_out live name)
+      with
+      | Some _ as m -> m
+      | None ->
+        List.find_map
+          (fun (b : Block.t) ->
+            let at = name ^ "/" ^ Label.to_string b.Block.label in
+            match
+              differs (at ^ " live_in") (ref_in f b.Block.label)
+                (Inter_liveness.live_in live f b.Block.label)
+            with
+            | Some _ as m -> m
+            | None ->
+              differs (at ^ " live_out") (ref_out f b)
+                (Inter_liveness.live_out live f b.Block.label))
+          (Func.blocks f))
+    program.Program.funcs

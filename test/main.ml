@@ -24,4 +24,5 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("engine", Test_engine.suite);
       ("qcheck", Test_qcheck.suite);
+      ("pin", Test_pin.suite);
     ]

@@ -129,6 +129,40 @@ let test_dominators () =
    | None -> ()
    | Some _ -> Alcotest.fail "entry has no idom")
 
+(* entry -> exit, plus a cycle a <-> b that leaves to exit but that no
+   reachable block enters. *)
+let unreachable_cycle () =
+  let open Instr in
+  Func.create ~name:"main" ~entry:(lbl "entry")
+    [
+      Block.create (lbl "entry") [] (Jump (lbl "exit"));
+      Block.create (lbl "a") [] (Jump (lbl "b"));
+      Block.create (lbl "b")
+        [ Mov { dst = r 1; src = Imm 0 } ]
+        (Branch { cond = Reg (r 1); if_true = lbl "a"; if_false = lbl "exit" });
+      Block.create (lbl "exit") [] Halt;
+    ]
+
+let test_dominators_unreachable () =
+  let f = unreachable_cycle () in
+  let dom = Dom.compute f in
+  let doms l =
+    Dom.dominators dom (lbl l) |> Label.Set.elements
+    |> List.map Label.to_string
+  in
+  let idom l = Option.map Label.to_string (Dom.idom dom (lbl l)) in
+  Alcotest.(check (list string)) "entry" [ "entry" ] (doms "entry");
+  Alcotest.(check (list string)) "exit: the unreachable b does not count"
+    [ "entry"; "exit" ] (doms "exit");
+  Alcotest.(check (list string)) "a dominates itself only" [ "a" ] (doms "a");
+  Alcotest.(check (list string)) "b dominates itself only" [ "b" ] (doms "b");
+  Alcotest.(check (option string)) "idom exit" (Some "entry") (idom "exit");
+  Alcotest.(check (option string)) "idom entry" None (idom "entry");
+  Alcotest.(check (option string)) "idom a" None (idom "a");
+  Alcotest.(check (option string)) "idom b" None (idom "b");
+  Alcotest.(check int) "no loops: b -> exit is no back edge" 0
+    (List.length (Loops.loops (Loops.compute f)))
+
 let test_loops () =
   let f = loopy () in
   let loops = Loops.compute f in
@@ -217,6 +251,19 @@ let test_nested_loops () =
   let first = List.hd (Loops.loops loops) in
   Alcotest.(check int) "deepest first" 2 first.Loops.depth
 
+(* Interprocedural liveness on every kernel, before and after the full
+   pipeline, equals the per-instruction reference fixpoint. *)
+let test_inter_liveness_kernels () =
+  List.iter
+    (fun (k : Capri_workloads.Kernel.t) ->
+      let name = k.Capri_workloads.Kernel.name in
+      let source = k.Capri_workloads.Kernel.program in
+      Alcotest.(check (option string)) (name ^ " source") None
+        (liveness_mismatch source);
+      Alcotest.(check (option string)) (name ^ " compiled") None
+        (liveness_mismatch (compile source).Compiled.program))
+    (Capri_workloads.Suite.all ~scale:Capri_workloads.Suite.test_scale ())
+
 let suite =
   [
     Alcotest.test_case "liveness diamond" `Quick test_liveness_diamond;
@@ -225,7 +272,11 @@ let suite =
       test_inter_liveness_call;
     Alcotest.test_case "interprocedural: ret convention" `Quick
       test_inter_liveness_ret_convention;
+    Alcotest.test_case "interprocedural: kernels == reference" `Quick
+      test_inter_liveness_kernels;
     Alcotest.test_case "dominators" `Quick test_dominators;
+    Alcotest.test_case "dominators: unreachable cycle" `Quick
+      test_dominators_unreachable;
     Alcotest.test_case "natural loops" `Quick test_loops;
     Alcotest.test_case "trip count: known" `Quick test_trip_count_known;
     Alcotest.test_case "trip count: unknown" `Quick test_trip_count_unknown;

@@ -358,10 +358,65 @@ let prop_series_merge_laws =
       Series.merge_into ~dst:halves (replay_ops width ys);
       json ab = json ba && json left = json right && json halves = json whole)
 
+(* A generated program before and after the full pipeline at the seed's
+   threshold: the compiled side carries the blocks LICM's sinking splits
+   off and the clones unrolling adds. *)
+let source_and_compiled seed =
+  let program = Capri_workloads.Gen.program_of_seed seed in
+  let options =
+    Opt.with_threshold (options_of_seed seed).Opt.threshold Opt.all_opts
+  in
+  [ program; (Pipeline.compile options program).Compiled.program ]
+
+(* Blocks reachable from the entry when [removed] (if any) is deleted. *)
+let reachable_without f removed =
+  let seen = Label.Tbl.create 64 in
+  let rec visit l =
+    let gone = match removed with Some r -> Label.equal l r | None -> false in
+    if not (gone || Label.Tbl.mem seen l) then begin
+      Label.Tbl.add seen l ();
+      List.iter visit (Instr.term_succs (Func.find f l).Block.term)
+    end
+  in
+  visit (Func.entry f);
+  seen
+
+(* Dominance by its definition: [a] dominates a reachable [b] iff [b] is
+   no longer reachable from the entry once [a] is removed. *)
+let dominance_by_definition f =
+  let dom = Dom.compute f in
+  let reachable = reachable_without f None in
+  let labels = List.map (fun (b : Block.t) -> b.Block.label) (Func.blocks f) in
+  List.for_all
+    (fun a ->
+      let without_a = reachable_without f (Some a) in
+      List.for_all
+        (fun b ->
+          (not (Label.Tbl.mem reachable b))
+          || Dom.dominates dom a b = not (Label.Tbl.mem without_a b))
+        labels)
+    labels
+
+let prop_dominators =
+  QCheck.Test.make ~count:100 ~name:"dominators == removal reachability"
+    seed_gen (fun seed ->
+      List.for_all
+        (fun (p : Program.t) ->
+          List.for_all dominance_by_definition p.Program.funcs)
+        (source_and_compiled seed))
+
+let prop_inter_liveness =
+  QCheck.Test.make ~count:100 ~name:"interprocedural liveness == reference"
+    seed_gen (fun seed ->
+      match List.find_map Helpers.liveness_mismatch (source_and_compiled seed) with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
+
 let suite =
   suite
   @ List.map QCheck_alcotest.to_alcotest
       [
         prop_journal_exactly_once; prop_pgo_preserves; prop_memory_model;
-        prop_parser_round_trip; prop_series_merge_laws;
+        prop_parser_round_trip; prop_series_merge_laws; prop_dominators;
+        prop_inter_liveness;
       ]
