@@ -46,8 +46,9 @@ steal:
 	dune exec bench/service.exe -- --hot-key --shards 4 --ops 20 --tenants 3 --cores 2 --hot-txns 8
 	dune exec fuzz/main.exe -- --service --steal --budget 260
 
-# Engine-equivalence gate: tiny-scale micro shapes + a kernel + a
-# generated multi-core program, interp vs compiled, all five modes.
+# Scheduler-equivalence gate: tiny-scale micro shapes + a kernel + a
+# generated multi-core program, Executor.run vs Executor.run_reference,
+# all five modes.
 perfsmoke:
 	dune exec bench/perfsmoke.exe
 

@@ -9,10 +9,6 @@
      --jobs N     measurement parallelism (default: $CAPRI_JOBS if set,
                   else the machine's recommended domain count). Results
                   are byte-identical at any job count.
-     --engine E   execution engine, interp|compiled (default: compiled,
-                  or $CAPRI_ENGINE). Results are engine-independent;
-                  only wall-clock changes. Also narrows the micro
-                  harness's dispatch section to the one engine.
      --json FILE  also write the machine-readable results as a JSON array
                   of {"experiment":..., "wall_s":..., "rows":[...]}.
      --metrics    run every measurement with an enabled metrics registry
@@ -130,7 +126,7 @@ let write_json oc ?registry entries =
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [--jobs N] [--engine E] [--json FILE] [experiment ...]\n\
+    "usage: main.exe [--jobs N] [--json FILE] [experiment ...]\n\
      available experiments: %s\n"
     (String.concat ", " (List.map fst experiments))
 
@@ -153,14 +149,6 @@ let () =
     | [ "--jobs" ] -> bad "--jobs expects an argument"
     | "--json" :: f :: rest -> json_file := Some f; parse rest
     | [ "--json" ] -> bad "--json expects an argument"
-    | "--engine" :: v :: rest ->
-      (match Capri.Executor.engine_of_string v with
-       | Some e ->
-         Capri.Executor.default_engine := e;
-         Micro.dispatch_engines := [ e ]
-       | None -> bad "--engine expects 'interp' or 'compiled'");
-      parse rest
-    | [ "--engine" ] -> bad "--engine expects an argument"
     | "--metrics" :: rest -> want_metrics := true; parse rest
     | a :: rest when String.length a >= 7 && String.sub a 0 7 = "--jobs=" ->
       jobs := int_arg "--jobs" (String.sub a 7 (String.length a - 7));

@@ -66,14 +66,12 @@ let test_run =
          ignore (run ~threads:k.W.Kernel.threads compiled)))
 
 (* --- Dispatch microbenchmarks -------------------------------------- *)
-(* Three loop shapes that isolate the per-instruction dispatch cost the
-   compiled tier removes: a tight arithmetic loop (pure register traffic,
+(* Three loop shapes that isolate the per-instruction dispatch cost of
+   the lowered closures: a tight arithmetic loop (pure register traffic,
    the best case for fused whole-block execution), a store-heavy loop
    (every iteration feeds the persist front proxy, exercising the batched
    word-delta path) and a branch-heavy loop (a data-dependent diamond per
-   iteration, so no block fuses across the backedge). Each shape runs
-   under both engines so the gap reads off one table; `--engine` on the
-   harness restricts the section to a single engine. *)
+   iteration, so no block fuses across the backedge). *)
 
 let rr = Reg.of_int
 let rg i = Builder.reg (rr i)
@@ -138,41 +136,29 @@ let branch_program ~trips =
       Builder.switch f join)
 
 (* The three shapes at a given scale; bench/perfsmoke.ml replays these
-   at tiny [trips] under both engines and diffs the results. *)
+   at tiny [trips] under both schedulers and diffs the results. *)
 let dispatch_programs ~trips =
   [
     ("arith", arith_program ~trips); ("stores", store_program ~trips);
     ("branches", branch_program ~trips);
   ]
 
-(* Engines the dispatch section covers; bench/main.exe's `--engine`
-   narrows this to one. *)
-let dispatch_engines : Executor.engine list ref =
-  ref [ Executor.Interp; Executor.Compiled ]
-
 let dispatch_tests () =
-  let shapes = dispatch_programs ~trips:10_000 in
-  List.concat_map
+  List.map
     (fun (shape, program) ->
       let compiled = compile program in
-      List.map
-        (fun engine ->
-          Test.make
-            ~name:
-              (Printf.sprintf "dispatch: %s loop (%s)" shape
-                 (Executor.engine_name engine))
-            (Staged.stage (fun () ->
-                 let session =
-                   Executor.start ~engine
-                     ~program:compiled.Compiled.program
-                     ~threads:[ Executor.main_thread compiled.Compiled.program ]
-                     ()
-                 in
-                 match Executor.run session with
-                 | Executor.Finished r -> ignore r.Executor.cycles
-                 | Executor.Crashed _ -> assert false)))
-        !dispatch_engines)
-    shapes
+      Test.make
+        ~name:(Printf.sprintf "dispatch: %s loop" shape)
+        (Staged.stage (fun () ->
+             let session =
+               Executor.start ~program:compiled.Compiled.program
+                 ~threads:[ Executor.main_thread compiled.Compiled.program ]
+                 ()
+             in
+             match Executor.run session with
+             | Executor.Finished r -> ignore r.Executor.cycles
+             | Executor.Crashed _ -> assert false)))
+    (dispatch_programs ~trips:10_000)
 
 let benchmark () =
   let tests =

@@ -1,9 +1,11 @@
-(* perf-smoke: the compiled execution tier must be a pure speed change.
-   Run the dispatch microbenchmark shapes at tiny scale — plus a small
-   suite kernel and a multi-core workload-generator program — under both
-   engines across all five persistence modes and require identical
-   results: cycles, instruction/store accounting, outputs, acks, final
-   registers, persist and hierarchy statistics, and final memory.
+(* perf-smoke: burst scheduling and block fusion must be a pure speed
+   change. Run the dispatch microbenchmark shapes at tiny scale — plus a
+   small suite kernel and a multi-core workload-generator program —
+   under `Executor.run` and its one-instruction-per-pick reference,
+   `Executor.run_reference`, across all five persistence modes and
+   require identical results: cycles, instruction/store accounting,
+   outputs, acks, final registers, persist and hierarchy statistics, and
+   final memory.
 
    The whole matrix is evaluated twice, through a 1-domain and a
    4-domain `Capri_util.Pool`, and the two result lists must be
@@ -29,16 +31,17 @@ let fingerprint (r : Executor.result) =
     (r.Executor.persist_stats, r.Executor.hier_stats),
     List.sort compare !mem )
 
-(* One task = one (shape, mode): fingerprint under both engines. *)
+(* One task = one (shape, mode): fingerprint under both schedulers. *)
 let run_pair (name, mode, program, threads) =
-  let run engine =
-    let session = Executor.start ~mode ~engine ~program ~threads () in
-    match Executor.run session with
+  let fingerprint_of
+      (run : ?crash_at_instr:int -> ?max_steps:int -> Executor.session ->
+       Executor.outcome) =
+    match run (Executor.start ~mode ~program ~threads ()) with
     | Executor.Finished r -> fingerprint r
     | Executor.Crashed _ -> assert false
   in
   ( name, Persist.mode_name mode,
-    run Executor.Interp, run Executor.Compiled )
+    fingerprint_of Executor.run_reference, fingerprint_of Executor.run )
 
 let () =
   let tasks = ref [] in
@@ -80,7 +83,7 @@ let () =
     (fun (name, mode, a, b) ->
       if a <> b then begin
         incr failures;
-        Printf.eprintf "perf-smoke: %s [%s]: compiled differs from interp\n"
+        Printf.eprintf "perf-smoke: %s [%s]: run differs from run_reference\n"
           name mode
       end)
     seq;
@@ -89,5 +92,5 @@ let () =
     exit 1
   end;
   print_endline
-    "perf-smoke: compiled matches interp on all shapes and modes; jobs=4 \
+    "perf-smoke: run matches run_reference on all shapes and modes; jobs=4 \
      matches jobs=1"

@@ -25,26 +25,6 @@ let threshold_arg =
   let doc = "Region store threshold (paper default 256)." in
   Arg.(value & opt int 256 & info [ "threshold" ] ~docv:"N" ~doc)
 
-(* Selects the execution engine for every simulation the invocation runs
-   (the term sets `Executor.default_engine`; all session starts that do
-   not pin an engine inherit it). *)
-let engine_arg =
-  let doc =
-    "Execution engine ($(docv)): `compiled' pre-lowers basic blocks to \
-     closure arrays (the default, or \\$CAPRI_ENGINE); `interp' is the \
-     AST-walking reference engine. Simulation results are identical \
-     either way; only wall-clock speed changes."
-  in
-  let engines =
-    [ ("interp", Executor.Interp); ("compiled", Executor.Compiled) ]
-  in
-  Term.(
-    const (fun e -> Executor.default_engine := e)
-    $ Arg.(
-        value
-        & opt (enum engines) !Executor.default_engine
-        & info [ "engine" ] ~docv:"interp|compiled" ~doc))
-
 let find_kernel name scale =
   try W.Suite.by_name ~scale name
   with Not_found ->
@@ -95,7 +75,7 @@ let pgo_arg =
   Arg.(value & flag & info [ "pgo" ] ~doc)
 
 let run_cmd =
-  let run name scale threshold pgo () =
+  let run name scale threshold pgo =
     let k = find_kernel name scale in
     let baseline = run_volatile ~threads:k.W.Kernel.threads k.W.Kernel.program in
     let options = Options.with_threshold threshold Options.default in
@@ -129,15 +109,14 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Run a kernel under whole-system persistence")
     Term.(
-      const run $ kernel_arg $ scale_arg $ threshold_arg $ pgo_arg
-      $ engine_arg)
+      const run $ kernel_arg $ scale_arg $ threshold_arg $ pgo_arg)
 
 let crash_cmd =
   let points_arg =
     let doc = "Number of crash points to test." in
     Arg.(value & opt int 40 & info [ "points" ] ~docv:"N" ~doc)
   in
-  let run name scale threshold points () =
+  let run name scale threshold points =
     let k = find_kernel name scale in
     let options = Options.with_threshold threshold Options.default in
     let compiled = Pipeline.compile options k.W.Kernel.program in
@@ -163,8 +142,7 @@ let crash_cmd =
   Cmd.v
     (Cmd.info "crash" ~doc:"Crash-sweep a kernel and verify every recovery")
     Term.(
-      const run $ kernel_arg $ scale_arg $ threshold_arg $ points_arg
-      $ engine_arg)
+      const run $ kernel_arg $ scale_arg $ threshold_arg $ points_arg)
 
 let exec_cmd =
   let file_arg =
@@ -175,7 +153,7 @@ let exec_cmd =
     let doc = "Also crash-sweep the program and verify recovery." in
     Arg.(value & flag & info [ "crash" ] ~doc)
   in
-  let run file threshold crash () =
+  let run file threshold crash =
     match Parser.parse_file file with
     | Error e ->
       Format.eprintf "%s: %a@." file Parser.pp_error e;
@@ -206,7 +184,7 @@ let exec_cmd =
   in
   Cmd.v
     (Cmd.info "exec" ~doc:"Compile and run a textual IR program from a file")
-    Term.(const run $ file_arg $ threshold_arg $ crash_flag $ engine_arg)
+    Term.(const run $ file_arg $ threshold_arg $ crash_flag)
 
 let profile_cmd =
   let target_arg =
@@ -254,7 +232,7 @@ let profile_cmd =
     output_string oc contents;
     close_out oc
   in
-  let run target scale threshold top jobs focus perfetto metrics_file () =
+  let run target scale threshold top jobs focus perfetto metrics_file =
     let program, threads =
       if Sys.file_exists target then
         match Parser.parse_file target with
@@ -304,10 +282,10 @@ let profile_cmd =
           Perfetto span trace and hottest-regions table")
     Term.(
       const run $ target_arg $ scale_arg $ threshold_arg $ top_arg $ jobs_arg
-      $ mode_arg $ perfetto_arg $ metrics_arg $ engine_arg)
+      $ mode_arg $ perfetto_arg $ metrics_arg)
 
 let trace_cmd =
-  let run name scale threshold () =
+  let run name scale threshold =
     let k = find_kernel name scale in
     let options = Options.with_threshold threshold Options.default in
     let compiled = Pipeline.compile options k.W.Kernel.program in
@@ -322,7 +300,7 @@ let trace_cmd =
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Show the dynamic region timeline of a kernel")
-    Term.(const run $ kernel_arg $ scale_arg $ threshold_arg $ engine_arg)
+    Term.(const run $ kernel_arg $ scale_arg $ threshold_arg)
 
 let serve_cmd =
   let module Svc = Capri_service in
@@ -472,7 +450,7 @@ let serve_cmd =
   in
   let run shards mix ops crashes jobs txn_mix txn_items focus perfetto
       timeline slo slo_p99 slo_avail window tenants cores steal keys compact
-      rjobs () =
+      rjobs =
     let client =
       {
         Svc.Client.default with
@@ -623,8 +601,7 @@ let serve_cmd =
       const run $ shards_arg $ mix_arg $ ops_arg $ crash_arg $ jobs_arg
       $ txn_mix_arg $ txn_items_arg $ focus_arg $ perfetto_arg $ timeline_arg
       $ slo_arg $ slo_p99_arg $ slo_avail_arg $ window_arg $ tenants_arg
-      $ cores_arg $ steal_arg $ keys_arg $ compact_arg $ rjobs_arg
-      $ engine_arg)
+      $ cores_arg $ steal_arg $ keys_arg $ compact_arg $ rjobs_arg)
 
 let show_config_cmd =
   let run () = Format.printf "%a@." Config.pp_table Config.table1 in

@@ -69,24 +69,25 @@ let term_store_count = function
   | Call _ -> 1
   | Jump _ | Branch _ | Ret | Halt -> 0
 
-let eval_binop op a b =
-  match op with
-  | Add -> a + b
-  | Sub -> a - b
-  | Mul -> a * b
-  | Div -> if b = 0 then 0 else a / b
-  | Rem -> if b = 0 then 0 else a mod b
-  | And -> a land b
-  | Or -> a lor b
-  | Xor -> a lxor b
-  | Shl -> a lsl (b land 63)
-  | Shr -> a asr (b land 63)
-  | Lt -> if a < b then 1 else 0
-  | Le -> if a <= b then 1 else 0
-  | Eq -> if a = b then 1 else 0
-  | Ne -> if a <> b then 1 else 0
-  | Min -> min a b
-  | Max -> max a b
+let binop_fn : binop -> int -> int -> int = function
+  | Add -> ( + )
+  | Sub -> ( - )
+  | Mul -> ( * )
+  | Div -> fun a b -> if b = 0 then 0 else a / b
+  | Rem -> fun a b -> if b = 0 then 0 else a mod b
+  | And -> ( land )
+  | Or -> ( lor )
+  | Xor -> ( lxor )
+  | Shl -> fun a b -> a lsl (b land 63)
+  | Shr -> fun a b -> a asr (b land 63)
+  | Lt -> fun a b -> if a < b then 1 else 0
+  | Le -> fun a b -> if a <= b then 1 else 0
+  | Eq -> fun a b -> if a = b then 1 else 0
+  | Ne -> fun a b -> if a <> b then 1 else 0
+  | Min -> min
+  | Max -> max
+
+let eval_binop op a b = binop_fn op a b
 
 let binop_name = function
   | Add -> "add" | Sub -> "sub" | Mul -> "mul" | Div -> "div" | Rem -> "rem"

@@ -73,9 +73,13 @@ val term_store_count : terminator -> int
 (** Implicit stores performed by the terminator (the return-address push
     of [Call]). *)
 
+val binop_fn : binop -> int -> int -> int
+(** The one definition of binop semantics. Division and remainder by
+    zero yield 0 (no trap: the machine is total). The executor resolves
+    each operator once, when it lowers a block, and keeps the function. *)
+
 val eval_binop : binop -> int -> int -> int
-(** Shared by the functional machine and recovery execution. Division and
-    remainder by zero yield 0 (no trap: the machine is total). *)
+(** [binop_fn op a b]; recovery blocks evaluate through it. *)
 
 val pp_operand : Format.formatter -> operand -> unit
 val pp : Format.formatter -> t -> unit

@@ -1,101 +1,8 @@
 open Capri_ir
 
-(* A block with its control transfers resolved to integer block indices at
-   build time, so the executor's dispatch loop never hashes a string. *)
-
-type rterm =
-  | Jump of int
-  | Branch of { cond : Instr.operand; if_true : int; if_false : int }
-  | Call of { callee_entry : int; ret_addr : int }
-  | Ret
-  | Halt
-
-type block = {
-  instrs : Instr.t array;
-  rterm : rterm;
-  term : Instr.terminator;  (* the unresolved original, for debugging *)
-  fname : string;
-  label : Label.t;
-  addr : int;
-}
-
-type t = {
-  blocks : block array;  (* index = addr - code_base *)
-  by_key : (string * string, int) Hashtbl.t;  (* (func, label) -> index *)
-  entries : (string, int) Hashtbl.t;  (* function name -> entry index *)
-}
-
-(* Code addresses start high so they are recognizable in dumps and cannot
-   collide with small data values in tests. *)
-let code_base = 0x4000_0000
-
-let build (program : Program.t) =
-  (* Pass 1: assign consecutive indices in layout order (same numbering as
-     the historical implementation, so stack images stay comparable). *)
-  let by_key = Hashtbl.create 256 in
-  let entries = Hashtbl.create 16 in
-  let count = ref 0 in
-  List.iter
-    (fun f ->
-      List.iter
-        (fun (b : Block.t) ->
-          Hashtbl.replace by_key
-            (Func.name f, Label.to_string b.Block.label)
-            !count;
-          incr count)
-        (Func.blocks f);
-      Hashtbl.replace entries (Func.name f)
-        (Hashtbl.find by_key (Func.name f, Label.to_string (Func.entry f))))
-    program.Program.funcs;
-  (* Pass 2: resolve every terminator's targets. *)
-  let blocks = Array.make !count None in
-  let idx = ref 0 in
-  List.iter
-    (fun f ->
-      let fname = Func.name f in
-      let local l = Hashtbl.find by_key (fname, Label.to_string l) in
-      List.iter
-        (fun (b : Block.t) ->
-          let rterm =
-            match b.Block.term with
-            | Instr.Jump l -> Jump (local l)
-            | Instr.Branch { cond; if_true; if_false } ->
-              Branch
-                { cond; if_true = local if_true; if_false = local if_false }
-            | Instr.Call { callee; ret_to } ->
-              Call
-                {
-                  callee_entry = Hashtbl.find entries callee;
-                  ret_addr = code_base + local ret_to;
-                }
-            | Instr.Ret -> Ret
-            | Instr.Halt -> Halt
-          in
-          blocks.(!idx) <-
-            Some
-              {
-                instrs = Array.of_list b.Block.instrs;
-                rterm;
-                term = b.Block.term;
-                fname;
-                label = b.Block.label;
-                addr = code_base + !idx;
-              };
-          incr idx)
-        (Func.blocks f))
-    program.Program.funcs;
-  let blocks =
-    Array.map
-      (function Some b -> b | None -> assert false)
-      blocks
-  in
-  { blocks; by_key; entries }
-
-let block t idx = t.blocks.(idx)
-
-(* ------------------------------------------------------------------ *)
-(* Decoded form for the compiled execution tier.                       *)
-(* ------------------------------------------------------------------ *)
+(* Every block decoded once, with its control transfers resolved to
+   integer block indices, so the executor's dispatch loop never hashes a
+   string or re-resolves an operand. *)
 
 type dop = Dreg of int | Dimm of int
 
@@ -119,11 +26,23 @@ type dterm =
   | Dret
   | Dhalt
 
-type compiled_block = {
+type block = {
   dinstrs : dinstr array;
   dterm : dterm;
   fast : bool;
+  fname : string;
+  label : Label.t;
 }
+
+type t = {
+  blocks : block array;  (* index = addr - code_base *)
+  by_key : (string * string, int) Hashtbl.t;  (* (func, label) -> index *)
+  entries : (string, int) Hashtbl.t;  (* function name -> entry index *)
+}
+
+(* Code addresses start high so they are recognizable in dumps and cannot
+   collide with small data values in tests. *)
+let code_base = 0x4000_0000
 
 let decode_op = function
   | Instr.Reg r -> Dreg (Reg.to_int r)
@@ -149,14 +68,6 @@ let decode_instr = function
   | Instr.Ckpt_load { dst; slot } ->
     Dckpt_load { dst = Reg.to_int dst; slot }
 
-let decode_term = function
-  | Jump idx -> Djump idx
-  | Branch { cond; if_true; if_false } ->
-    Dbranch { cond = decode_op cond; if_true; if_false }
-  | Call { callee_entry; ret_addr } -> Dcall { callee_entry; ret_addr }
-  | Ret -> Dret
-  | Halt -> Dhalt
-
 (* A block is fused-loop eligible unless it contains a region boundary
    (whose bookkeeping reads the region's running instruction counter
    mid-flight) or a recovery-only Ckpt_load. Stores and atomics are fine:
@@ -167,16 +78,56 @@ let fuse_safe = function
   | Dbinop _ | Dmov _ | Dload _ | Dstore _ | Datomic _ | Dfence | Dout _
   | Dckpt _ -> true
 
-let compile t =
-  Array.map
-    (fun b ->
-      let dinstrs = Array.map decode_instr b.instrs in
-      {
-        dinstrs;
-        dterm = decode_term b.rterm;
-        fast = Array.for_all fuse_safe dinstrs;
-      })
-    t.blocks
+let build (program : Program.t) =
+  (* Number every block in layout order first: a terminator may name a
+     later block or function. *)
+  let by_key = Hashtbl.create 256 in
+  let entries = Hashtbl.create 16 in
+  let count = ref 0 in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun (b : Block.t) ->
+          Hashtbl.replace by_key
+            (Func.name f, Label.to_string b.Block.label)
+            !count;
+          incr count)
+        (Func.blocks f);
+      Hashtbl.replace entries (Func.name f)
+        (Hashtbl.find by_key (Func.name f, Label.to_string (Func.entry f))))
+    program.Program.funcs;
+  let decode fname (b : Block.t) =
+    let local l = Hashtbl.find by_key (fname, Label.to_string l) in
+    let dinstrs = Array.map decode_instr (Array.of_list b.Block.instrs) in
+    let dterm =
+      match b.Block.term with
+      | Instr.Jump l -> Djump (local l)
+      | Instr.Branch { cond; if_true; if_false } ->
+        Dbranch
+          { cond = decode_op cond; if_true = local if_true;
+            if_false = local if_false }
+      | Instr.Call { callee; ret_to } ->
+        Dcall
+          {
+            callee_entry = Hashtbl.find entries callee;
+            ret_addr = code_base + local ret_to;
+          }
+      | Instr.Ret -> Dret
+      | Instr.Halt -> Dhalt
+    in
+    { dinstrs; dterm; fast = Array.for_all fuse_safe dinstrs; fname;
+      label = b.Block.label }
+  in
+  let blocks =
+    List.concat_map
+      (fun f -> List.map (decode (Func.name f)) (Func.blocks f))
+      program.Program.funcs
+    |> Array.of_list
+  in
+  { blocks; by_key; entries }
+
+let block t idx = t.blocks.(idx)
+let length t = Array.length t.blocks
 
 let index_of t ~func label =
   Hashtbl.find t.by_key (func, Label.to_string label)

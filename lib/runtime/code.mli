@@ -1,34 +1,14 @@
-(** Code addressing and pre-resolved control flow.
+(** Code addressing and decoded blocks.
 
     Every basic block gets an integer index (and the code address
     [code_base + index], used for return addresses pushed on the in-memory
-    stack and decoded again by [Ret]). At build time each terminator's
-    targets are resolved to block indices, so the executor's dispatch loop
-    performs no per-branch string conversion or hashing. *)
+    stack and decoded again by [Ret]). {!build} decodes each block once
+    per session: register operands become integer indices, immediates
+    are unwrapped and each terminator's targets are resolved to block
+    indices, so the executor lowers blocks to closures without per-branch
+    string conversion or hashing. *)
 
 open Capri_ir
-
-type rterm =
-  | Jump of int  (** target block index *)
-  | Branch of { cond : Instr.operand; if_true : int; if_false : int }
-  | Call of { callee_entry : int; ret_addr : int }
-      (** [ret_addr] is the code address (not index) pushed on the stack *)
-  | Ret
-  | Halt
-
-type block = {
-  instrs : Instr.t array;
-  rterm : rterm;
-  term : Instr.terminator;  (** the unresolved original, for debugging *)
-  fname : string;
-  label : Label.t;
-  addr : int;
-}
-
-(** Fully decoded form consumed by the executor's compiled tier: register
-    operands are integer indices, immediates are unwrapped, and control
-    targets are block indices — everything the interpreter re-derives per
-    dynamic instruction is resolved once here, at load time. *)
 
 type dop = Dreg of int | Dimm of int
 
@@ -46,13 +26,14 @@ type dinstr =
   | Dckpt_load of { dst : int; slot : int }
 
 type dterm =
-  | Djump of int
+  | Djump of int  (** target block index *)
   | Dbranch of { cond : dop; if_true : int; if_false : int }
   | Dcall of { callee_entry : int; ret_addr : int }
+      (** [ret_addr] is the code address (not index) pushed on the stack *)
   | Dret
   | Dhalt
 
-type compiled_block = {
+type block = {
   dinstrs : dinstr array;
   dterm : dterm;
   fast : bool;
@@ -60,21 +41,20 @@ type compiled_block = {
           block may run in the executor's fused loop (which skips the
           per-instruction scheduler/crash checks) when its other
           preconditions hold *)
+  fname : string;  (** enclosing function *)
+  label : Label.t;
 }
 
 type t
 
 val build : Program.t -> t
-(** Resolves every block of every function; raises [Not_found] if a
-    terminator references a missing label or function (programs are
-    expected to have passed {!Capri_ir.Validate}). *)
+(** Numbers and decodes every block of every function; raises
+    [Not_found] if a terminator references a missing label or function
+    (programs are expected to have passed {!Capri_ir.Validate}). *)
 
 val block : t -> int -> block
-
-val compile : t -> compiled_block array
-(** Decode every block once (index [i] of the result corresponds to
-    block index [i]); the executor lowers the result to closure arrays
-    per session. *)
+val length : t -> int
+(** Number of blocks; indices run from 0 to [length t - 1]. *)
 
 val index_of : t -> func:string -> Label.t -> int
 (** Raises [Not_found]. *)

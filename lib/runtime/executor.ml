@@ -12,25 +12,6 @@ type thread_spec = { func : string; args : (Reg.t * int) list }
 
 let main_thread (p : Program.t) = { func = p.Program.main; args = [] }
 
-type engine = Interp | Compiled
-
-(* The compiled tier is the default: the interpreter remains as the
-   reference engine (the differential tests hold the two to identical
-   results). CAPRI_ENGINE=interp flips the default for a whole process,
-   e.g. to bisect a suspected engine divergence without recompiling. *)
-let default_engine =
-  ref
-    (match Sys.getenv_opt "CAPRI_ENGINE" with
-     | Some "interp" -> Interp
-     | Some _ | None -> Compiled)
-
-let engine_name = function Interp -> "interp" | Compiled -> "compiled"
-
-let engine_of_string = function
-  | "interp" -> Some Interp
-  | "compiled" -> Some Compiled
-  | _ -> None
-
 exception Livelock of { core : int; region : string; steps : int }
 
 let () =
@@ -95,17 +76,16 @@ type outcome = Finished of result | Crashed of crash
 type thread = {
   core : int;
   regs : int array;
-  mutable cur : Code.block;
-  mutable cur_idx : int;  (* block index of [cur] *)
+  mutable cur_idx : int;  (* index of the current block in [Code] *)
   mutable cfns : (thread -> int) array;
-      (* compiled engine: the current block's closure array — one closure
-         per instruction plus the terminator at index [length instrs];
-         each returns its cycle cost. [[||]] under the interpreter. *)
+      (* the current block's closure array — one closure per instruction
+         plus the terminator at index [length dinstrs]; each returns its
+         cycle cost *)
   mutable index : int;
   mutable cycle : int;
   mutable steps : int;
       (* scheduler step attempts (conflict retries included) — the
-         per-thread unit both engines charge the [max_steps] budget in *)
+         per-thread unit both schedulers charge the [max_steps] budget in *)
   mutable halted : bool;
   mutable outputs : int list;  (* reversed *)
   mutable out_cycles : (int * int) list;  (* (value, cycle), reversed *)
@@ -131,13 +111,11 @@ type thread = {
 let dummy_bp = { instances = 0; p_instrs = 0; p_stores = 0; p_max_stores = 0 }
 
 type session = {
-  config : Config.t;
   journal_io : bool;
   recovery_jobs : int;
       (* domain-pool width for the per-core planning half of
          {!Persist.crash_recover}; the recovered image is byte-identical
          at any value (the repo's determinism contract) *)
-  program : Program.t;
   code : Code.t;
       (* per-session resolved code: sessions over distinct programs (even
          ones sharing function and label names) are fully isolated, and
@@ -146,12 +124,11 @@ type session = {
   hier : Hierarchy.t;
   persist : Persist.t;
   fence_on : bool;  (* Persist.fence_active, hoisted out of the store path *)
-  engine : engine;
   mutable cblocks : (thread -> int) array array;
-      (* compiled engine: closure array per block index; [[||]] under the
-         interpreter. Built once per session so the closures can capture
-         session-constant facts (journaling, tracer enablement, fence). *)
-  mutable fast_len : int array;
+      (* closure array per block index, lowered right after the session
+         record exists so the closures can capture it and the
+         session-constant facts (journaling, tracer enablement, fence) *)
+  fast_len : int array;
       (* per block index: number of closures (instrs + terminator) when
          the block is eligible for the fused loop, 0 otherwise *)
   threads : thread array;
@@ -189,7 +166,6 @@ let make_thread code core (spec : thread_spec) =
   {
     core;
     regs;
-    cur = Code.block code entry;
     cur_idx = entry;
     cfns = [||];
     index = 0;
@@ -248,187 +224,9 @@ let load_data program memory =
   List.iter (fun (addr, v) -> Memory.write memory addr v)
     program.Program.data
 
-let entry_boundary_id program fname =
-  let f = Program.find_func program fname in
-  let b = Func.find f (Func.entry f) in
-  match b.Block.instrs with
-  | Instr.Boundary { id } :: _ -> Some id
-  | _ :: _ | [] -> None
-
-let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
-    ?(journal_io = false) ?(recovery_jobs = 1) ?(obs = Obs.null)
-    ?check_threshold ?engine ~program ~threads () =
-  let engine = match engine with Some e -> e | None -> !default_engine in
-  let config = { config with Config.cores = max 1 (List.length threads) } in
-  let memory = Memory.create () in
-  load_data program memory;
-  let persist = Persist.create ~obs config ~mode in
-  let hier =
-    Hierarchy.create ~obs ~labels:[ ("mode", Persist.mode_name mode) ] config
-      memory
-      ~on_nvm_writeback:(fun ~cycle ~line ~data ~version ->
-        Persist.on_writeback persist ~cycle ~line ~data ~version)
-  in
-  let code = Code.build program in
-  (* Seed NVM with the initial image: the data segment is durable before
-     execution starts (the loader wrote it). Must bypass the writeback
-     path — Redo_nowb drops dirty writebacks by design. *)
-  Memory.iter_lines memory (fun l data ->
-      Persist.install_line persist ~line:l ~data:(Array.copy data) ~version:0);
-  let threads =
-    Array.of_list (List.mapi (fun i spec -> make_thread code i spec) threads)
-  in
-  (* The loader also durably records each thread's initial context, so a
-     crash inside the very first region restores the right arguments. *)
-  Array.iteri
-    (fun i th ->
-      Persist.init_slots persist ~core:i ~slots:th.regs
-        ~resume_boundary:(entry_boundary_id program th.cur.Code.fname)
-        ~sp:th.regs.(sp_idx))
-    threads;
-  let lcosts, scosts = mk_cost_tables config in
-  {
-    config;
-    journal_io;
-    recovery_jobs;
-    program;
-    code;
-    memory;
-    hier;
-    persist;
-    fence_on = Persist.fence_active persist;
-    engine;
-    cblocks = [||];
-    fast_len = [||];
-    threads;
-    check_threshold;
-    instr_count = 0;
-    payload_count = 0;
-    store_count = 0;
-    ckpt_count = 0;
-    boundary_count = 0;
-    stale_reads = 0;
-    r_regions = 0;
-    r_instrs = 0;
-    r_stores = 0;
-    r_max_stores = 0;
-    lcosts;
-    scosts;
-    redo_extra = (mode = Persist.Redo_nowb);
-    lval = 0;
-    profile = Hashtbl.create 64;
-    obs;
-  }
-
-let resume ?(config = Config.sim_default) ?(mode = Persist.Capri)
-    ?(journal_io = false) ?(recovery_jobs = 1) ?(obs = Obs.null)
-    ?check_threshold ?engine ~(compiled : Capri_compiler.Compiled.t)
-    ~(image : Persist.image) ~threads () =
-  let engine = match engine with Some e -> e | None -> !default_engine in
-  let program = compiled.Capri_compiler.Compiled.program in
-  let config = { config with Config.cores = max 1 (List.length threads) } in
-  let memory = Memory.copy image.Persist.nvm in
-  let persist = Persist.create ~obs config ~mode in
-  let hier =
-    Hierarchy.create ~obs ~labels:[ ("mode", Persist.mode_name mode) ] config
-      memory
-      ~on_nvm_writeback:(fun ~cycle ~line ~data ~version ->
-        Persist.on_writeback persist ~cycle ~line ~data ~version)
-  in
-  (* NVM of the new engine = the recovered image (again bypassing the
-     writeback path, which Redo_nowb discards). *)
-  Memory.iter_lines memory (fun l data ->
-      Persist.install_line persist ~line:l ~data:(Array.copy data) ~version:0);
-  let code = Code.build program in
-  let regions = compiled.Capri_compiler.Compiled.regions in
-  let specs = Array.of_list threads in
-  let threads =
-    Array.of_list
-      (List.mapi
-         (fun i (spec : thread_spec) ->
-           let th = make_thread code i spec in
-           (match image.Persist.resume.(i) with
-            | Persist.Done ->
-              (* The halt path staged the whole register file with the
-                 final region, so the slot array holds this finished
-                 thread's exact final context. *)
-              Array.blit image.Persist.slots.(i) 0 th.regs 0 Reg.count;
-              th.halted <- true
-            | Persist.Never_started -> ()
-            | Persist.Resume { boundary; sp } ->
-              let region = Capri_compiler.Region_map.find regions boundary in
-              let head = region.Capri_compiler.Region_map.head in
-              let fname = region.Capri_compiler.Region_map.func in
-              Array.blit image.Persist.slots.(i) 0 th.regs 0 Reg.count;
-              th.regs.(sp_idx) <- sp;
-              let idx = Code.index_of code ~func:fname head in
-              th.cur <- Code.block code idx;
-              th.cur_idx <- idx;
-              th.index <- 0);
-           th)
-         (Array.to_list specs))
-  in
-  (* Seed the fresh engine's durable per-core records from the image (or
-     from scratch for threads that never reached their first boundary). *)
-  Array.iteri
-    (fun i th ->
-      (match image.Persist.resume.(i) with
-       | Persist.Never_started ->
-         Persist.init_slots persist ~core:i ~slots:th.regs
-           ~resume_boundary:(entry_boundary_id program specs.(i).func)
-           ~sp:th.regs.(sp_idx)
-       | Persist.Done ->
-         Persist.seed_core persist ~core:i ~slots:image.Persist.slots.(i)
-           ~resume:Persist.Done
-       | Persist.Resume { boundary; sp } ->
-         Persist.seed_core persist ~core:i ~slots:image.Persist.slots.(i)
-           ~resume:(Persist.Resume { boundary; sp }));
-      if journal_io then
-        Persist.seed_journal persist ~core:i
-          ~base:image.Persist.acked_base.(i)
-          ~outs:image.Persist.journal.(i) ())
-    threads;
-  let lcosts, scosts = mk_cost_tables config in
-  {
-    config;
-    journal_io;
-    recovery_jobs;
-    program;
-    code;
-    memory;
-    hier;
-    persist;
-    fence_on = Persist.fence_active persist;
-    engine;
-    cblocks = [||];
-    fast_len = [||];
-    threads;
-    check_threshold;
-    instr_count = 0;
-    payload_count = 0;
-    store_count = 0;
-    ckpt_count = 0;
-    boundary_count = 0;
-    stale_reads = 0;
-    r_regions = 0;
-    r_instrs = 0;
-    r_stores = 0;
-    r_max_stores = 0;
-    lcosts;
-    scosts;
-    redo_extra = (mode = Persist.Redo_nowb);
-    lval = 0;
-    profile = Hashtbl.create 64;
-    obs;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Stepping.                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let operand_value (th : thread) = function
-  | Instr.Reg r -> th.regs.(Reg.to_int r)
-  | Instr.Imm i -> i
 
 (* Cross-core conflict fence: the store must wait (without executing)
    until the other core's conflicting region commits. The thread retries
@@ -549,14 +347,14 @@ let do_load s (th : thread) addr =
     if s.redo_extra then cost + Persist.load_extra_latency s.persist level
     else cost
 
+(* Enter block [idx]: its closure array becomes the thread's. *)
 let goto s (th : thread) idx =
-  th.cur <- Code.block s.code idx;
   th.cur_idx <- idx;
-  th.index <- 0
+  th.index <- 0;
+  th.cfns <- Array.unsafe_get s.cblocks idx
 
-(* Region boundary and halt bookkeeping, shared verbatim by both engines
-   (these are the cold paths — the compiled tier only specializes the
-   dispatch around them). Neither touches [payload_count]; the callers
+(* Region boundary and halt bookkeeping: the cold paths the lowered
+   closures call into. Neither touches [payload_count]; the callers
    account it. Both return the cycle cost. *)
 let exec_boundary s (th : thread) ~id =
   s.boundary_count <- s.boundary_count + 1;
@@ -628,158 +426,17 @@ let exec_halt s (th : thread) =
   th.halted <- true;
   1 + stall
 
-let exec_instr s (th : thread) (i : Instr.t) =
-  s.payload_count <- s.payload_count + 1;
-  match i with
-  | Instr.Binop { op; dst; a; b } ->
-    th.regs.(Reg.to_int dst) <-
-      Instr.eval_binop op (operand_value th a) (operand_value th b);
-    1
-  | Instr.Mov { dst; src } ->
-    th.regs.(Reg.to_int dst) <- operand_value th src;
-    1
-  | Instr.Load { dst; base; offset } ->
-    let addr = th.regs.(Reg.to_int base) + offset in
-    let cost = do_load s th addr in
-    let value = s.lval in
-    th.regs.(Reg.to_int dst) <- value;
-    cost
-  | Instr.Store { base; offset; src } ->
-    let addr = th.regs.(Reg.to_int base) + offset in
-    fence_store s th addr;
-    do_store s th addr (operand_value th src)
-  | Instr.Atomic_rmw { op; dst; base; offset; src } ->
-    let addr = th.regs.(Reg.to_int base) + offset in
-    fence_store s th addr;
-    if Tracer.enabled s.obs.Obs.tracer then
-      Tracer.instant s.obs.Obs.tracer ~track:(Tracer.Core th.core)
-        ~name:"atomic" ~ts:th.cycle;
-    let load_cost = do_load s th addr in
-    let old_value = s.lval in
-    let new_value = Instr.eval_binop op old_value (operand_value th src) in
-    let store_cost = do_store s th addr new_value in
-    th.regs.(Reg.to_int dst) <- old_value;
-    load_cost + store_cost
-  | Instr.Fence ->
-    if Tracer.enabled s.obs.Obs.tracer then
-      Tracer.instant s.obs.Obs.tracer ~track:(Tracer.Core th.core)
-        ~name:"fence" ~ts:th.cycle;
-    1
-  | Instr.Out src ->
-    let value = operand_value th src in
-    if s.journal_io && Persist.mode s.persist <> Persist.Volatile then
-      Persist.on_out s.persist ~core:th.core ~value
-    else begin
-      th.outputs <- value :: th.outputs;
-      th.out_cycles <- (value, th.cycle) :: th.out_cycles
-    end;
-    1
-  | Instr.Boundary { id } ->
-    s.payload_count <- s.payload_count - 1;
-    exec_boundary s th ~id
-  | Instr.Ckpt { reg; slot } ->
-    s.payload_count <- s.payload_count - 1;
-    s.ckpt_count <- s.ckpt_count + 1;
-    th.cur_region_stores <- th.cur_region_stores + 1;
-    th.cur_region_ckpts <- th.cur_region_ckpts + 1;
-    Persist.on_ckpt s.persist ~core:th.core ~slot
-      ~value:th.regs.(Reg.to_int reg);
-    1
-  | Instr.Ckpt_load _ ->
-    failwith "Executor: Ckpt_load outside a recovery block"
-
-let exec_term s (th : thread) =
-  match th.cur.Code.rterm with
-  | Code.Jump idx ->
-    goto s th idx;
-    1
-  | Code.Branch { cond; if_true; if_false } ->
-    let taken = operand_value th cond <> 0 in
-    goto s th (if taken then if_true else if_false);
-    1
-  | Code.Call { callee_entry; ret_addr } ->
-    fence_store s th (th.regs.(sp_idx) - 1);
-    let sp = th.regs.(sp_idx) - 1 in
-    th.regs.(sp_idx) <- sp;
-    let cost = do_store s th sp ret_addr in
-    goto s th callee_entry;
-    1 + cost
-  | Code.Ret ->
-    let sp = th.regs.(sp_idx) in
-    let cost = do_load s th sp in
-    let ret_addr = s.lval in
-    th.regs.(sp_idx) <- sp + 1;
-    goto s th (Code.index_of_addr s.code ret_addr);
-    1 + cost
-  | Code.Halt -> exec_halt s th
-
-let step s (th : thread) =
-  s.instr_count <- s.instr_count + 1;
-  th.cur_region_instrs <- th.cur_region_instrs + 1;
-  let cost =
-    let block = th.cur.Code.instrs in
-    if th.index < Array.length block then begin
-      let i = Array.unsafe_get block th.index in
-      th.index <- th.index + 1;
-      try exec_instr s th i
-      with Retry_conflict ->
-        (* Undo the fetch: the instruction re-executes once the other
-           core's conflicting region has committed. *)
-        th.index <- th.index - 1;
-        s.instr_count <- s.instr_count - 1;
-        th.cur_region_instrs <- th.cur_region_instrs - 1;
-        s.payload_count <- s.payload_count - 1;
-        conflict_retry_cycles
-    end
-    else
-      try exec_term s th
-      with Retry_conflict ->
-        s.instr_count <- s.instr_count - 1;
-        th.cur_region_instrs <- th.cur_region_instrs - 1;
-        conflict_retry_cycles
-  in
-  th.cycle <- th.cycle + cost
-
 (* ------------------------------------------------------------------ *)
-(* The compiled tier.                                                  *)
+(* Lowering: the instruction semantics.                                *)
 (*                                                                     *)
 (* Each block is lowered once per session into a flat closure array    *)
 (* (one closure per instruction, the terminator at index [length       *)
-(* instrs]); operands are pre-resolved register indices or unwrapped   *)
+(* dinstrs]); operands are pre-resolved register indices or unwrapped  *)
 (* immediates, and session-constant facts — journaling, tracer         *)
 (* enablement, the conflict fence — are decided at lowering time, so   *)
 (* the dispatch loop is [fns.(pc) th] with no AST match, no operand    *)
 (* re-resolution and no dead conditionals.                             *)
 (* ------------------------------------------------------------------ *)
-
-(* [Instr.eval_binop] re-matches the operator per call; resolving the
-   operator to a first-class function once at lowering time leaves one
-   indirect call per ALU instruction. *)
-let binop_fn : Instr.binop -> int -> int -> int = function
-  | Instr.Add -> ( + )
-  | Instr.Sub -> ( - )
-  | Instr.Mul -> ( * )
-  | Instr.Div -> fun a b -> if b = 0 then 0 else a / b
-  | Instr.Rem -> fun a b -> if b = 0 then 0 else a mod b
-  | Instr.And -> ( land )
-  | Instr.Or -> ( lor )
-  | Instr.Xor -> ( lxor )
-  | Instr.Shl -> fun a b -> a lsl (b land 63)
-  | Instr.Shr -> fun a b -> a asr (b land 63)
-  | Instr.Lt -> fun a b -> if a < b then 1 else 0
-  | Instr.Le -> fun a b -> if a <= b then 1 else 0
-  | Instr.Eq -> fun a b -> if a = b then 1 else 0
-  | Instr.Ne -> fun a b -> if a <> b then 1 else 0
-  | Instr.Min -> min
-  | Instr.Max -> max
-
-(* Like [goto], but also swaps in the target block's closure array. *)
-let goto_c s (th : thread) idx =
-  th.cur <- Code.block s.code idx;
-  th.cur_idx <- idx;
-  th.index <- 0;
-  th.cfns <- Array.unsafe_get s.cblocks idx
-
 let lower_instr s (d : Code.dinstr) : thread -> int =
   match d with
   | Code.Dbinop { op; dst; a; b } -> (
@@ -798,7 +455,7 @@ let lower_instr s (d : Code.dinstr) : thread -> int =
         th.regs.(dst) <- th.regs.(ra) + i;
         1
     | _, _, _ -> (
-      let f = binop_fn op in
+      let f = Instr.binop_fn op in
       match (a, b) with
       | Code.Dreg ra, Code.Dreg rb ->
         fun th ->
@@ -869,7 +526,7 @@ let lower_instr s (d : Code.dinstr) : thread -> int =
           s.payload_count <- s.payload_count + 1;
           do_store s th (th.regs.(base) + offset) v)
   | Code.Datomic { op; dst; base; offset; src } ->
-    let f = binop_fn op in
+    let f = Instr.binop_fn op in
     let fence = s.fence_on in
     let trace_on = Tracer.enabled s.obs.Obs.tracer in
     fun th ->
@@ -880,7 +537,7 @@ let lower_instr s (d : Code.dinstr) : thread -> int =
         Tracer.instant s.obs.Obs.tracer ~track:(Tracer.Core th.core)
           ~name:"atomic" ~ts:th.cycle;
       let load_cost = do_load s th addr in
-    let old_value = s.lval in
+      let old_value = s.lval in
       let v = match src with Code.Dreg r -> th.regs.(r) | Code.Dimm i -> i in
       let store_cost = do_store s th addr (f old_value v) in
       th.regs.(dst) <- old_value;
@@ -933,18 +590,18 @@ let lower_term s ~len (d : Code.dterm) : thread -> int =
   match d with
   | Code.Djump idx ->
     fun th ->
-      goto_c s th idx;
+      goto s th idx;
       1
   | Code.Dbranch { cond; if_true; if_false } -> (
     match cond with
     | Code.Dreg rc ->
       fun th ->
-        goto_c s th (if th.regs.(rc) <> 0 then if_true else if_false);
+        goto s th (if th.regs.(rc) <> 0 then if_true else if_false);
         1
     | Code.Dimm i ->
       let target = if i <> 0 then if_true else if_false in
       fun th ->
-        goto_c s th target;
+        goto s th target;
         1)
   | Code.Dcall { callee_entry; ret_addr } ->
     if s.fence_on then
@@ -953,51 +610,178 @@ let lower_term s ~len (d : Code.dterm) : thread -> int =
         let sp = th.regs.(sp_idx) - 1 in
         th.regs.(sp_idx) <- sp;
         let cost = do_store s th sp ret_addr in
-        goto_c s th callee_entry;
+        goto s th callee_entry;
         1 + cost
     else
       fun th ->
         let sp = th.regs.(sp_idx) - 1 in
         th.regs.(sp_idx) <- sp;
         let cost = do_store s th sp ret_addr in
-        goto_c s th callee_entry;
+        goto s th callee_entry;
         1 + cost
   | Code.Dret ->
     fun th ->
       let sp = th.regs.(sp_idx) in
       let cost = do_load s th sp in
-    let ret_addr = s.lval in
+      let ret_addr = s.lval in
       th.regs.(sp_idx) <- sp + 1;
-      goto_c s th (Code.index_of_addr s.code ret_addr);
+      goto s th (Code.index_of_addr s.code ret_addr);
       1 + cost
   | Code.Dhalt ->
     fun th ->
       let cost = exec_halt s th in
-      (* Park the halted thread at its terminator, exactly where the
-         interpreter leaves it (visible through [positions]). *)
+      (* Park the halted thread at its terminator (visible through
+         [positions]): the dispatch already moved [index] past it. *)
       th.index <- len;
       cost
 
-let install_compiled s =
-  let decoded = Code.compile s.code in
-  s.cblocks <-
-    Array.map
-      (fun (db : Code.compiled_block) ->
-        let ni = Array.length db.Code.dinstrs in
-        Array.init (ni + 1) (fun i ->
-            if i < ni then lower_instr s db.Code.dinstrs.(i)
-            else lower_term s ~len:ni db.Code.dterm))
-      decoded;
-  s.fast_len <-
-    Array.map
-      (fun (db : Code.compiled_block) ->
-        if db.Code.fast then Array.length db.Code.dinstrs + 1 else 0)
-      decoded;
-  Array.iter (fun th -> th.cfns <- s.cblocks.(th.cur_idx)) s.threads
+(* ------------------------------------------------------------------ *)
+(* Sessions.                                                           *)
+(* ------------------------------------------------------------------ *)
 
-(* The compiled engine's [step]: same counter discipline and conflict
-   rollback as the interpreter's, dispatching through the closure
-   array. *)
+let lower_block s (b : Code.block) =
+  let ni = Array.length b.Code.dinstrs in
+  Array.init (ni + 1) (fun i ->
+      if i < ni then lower_instr s b.Code.dinstrs.(i)
+      else lower_term s ~len:ni b.Code.dterm)
+
+(* The machine [start] and [resume] share: a fresh persist engine and
+   cache hierarchy over [memory], whose contents become the initial NVM
+   image (installed directly: the writeback path would lose them under
+   Redo_nowb, which drops dirty writebacks by design), one thread per
+   spec at its function's entry, and every block lowered. *)
+let create ~config ~mode ~journal_io ~recovery_jobs ~obs ~check_threshold
+    ~program ~memory specs =
+  let config = { config with Config.cores = max 1 (List.length specs) } in
+  let persist = Persist.create ~obs config ~mode in
+  let hier =
+    Hierarchy.create ~obs ~labels:[ ("mode", Persist.mode_name mode) ] config
+      memory
+      ~on_nvm_writeback:(fun ~cycle ~line ~data ~version ->
+        Persist.on_writeback persist ~cycle ~line ~data ~version)
+  in
+  Memory.iter_lines memory (fun l data ->
+      Persist.install_line persist ~line:l ~data:(Array.copy data) ~version:0);
+  let code = Code.build program in
+  let lcosts, scosts = mk_cost_tables config in
+  let s =
+    {
+      journal_io;
+      recovery_jobs;
+      code;
+      memory;
+      hier;
+      persist;
+      fence_on = Persist.fence_active persist;
+      cblocks = [||];
+      fast_len =
+        Array.init (Code.length code) (fun idx ->
+            let b = Code.block code idx in
+            if b.Code.fast then Array.length b.Code.dinstrs + 1 else 0);
+      threads = Array.of_list (List.mapi (make_thread code) specs);
+      check_threshold;
+      instr_count = 0;
+      payload_count = 0;
+      store_count = 0;
+      ckpt_count = 0;
+      boundary_count = 0;
+      stale_reads = 0;
+      r_regions = 0;
+      r_instrs = 0;
+      r_stores = 0;
+      r_max_stores = 0;
+      lcosts;
+      scosts;
+      redo_extra = (mode = Persist.Redo_nowb);
+      lval = 0;
+      profile = Hashtbl.create 64;
+      obs;
+    }
+  in
+  s.cblocks <-
+    Array.init (Code.length code) (fun idx ->
+        lower_block s (Code.block code idx));
+  Array.iter (fun th -> goto s th th.cur_idx) s.threads;
+  s
+
+(* The loader durably records a thread's initial context, so a crash
+   inside its very first region restores the right arguments. The thread
+   still stands at its entry block, whose leading boundary (if any) it
+   resumes at. *)
+let init_slots s (th : thread) =
+  let entry = (Code.block s.code th.cur_idx).Code.dinstrs in
+  let resume_boundary =
+    match entry with
+    | [||] -> None
+    | _ -> (
+      match entry.(0) with Code.Dboundary { id } -> Some id | _ -> None)
+  in
+  Persist.init_slots s.persist ~core:th.core ~slots:th.regs ~resume_boundary
+    ~sp:th.regs.(sp_idx)
+
+let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
+    ?(journal_io = false) ?(recovery_jobs = 1) ?(obs = Obs.null)
+    ?check_threshold ~program ~threads () =
+  (* The data segment is durable before execution starts: the loader
+     wrote it. *)
+  let memory = Memory.create () in
+  load_data program memory;
+  let s =
+    create ~config ~mode ~journal_io ~recovery_jobs ~obs ~check_threshold
+      ~program ~memory threads
+  in
+  Array.iter (init_slots s) s.threads;
+  s
+
+let resume ?(config = Config.sim_default) ?(mode = Persist.Capri)
+    ?(journal_io = false) ?(recovery_jobs = 1) ?(obs = Obs.null)
+    ?check_threshold ~(compiled : Capri_compiler.Compiled.t)
+    ~(image : Persist.image) ~threads () =
+  let program = compiled.Capri_compiler.Compiled.program in
+  let s =
+    create ~config ~mode ~journal_io ~recovery_jobs ~obs ~check_threshold
+      ~program ~memory:(Memory.copy image.Persist.nvm) threads
+  in
+  (* Position each thread and seed its durable per-core records from the
+     image (from scratch for threads that never reached their first
+     boundary). *)
+  Array.iteri
+    (fun i th ->
+      let slots = image.Persist.slots.(i) in
+      (match image.Persist.resume.(i) with
+       | Persist.Never_started -> init_slots s th
+       | Persist.Done ->
+         (* The halt path staged the whole register file with the final
+            region, so the slot array holds this finished thread's exact
+            final context. *)
+         Array.blit slots 0 th.regs 0 Reg.count;
+         th.halted <- true;
+         Persist.seed_core s.persist ~core:i ~slots ~resume:Persist.Done
+       | Persist.Resume { boundary; sp } as resume ->
+         let region =
+           Capri_compiler.Region_map.find
+             compiled.Capri_compiler.Compiled.regions boundary
+         in
+         Array.blit slots 0 th.regs 0 Reg.count;
+         th.regs.(sp_idx) <- sp;
+         goto s th
+           (Code.index_of s.code ~func:region.Capri_compiler.Region_map.func
+              region.Capri_compiler.Region_map.head);
+         Persist.seed_core s.persist ~core:i ~slots ~resume);
+      if journal_io then
+        Persist.seed_journal s.persist ~core:i
+          ~base:image.Persist.acked_base.(i)
+          ~outs:image.Persist.journal.(i) ())
+    s.threads;
+  s
+
+(* ------------------------------------------------------------------ *)
+(* Scheduling.                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* One step of [th]: dispatch its next closure. A store the conflict
+   fence blocks raises before changing any state; the fetch is rolled
+   back and the thread is charged the retry delay instead. *)
 let exec_one s (th : thread) =
   s.instr_count <- s.instr_count + 1;
   th.cur_region_instrs <- th.cur_region_instrs + 1;
@@ -1083,7 +867,12 @@ let fire_crash s crashed (th : thread) =
         outputs_before = Array.map (fun th -> List.rev th.outputs) s.threads;
       }
 
-let run_interp ?crash_at_instr ~max_steps s =
+let default_max_steps = 100_000_000
+
+(* The reference scheduler: the earliest-cycle runnable thread (lowest
+   index on ties) is re-picked before every instruction, which runs
+   through [exec_one] — no bursts, no fused blocks. *)
+let run_reference ?crash_at_instr ?(max_steps = default_max_steps) s =
   let crashed = ref None in
   let rec loop () =
     (* Earliest-cycle runnable thread. *)
@@ -1105,22 +894,22 @@ let run_interp ?crash_at_instr ~max_steps s =
        | Some _ | None ->
          th.steps <- th.steps + 1;
          if th.steps > max_steps then livelock th;
-         step s th;
+         exec_one s th;
          loop ())
   in
   loop ();
   match !crashed with Some c -> Crashed c | None -> finish s
 
-(* The compiled scheduler. Equivalent to re-running the interpreter's
-   earliest-cycle-first pick after every step, but built around bursts:
-   once picked, a thread keeps stepping until its cycle count passes the
-   point where the global pick could prefer another thread — for all
-   lower-indexed rivals [o] that is [o.cycle - 1] (they win ties), for
-   higher-indexed ones [o.cycle]. Within a burst, whole fused-eligible
-   blocks run with per-block (not per-instruction) budget checks when
-   nothing can interleave: a single runnable thread, no conflict fence,
-   and crash/step budgets that cannot expire mid-block. *)
-let run_compiled ?crash_at_instr ~max_steps s =
+(* The scheduler: [run_reference]'s earliest-cycle-first pick, built
+   around bursts. Once picked, a thread keeps stepping until its cycle
+   count passes the point where the pick could prefer another thread —
+   for all lower-indexed rivals [o] that is [o.cycle - 1] (they win
+   ties), for higher-indexed ones [o.cycle]. Within a burst, whole
+   fused-eligible blocks run with per-block (not per-instruction) budget
+   checks when nothing can interleave: a single runnable thread, no
+   conflict fence, and crash/step budgets that cannot expire
+   mid-block. *)
+let run ?crash_at_instr ?(max_steps = default_max_steps) s =
   let crashed = ref None in
   let threads = s.threads in
   let nthreads = Array.length threads in
@@ -1190,18 +979,11 @@ let run_compiled ?crash_at_instr ~max_steps s =
   sched ();
   match !crashed with Some c -> Crashed c | None -> finish s
 
-let run ?crash_at_instr ?(max_steps = 100_000_000) s =
-  match s.engine with
-  | Interp -> run_interp ?crash_at_instr ~max_steps s
-  | Compiled ->
-    if Array.length s.cblocks = 0 then install_compiled s;
-    run_compiled ?crash_at_instr ~max_steps s
-
 let positions s =
   Array.map
     (fun th ->
-      (th.cur.Code.fname, Label.to_string th.cur.Code.label, th.index,
-       th.cycle))
+      let b = Code.block s.code th.cur_idx in
+      (b.Code.fname, Label.to_string b.Code.label, th.index, th.cycle))
     s.threads
 
 (* ------------------------------------------------------------------ *)
@@ -1258,3 +1040,4 @@ let render_timeline ?(max_rows = 64) tr =
     Buffer.add_string buf
       (Printf.sprintf "… (+%d more rows)\n" (total - max_rows));
   Buffer.contents buf
+

@@ -7,6 +7,14 @@
     local cycle count, giving a deterministic sequentially-consistent
     interleaving that tracks simulated time.
 
+    Each session decodes every basic block once ({!Code.build}) and lowers
+    it to a flat closure array — operands, register indices and branch
+    targets resolved once — which is the executor's only statement of
+    instruction semantics. Two schedulers drive the closures: {!run},
+    which runs bursts and fuses whole boundary-free blocks, and
+    {!run_reference}, which steps one instruction per pick and is the
+    reference the differential tests hold {!run} to.
+
     A crash can be injected after a given number of global dynamic
     instructions; the run then returns the battery-drained durable image
     for {!Recovery} to rebuild from. *)
@@ -17,25 +25,6 @@ module Arch = Capri_arch
 type thread_spec = { func : string; args : (Reg.t * int) list }
 
 val main_thread : Program.t -> thread_spec
-
-(** Execution engine selection. [Compiled] (the default) pre-lowers every
-    basic block to a flat closure array at session setup — operands,
-    register indices and branch targets resolved once — and runs a burst
-    scheduler whose fused fast path executes whole boundary-free blocks
-    without per-instruction dispatch checks. [Interp] is the original
-    AST-walking reference engine; the two are held to byte-identical
-    results (final memory, journals, acks, metrics) by the differential
-    tests, so [Interp] exists for cross-checking and bisection, not
-    speed. *)
-type engine = Interp | Compiled
-
-val default_engine : engine ref
-(** Engine used when {!start}/{!resume} get no [?engine]. Initialized
-    from the [CAPRI_ENGINE] environment variable ("interp" selects the
-    interpreter; anything else, or unset, the compiled tier). *)
-
-val engine_name : engine -> string
-val engine_of_string : string -> engine option
 
 exception Livelock of { core : int; region : string; steps : int }
 (** Raised by {!run} when one thread exceeds the per-thread step budget:
@@ -97,7 +86,7 @@ type session
 val start :
   ?config:Arch.Config.t -> ?mode:Arch.Persist.mode -> ?journal_io:bool ->
   ?recovery_jobs:int -> ?obs:Capri_obs.Obs.t ->
-  ?check_threshold:int -> ?engine:engine -> program:Program.t ->
+  ?check_threshold:int -> program:Program.t ->
   threads:thread_spec list -> unit -> session
 (** Fresh machine: zeroed memory (plus the program's data image), cold
     caches, empty proxies. [check_threshold] makes the executor assert
@@ -122,14 +111,14 @@ val start :
 val resume :
   ?config:Arch.Config.t -> ?mode:Arch.Persist.mode -> ?journal_io:bool ->
   ?recovery_jobs:int -> ?obs:Capri_obs.Obs.t ->
-  ?check_threshold:int -> ?engine:engine ->
+  ?check_threshold:int ->
   compiled:Capri_compiler.Compiled.t -> image:Arch.Persist.image ->
   threads:thread_spec list -> unit -> session
 (** Machine rebuilt from a recovered durable image: memory = NVM contents,
     registers reloaded from the slot arrays, threads positioned at their
     resume boundaries ({!Recovery} must have applied recovery blocks to the
     image's slots first). The journal (and its compaction cursor,
-    [image.acked_base]) is carried into the fresh engine when
+    [image.acked_base]) is carried into the fresh persist engine when
     [journal_io] is set. [recovery_jobs] (default 1) is the domain-pool
     width {!Arch.Persist.crash_recover} plans with on a later crash of
     this session. *)
@@ -137,8 +126,24 @@ val resume :
 val run : ?crash_at_instr:int -> ?max_steps:int -> session -> outcome
 (** Executes until every thread halts, the optional crash point fires, or
     some thread exceeds [max_steps] step attempts (default 100M,
-    counted per thread — conflict-fence retries included — identically
-    in both engines), which raises {!Livelock}. *)
+    counted per thread — conflict-fence retries included), which raises
+    {!Livelock}. Once picked, a thread runs a burst until another
+    thread's earlier cycle could win the pick; while nothing can
+    interleave (one runnable thread, conflict fence off, budgets that
+    cannot expire mid-block) it executes whole fused blocks with one
+    budget check per block. Results are exactly those of
+    {!run_reference}. *)
+
+val run_reference :
+  ?crash_at_instr:int -> ?max_steps:int -> session -> outcome
+(** The reference scheduler, over the same closures and with the same
+    arguments, budget and results as {!run}: before every single
+    instruction it picks the runnable thread with the smallest cycle
+    count (the lowest core on ties) and steps it once — no bursts, no
+    fused blocks. The differential tests ([test/test_engine.ml],
+    [bench/perfsmoke.exe]) hold {!run} to it field by field: cycles,
+    counters, outputs, acks, final registers and memory, persist and
+    hierarchy statistics, crash images and recovered runs. *)
 
 val positions : session -> (string * string * int * int) array
 (** Per-core (function, block label, instruction index, cycle) — where

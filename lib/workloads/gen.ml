@@ -3,10 +3,15 @@
 
    Programs are generated as a small statement AST (guaranteeing
    termination and validity by construction) and lowered to the IR.
-   Register discipline: callers use r1-r15, callees touch only r0 and
-   r20-r25, so nothing is clobbered across calls; loop counters live in
-   r16-r19 by nesting depth; memory accesses stay inside one data array
-   (indices are taken modulo the slice size).
+   Register discipline, so nothing a caller relies on is clobbered by
+   the [leaf] call: caller statements use r1-r8 and the slice digest
+   r9-r11; [leaf] statements use r20-r24 and return in r0. Loop
+   counters live in r16 + nesting depth: [main] nests three deep
+   (r16-r18), workers two (r16-r17), and [leaf] is emitted at depth 3,
+   so its one level of loops counts in r19, which no caller loop uses.
+   Data-loop trip bounds live in r27 in callers and r12 in [leaf]
+   (r12-r15 are otherwise untouched). Memory accesses stay inside one
+   data array (indices are taken modulo the slice size).
 
    Multi-core specs: every thread owns a disjoint slice of the data
    array (base kept in r25, which no generated statement touches) and a
@@ -144,11 +149,12 @@ let im = Builder.imm
 
 (* Scratch registers for address computation and loop bounds. *)
 let addr_tmp = 28
-let bound_tmp = 27
+let bound_tmp = 27  (* callers' data-loop bound *)
+let leaf_bound = 12  (* [leaf]'s data-loop bound *)
 let arr_base = 26
 let slice_reg = 25  (* this thread's slice base; never generated as a dst *)
 
-let rec emit_stmt f ~shared ~mask ~loop_depth stmt =
+let rec emit_stmt f ~shared ~mask ~bound ~loop_depth stmt =
   match stmt with
   | Arith (dst, op, src, k) ->
     Builder.binop f op (r dst) (rg src) (im k)
@@ -172,7 +178,9 @@ let rec emit_stmt f ~shared ~mask ~loop_depth stmt =
     Builder.binop f Instr.Lt (r 30) (rg idx) (im trips);
     Builder.branch f (rg 30) bodyb exit_;
     Builder.switch f bodyb;
-    List.iter (emit_stmt f ~shared ~mask ~loop_depth:(loop_depth + 1)) body;
+    List.iter
+      (emit_stmt f ~shared ~mask ~bound ~loop_depth:(loop_depth + 1))
+      body;
     Builder.add f (r idx) (rg idx) (im 1);
     Builder.jump f header;
     Builder.switch f exit_
@@ -182,16 +190,18 @@ let rec emit_stmt f ~shared ~mask ~loop_depth stmt =
     let header = Builder.block f "dh" in
     let bodyb = Builder.block f "db" in
     let exit_ = Builder.block f "dx" in
-    Builder.load f (r bound_tmp) ~base:(r arr_base) ();
-    Builder.binop f Instr.And (r bound_tmp) (rg bound_tmp) (im 3);
-    Builder.add f (r bound_tmp) (rg bound_tmp) (im 1);
+    Builder.load f (r bound) ~base:(r arr_base) ();
+    Builder.binop f Instr.And (r bound) (rg bound) (im 3);
+    Builder.add f (r bound) (rg bound) (im 1);
     Builder.li f (r idx) 0;
     Builder.jump f header;
     Builder.switch f header;
-    Builder.binop f Instr.Lt (r 30) (rg idx) (rg bound_tmp);
+    Builder.binop f Instr.Lt (r 30) (rg idx) (rg bound);
     Builder.branch f (rg 30) bodyb exit_;
     Builder.switch f bodyb;
-    List.iter (emit_stmt f ~shared ~mask ~loop_depth:(loop_depth + 1)) body;
+    List.iter
+      (emit_stmt f ~shared ~mask ~bound ~loop_depth:(loop_depth + 1))
+      body;
     Builder.add f (r idx) (rg idx) (im 1);
     Builder.jump f header;
     Builder.switch f exit_
@@ -201,10 +211,10 @@ let rec emit_stmt f ~shared ~mask ~loop_depth stmt =
     let join = Builder.block f "gj" in
     Builder.branch f (rg cond) tb eb;
     Builder.switch f tb;
-    List.iter (emit_stmt f ~shared ~mask ~loop_depth) then_;
+    List.iter (emit_stmt f ~shared ~mask ~bound ~loop_depth) then_;
     Builder.jump f join;
     Builder.switch f eb;
-    List.iter (emit_stmt f ~shared ~mask ~loop_depth) else_;
+    List.iter (emit_stmt f ~shared ~mask ~bound ~loop_depth) else_;
     Builder.jump f join;
     Builder.switch f join
   | Fence -> Builder.fence f
@@ -246,7 +256,7 @@ let thread_func_name t = if t = 0 then "main" else Printf.sprintf "w%d" t
 let emit_thread f ~slice_base ~shared ~mask ~array_words stmts =
   Builder.li f (r arr_base) slice_base;
   Builder.li f (r slice_reg) slice_base;
-  List.iter (emit_stmt f ~shared ~mask ~loop_depth:0) stmts;
+  List.iter (emit_stmt f ~shared ~mask ~bound:bound_tmp ~loop_depth:0) stmts;
   Builder.li f (r 9) 0;
   let header = Builder.block f "digest.h" in
   let body = Builder.block f "digest.b" in
@@ -279,7 +289,7 @@ let lower (p : prog) =
   let leaf = Builder.func b "leaf" in
   Builder.mv leaf (r arr_base) (r slice_reg);
   List.iter
-    (emit_stmt leaf ~shared ~mask ~loop_depth:2)
+    (emit_stmt leaf ~shared ~mask ~bound:leaf_bound ~loop_depth:3)
     p.leaf_body;
   Builder.add leaf (r 0) (rg 0) (rg 20);
   Builder.ret leaf;

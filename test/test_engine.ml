@@ -1,9 +1,11 @@
-(* Differential tests: the compiled closure tier against the AST-walking
-   interpreter. The two engines must be indistinguishable — not just in
-   final memory, but in cycle counts, dynamic-instruction accounting,
-   persist/hierarchy statistics, output/ack streams, crash images and
-   recovery results. Any divergence means the compiled tier changed
-   simulated semantics, not just wall-clock speed. *)
+(* Differential tests: the burst scheduler, `Executor.run`, against
+   `Executor.run_reference`, which steps the same lowered closures one
+   instruction per earliest-cycle pick with no bursts and no fused
+   blocks. The two must be indistinguishable — not just in final memory,
+   but in cycle counts, dynamic-instruction accounting, persist/hierarchy
+   statistics, output/ack streams, crash images and recovery results.
+   Any divergence means bursts or block fusion changed simulated
+   semantics, not just wall-clock speed. *)
 
 open Capri
 open Helpers
@@ -20,14 +22,18 @@ let options_of_seed seed =
   let options = Opt.with_threshold threshold options in
   if options.Opt.ckpt then options else { options with Opt.ckpt = true }
 
-let run_engine ?config ?(mode = Persist.Capri) ?crash_at_instr ?max_steps
-    ~engine (compiled : Compiled.t) threads =
+(* Either scheduler: [Executor.run] or [Executor.run_reference]. *)
+type scheduler =
+  ?crash_at_instr:int -> ?max_steps:int -> Executor.session -> Executor.outcome
+
+let run_with ?config ?(mode = Persist.Capri) ?crash_at_instr ?max_steps
+    ~(run : scheduler) (compiled : Compiled.t) threads =
   let session =
-    Executor.start ?config ~mode ~engine
+    Executor.start ?config ~mode
       ~check_threshold:compiled.Compiled.options.Opt.threshold
       ~program:compiled.Compiled.program ~threads ()
   in
-  Executor.run ?crash_at_instr ?max_steps session
+  run ?crash_at_instr ?max_steps session
 
 (* Canonical view of the per-boundary profile: hashtable bucket layout
    may differ, bindings may not. *)
@@ -40,8 +46,8 @@ let profile_list (p : (int, Executor.boundary_profile) Hashtbl.t) =
     p []
   |> List.sort compare
 
-(* Field-by-field identity between an interpreter result [a] and a
-   compiled-tier result [b]. *)
+(* Field-by-field identity between a reference result [a] and a burst
+   scheduler result [b]. *)
 let check_same ctx (a : Executor.result) (b : Executor.result) =
   let ck name = Alcotest.(check int) (ctx ^ ": " ^ name) in
   ck "cycles" a.Executor.cycles b.Executor.cycles;
@@ -99,11 +105,12 @@ let test_differential_modes () =
             Printf.sprintf "seed %d %s" seed (Persist.mode_name mode)
           in
           let a =
-            finished ctx (run_engine ~mode ~engine:Executor.Interp compiled threads)
+            finished ctx
+              (run_with ~mode ~run:Executor.run_reference compiled threads)
           in
           let b =
             finished ctx
-              (run_engine ~mode ~engine:Executor.Compiled compiled threads)
+              (run_with ~mode ~run:Executor.run compiled threads)
           in
           check_same ctx a b)
         Persist.all_modes)
@@ -134,18 +141,19 @@ let test_differential_small_caches () =
           in
           let a =
             finished ctx
-              (run_engine ~config ~mode ~engine:Executor.Interp compiled threads)
+              (run_with ~config ~mode ~run:Executor.run_reference compiled
+                 threads)
           in
           let b =
             finished ctx
-              (run_engine ~config ~mode ~engine:Executor.Compiled compiled
+              (run_with ~config ~mode ~run:Executor.run compiled
                  threads)
           in
           check_same ctx a b)
         [ Persist.Capri; Persist.Naive_sync ])
     [ 11; 23; 42 ]
 
-(* Multi-core: the burst scheduler must reproduce the interpreter's
+(* Multi-core: the burst scheduler must reproduce the reference's
    earliest-cycle-first interleaving exactly. *)
 let test_differential_multicore () =
   List.iter
@@ -155,16 +163,16 @@ let test_differential_multicore () =
       let compiled = Pipeline.compile (options_of_seed seed) program in
       let ctx = Printf.sprintf "seed %d cores %d" seed cores in
       let a =
-        finished ctx (run_engine ~engine:Executor.Interp compiled threads)
+        finished ctx (run_with ~run:Executor.run_reference compiled threads)
       in
       let b =
-        finished ctx (run_engine ~engine:Executor.Compiled compiled threads)
+        finished ctx (run_with ~run:Executor.run compiled threads)
       in
       check_same ctx a b)
     [ (3, 2); (9, 2); (17, 3); (29, 4) ]
 
-(* Crash images must be bit-identical between engines in every mode (the
-   image is pure machine state — recoverable or not). *)
+(* Crash images must be bit-identical between schedulers in every mode
+   (the image is pure machine state — recoverable or not). *)
 let test_crash_image_identity () =
   List.iter
     (fun seed ->
@@ -172,7 +180,7 @@ let test_crash_image_identity () =
       let compiled = Pipeline.compile (options_of_seed seed) program in
       let threads = [ Executor.main_thread program ] in
       let reference =
-        finished "ref" (run_engine ~engine:Executor.Compiled compiled threads)
+        finished "ref" (run_with ~run:Executor.run compiled threads)
       in
       let total = reference.Executor.instrs in
       List.iter
@@ -185,20 +193,20 @@ let test_crash_image_identity () =
               in
               let a =
                 crashed ctx
-                  (run_engine ~mode ~crash_at_instr:at
-                     ~engine:Executor.Interp compiled threads)
+                  (run_with ~mode ~crash_at_instr:at
+                     ~run:Executor.run_reference compiled threads)
               in
               let b =
                 crashed ctx
-                  (run_engine ~mode ~crash_at_instr:at
-                     ~engine:Executor.Compiled compiled threads)
+                  (run_with ~mode ~crash_at_instr:at
+                     ~run:Executor.run compiled threads)
               in
               check_same_crash ctx a b)
             [ max 1 (total / 3); max 1 (2 * total / 3) ])
         Persist.all_modes)
     [ 2; 5; 13 ]
 
-(* Full crash + recover + resume, each engine end to end; final states
+(* Full crash + recover + resume, each scheduler end to end; final states
    must agree with each other and with the crash-free reference. *)
 let test_crash_recovery_identity () =
   List.iter
@@ -207,20 +215,19 @@ let test_crash_recovery_identity () =
       let compiled = Pipeline.compile (options_of_seed seed) program in
       let threads = [ Executor.main_thread program ] in
       let reference =
-        finished "ref" (run_engine ~engine:Executor.Compiled compiled threads)
+        finished "ref" (run_with ~run:Executor.run compiled threads)
       in
       let total = reference.Executor.instrs in
-      let recover_with engine at =
-        let ctx =
-          Printf.sprintf "seed %d crash@%d %s" seed at
-            (Executor.engine_name engine)
+      let recover_with name (run : scheduler) at =
+        let ctx = Printf.sprintf "seed %d crash@%d %s" seed at name in
+        let c =
+          crashed ctx (run_with ~crash_at_instr:at ~run compiled threads)
         in
-        let c = crashed ctx (run_engine ~crash_at_instr:at ~engine compiled threads) in
         ignore (Recovery.apply_recovery_blocks compiled c.Executor.image);
         let session =
-          Executor.resume ~engine ~compiled ~image:c.Executor.image ~threads ()
+          Executor.resume ~compiled ~image:c.Executor.image ~threads ()
         in
-        let r = finished ctx (Executor.run session) in
+        let r = finished ctx (run session) in
         (* outputs emitted before the crash already left the machine *)
         ( r,
           {
@@ -234,8 +241,8 @@ let test_crash_recovery_identity () =
       List.iter
         (fun at ->
           let ctx = Printf.sprintf "seed %d crash@%d" seed at in
-          let a, _ = recover_with Executor.Interp at in
-          let b, b_full = recover_with Executor.Compiled at in
+          let a, _ = recover_with "reference" Executor.run_reference at in
+          let b, b_full = recover_with "run" Executor.run at in
           check_same ctx a b;
           match Verify.check_equivalence ~reference ~candidate:b_full with
           | Ok () -> ()
@@ -245,7 +252,8 @@ let test_crash_recovery_identity () =
 
 (* The step budget is per thread: a sibling that halts early must not
    donate its unused budget to a spinner, and the Livelock error must
-   name the spinning core and its region identically in both engines. *)
+   name the spinning core and its region identically under both
+   schedulers. *)
 let spin_program () =
   let b = Builder.create () in
   let f = Builder.func b "main" in
@@ -271,34 +279,34 @@ let test_livelock_structured () =
     ]
   in
   let budget = 500 in
-  let livelock_of engine =
-    match
-      run_engine ~engine ~max_steps:budget compiled threads
-    with
+  let livelock_of name run =
+    match run_with ~run ~max_steps:budget compiled threads with
     | exception Executor.Livelock { core; region; steps } ->
       (core, region, steps)
     | Executor.Finished _ | Executor.Crashed _ ->
-      Alcotest.fail
-        (Executor.engine_name engine ^ ": expected Livelock")
+      Alcotest.fail (name ^ ": expected Livelock")
   in
-  let core_a, region_a, steps_a = livelock_of Executor.Interp in
-  let core_b, region_b, steps_b = livelock_of Executor.Compiled in
-  Alcotest.(check int) "spinning core (interp)" 1 core_a;
-  Alcotest.(check int) "spinning core (compiled)" 1 core_b;
+  let core_a, region_a, steps_a =
+    livelock_of "reference" Executor.run_reference
+  in
+  let core_b, region_b, steps_b = livelock_of "run" Executor.run in
+  Alcotest.(check int) "spinning core (reference)" 1 core_a;
+  Alcotest.(check int) "spinning core (run)" 1 core_b;
   Alcotest.(check string) "same region" region_a region_b;
   Alcotest.(check int) "same step count" steps_a steps_b;
   Alcotest.(check bool) "budget exceeded" true (steps_a > budget);
   (* the halting sibling alone stays well under the same budget *)
   let solo =
-    run_engine ~engine:Executor.Compiled ~max_steps:budget compiled
+    run_with ~run:Executor.run ~max_steps:budget compiled
       [ { Executor.func = "main"; args = [] } ]
   in
   ignore (finished "solo main" solo)
 
-(* The transactional serving layer: a cross-shard 2PC store must be
-   engine-invariant end to end — acks, response streams, crash images
-   and recovered tables — both crash-free and through a crash schedule
-   that lands mid-protocol. *)
+(* The transactional serving layer: a cross-shard 2PC store's sessions,
+   driven directly with journaled I/O (the only differential over
+   journaled [Out]), must be scheduler-invariant end to end — acks,
+   response streams, cycles and every crash image — both crash-free and
+   through a crash schedule that lands mid-protocol. *)
 let test_txn_service_differential () =
   let module Svc = Capri_service in
   let cfg =
@@ -316,89 +324,71 @@ let test_txn_service_differential () =
         };
     }
   in
-  let with_engine engine f =
-    let saved = !Executor.default_engine in
-    Executor.default_engine := engine;
-    Fun.protect ~finally:(fun () -> Executor.default_engine := saved) f
-  in
   let t = Svc.Server.plan cfg in
-  let run ?crash_at engine =
-    with_engine engine (fun () -> Svc.Server.run ?crash_at t)
+  let compiled = t.Svc.Server.compiled in
+  let threads = Svc.Kvstore.thread_specs t.Svc.Server.kv in
+  let config = cfg.Svc.Server.config and mode = cfg.Svc.Server.mode in
+  let check_threshold = compiled.Compiled.options.Opt.threshold in
+  (* Each crash point counts from the start of its own segment; every
+     crash is recovered and the run resumed from its image. *)
+  let drive name (run : scheduler) schedule =
+    let rec go session crashes = function
+      | [] -> (finished name (run session), List.rev crashes)
+      | at :: rest ->
+        let c = crashed name (run ~crash_at_instr:at session) in
+        ignore (Recovery.apply_recovery_blocks compiled c.Executor.image);
+        let session =
+          Executor.resume ~config ~mode ~journal_io:true ~check_threshold
+            ~compiled ~image:c.Executor.image ~threads ()
+        in
+        go session (c :: crashes) rest
+    in
+    go
+      (Executor.start ~config ~mode ~journal_io:true ~check_threshold
+         ~program:compiled.Compiled.program ~threads ())
+      [] schedule
   in
-  let a = run Executor.Interp and b = run Executor.Compiled in
-  Alcotest.(check bool) "crash-free acks" true
-    (a.Svc.Server.acks = b.Svc.Server.acks);
-  Alcotest.(check bool) "crash-free streams" true
-    (a.Svc.Server.final = b.Svc.Server.final);
-  Alcotest.(check int) "crash-free cycles" a.Svc.Server.cycles
-    b.Svc.Server.cycles;
-  let total = a.Svc.Server.result.Executor.instrs in
+  let a, _ = drive "reference" Executor.run_reference [] in
+  let b, _ = drive "run" Executor.run [] in
+  check_same "crash-free" a b;
+  let total = a.Executor.instrs in
   let schedule = [ total / 3; total / 4 ] in
-  let ca = run ~crash_at:schedule Executor.Interp in
-  let cb = run ~crash_at:schedule Executor.Compiled in
-  Alcotest.(check bool) "acks" true (ca.Svc.Server.acks = cb.Svc.Server.acks);
-  Alcotest.(check bool) "streams" true
-    (ca.Svc.Server.final = cb.Svc.Server.final);
-  Alcotest.(check int) "recoveries" ca.Svc.Server.recoveries
-    cb.Svc.Server.recoveries;
-  Alcotest.(check int) "images" 2 (List.length ca.Svc.Server.images);
-  List.iter2
-    (fun (ia : Persist.image) (ib : Persist.image) ->
-      Alcotest.(check bool) "image.resume" true
-        (ia.Persist.resume = ib.Persist.resume);
-      Alcotest.(check bool) "image.slots" true
-        (ia.Persist.slots = ib.Persist.slots);
-      Alcotest.(check bool) "image.journal" true
-        (ia.Persist.journal = ib.Persist.journal);
-      Alcotest.(check bool) "image.acked" true
-        (ia.Persist.acked = ib.Persist.acked);
-      Alcotest.(check bool) "image.nvm" true
-        (Memory.equal ia.Persist.nvm ib.Persist.nvm))
-    ca.Svc.Server.images cb.Svc.Server.images;
-  (* both engines' recovered stores satisfy the serializability +
-     durability oracle and agree with the crash-free streams *)
-  List.iter
-    (fun (name, o) ->
-      match Svc.Server.check t o with
-      | Ok () -> ()
-      | Error v -> Alcotest.failf "%s: %a" name Svc.Sla.pp_violation v)
-    [ ("interp", ca); ("compiled", cb) ];
+  let ra, ca = drive "reference" Executor.run_reference schedule in
+  let rb, cb = drive "run" Executor.run schedule in
+  Alcotest.(check int) "crashes" 2 (List.length ca);
+  List.iteri
+    (fun i (x, y) -> check_same_crash (Printf.sprintf "crash %d" i) x y)
+    (List.combine ca cb);
+  check_same "resumed" ra rb;
+  (* the recovered store satisfies the serializability + durability
+     oracle and agrees with the crash-free streams *)
+  let free = Svc.Server.run t in
+  let crashed_run = Svc.Server.run ~crash_at:schedule t in
+  (match Svc.Server.check t crashed_run with
+   | Ok () -> ()
+   | Error v -> Alcotest.failf "Server.run: %a" Svc.Sla.pp_violation v);
   Alcotest.(check bool) "crashed streams = crash-free streams" true
-    (ca.Svc.Server.final = a.Svc.Server.final)
-
-(* Engine selection plumbing. *)
-let test_engine_of_string () =
-  Alcotest.(check bool)
-    "interp" true
-    (Executor.engine_of_string "interp" = Some Executor.Interp);
-  Alcotest.(check bool)
-    "compiled" true
-    (Executor.engine_of_string "compiled" = Some Executor.Compiled);
-  Alcotest.(check bool)
-    "junk" true
-    (Executor.engine_of_string "threaded" = None);
-  Alcotest.(check string) "name round-trip" "interp"
-    (Executor.engine_name Executor.Interp);
-  Alcotest.(check string) "name round-trip" "compiled"
-    (Executor.engine_name Executor.Compiled)
+    (crashed_run.Svc.Server.final = free.Svc.Server.final)
 
 (* Property: random programs × all five modes × crash schedules — the
-   engines agree on everything, always. *)
+   two schedulers agree on everything, always. *)
 let seed_gen = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 5_000)
 
-let prop_engines_agree =
-  QCheck.Test.make ~count:20 ~name:"compiled == interp (modes x crashes)"
+let prop_schedulers_agree =
+  QCheck.Test.make ~count:20 ~name:"run == run_reference (modes x crashes)"
     seed_gen (fun seed ->
       let program = Gen.program_of_seed seed in
       let compiled = Pipeline.compile (options_of_seed seed) program in
       let threads = [ Executor.main_thread program ] in
-      let run ?crash_at_instr ~mode engine =
-        run_engine ~mode ?crash_at_instr ~engine compiled threads
+      let run ?crash_at_instr ~mode (run : scheduler) =
+        run_with ~mode ?crash_at_instr ~run compiled threads
       in
       (* crash-free identity in every mode *)
       List.iter
         (fun mode ->
-          match (run ~mode Executor.Interp, run ~mode Executor.Compiled) with
+          match
+            (run ~mode Executor.run_reference, run ~mode Executor.run)
+          with
           | Executor.Finished a, Executor.Finished b ->
             if
               not
@@ -411,7 +401,8 @@ let prop_engines_agree =
                 && a.Executor.hier_stats = b.Executor.hier_stats
                 && Memory.equal a.Executor.memory b.Executor.memory)
             then
-              QCheck.Test.fail_reportf "seed %d mode %s: engines diverge" seed
+              QCheck.Test.fail_reportf "seed %d mode %s: schedulers diverge"
+                seed
                 (Persist.mode_name mode)
           | _ ->
             QCheck.Test.fail_reportf "seed %d mode %s: unexpected crash" seed
@@ -419,7 +410,7 @@ let prop_engines_agree =
         Persist.all_modes;
       (* crash-image + recovery identity (Capri mode) *)
       let total =
-        match run ~mode:Persist.Capri Executor.Compiled with
+        match run ~mode:Persist.Capri Executor.run with
         | Executor.Finished r -> r.Executor.instrs
         | Executor.Crashed _ -> assert false
       in
@@ -429,13 +420,13 @@ let prop_engines_agree =
       in
       List.for_all
         (fun at ->
-          let crash engine =
-            match run ~mode:Persist.Capri ~crash_at_instr:at engine with
+          let crash sched =
+            match run ~mode:Persist.Capri ~crash_at_instr:at sched with
             | Executor.Crashed c -> c
             | Executor.Finished _ ->
               QCheck.Test.fail_reportf "seed %d: crash@%d did not fire" seed at
           in
-          let a = crash Executor.Interp and b = crash Executor.Compiled in
+          let a = crash Executor.run_reference and b = crash Executor.run in
           let ia = a.Executor.image and ib = b.Executor.image in
           if
             not
@@ -446,18 +437,17 @@ let prop_engines_agree =
               && Memory.equal ia.Persist.nvm ib.Persist.nvm)
           then
             QCheck.Test.fail_reportf "seed %d crash@%d: images diverge" seed at;
-          let resume engine (c : Executor.crash) =
+          let resume (run : scheduler) (c : Executor.crash) =
             ignore (Recovery.apply_recovery_blocks compiled c.Executor.image);
             let s =
-              Executor.resume ~engine ~compiled ~image:c.Executor.image
-                ~threads ()
+              Executor.resume ~compiled ~image:c.Executor.image ~threads ()
             in
-            match Executor.run s with
+            match run s with
             | Executor.Finished r -> r
             | Executor.Crashed _ -> assert false
           in
-          let ra = resume Executor.Interp a in
-          let rb = resume Executor.Compiled b in
+          let ra = resume Executor.run_reference a in
+          let rb = resume Executor.run b in
           ra.Executor.cycles = rb.Executor.cycles
           && ra.Executor.final_regs = rb.Executor.final_regs
           && ra.Executor.outputs = rb.Executor.outputs
@@ -478,8 +468,7 @@ let suite =
       test_crash_recovery_identity;
     Alcotest.test_case "livelock: per-thread budget, structured error" `Quick
       test_livelock_structured;
-    Alcotest.test_case "txn service: engines identical" `Quick
+    Alcotest.test_case "txn service: run == run_reference" `Quick
       test_txn_service_differential;
-    Alcotest.test_case "engine selection plumbing" `Quick test_engine_of_string;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_engines_agree ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_schedulers_agree ]

@@ -9,6 +9,29 @@ module Fz = Capri_fuzz
 module Gen = Capri_workloads.Gen
 open Helpers
 
+(* ---------------- program generator ---------------- *)
+
+(* [leaf] runs inside caller loops, so it must not write a caller's loop
+   counter or data-loop bound. Seed 1970 calls [leaf] from [main]'s
+   third-level loop, whose counter is r18: a [leaf] loop counting in r18
+   would never let it end, and every qcheck property drawing the seed
+   would fail with [Livelock]. *)
+let test_gen_seed_1970_halts () =
+  let program = Gen.program_of_seed 1970 in
+  let threads = [ Executor.main_thread program ] in
+  let run mode program =
+    match Executor.run (Executor.start ~mode ~program ~threads ()) with
+    | Executor.Finished r -> r
+    | Executor.Crashed _ -> Alcotest.fail "unexpected crash"
+    | exception Executor.Livelock { steps; _ } ->
+      Alcotest.failf "seed 1970 (%s) did not halt within %d steps"
+        (Persist.mode_name mode) steps
+  in
+  let source = run Persist.Volatile program in
+  let compiled = run Persist.Capri (compile program).Compiled.program in
+  Alcotest.(check (list int)) "compiled outputs = source outputs"
+    source.Executor.outputs.(0) compiled.Executor.outputs.(0)
+
 (* ---------------- schedule enumeration ---------------- *)
 
 let test_schedule_observe () =
@@ -437,4 +460,5 @@ let suite =
       test_oracle_catches_skipped_decision;
     Alcotest.test_case "oracle catches torn compaction" `Quick
       test_oracle_catches_torn_compaction;
+    Alcotest.test_case "gen: seed 1970 halts" `Quick test_gen_seed_1970_halts;
   ]

@@ -13,9 +13,12 @@ let test_reg_bounds () =
   Alcotest.(check int) "sp" 31 (Reg.to_int Reg.sp);
   Alcotest.(check int) "all" 32 (List.length Reg.all)
 
+(* Both entry points: [eval_binop] (recovery blocks) and the [binop_fn]
+   table the executor resolves each operator through at lowering. *)
 let test_eval_binop () =
   let check name op a b expected =
-    Alcotest.(check int) name expected (Instr.eval_binop op a b)
+    Alcotest.(check int) name expected (Instr.eval_binop op a b);
+    Alcotest.(check int) (name ^ " (binop_fn)") expected (Instr.binop_fn op a b)
   in
   check "add" Instr.Add 3 4 7;
   check "sub" Instr.Sub 3 4 (-1);
@@ -30,13 +33,22 @@ let test_eval_binop () =
   check "shl" Instr.Shl 3 2 12;
   check "shr" Instr.Shr 12 2 3;
   check "shr-neg" Instr.Shr (-8) 1 (-4);
+  check "shl-wrap" Instr.Shl 1 65 2;
+  check "shr-wrap" Instr.Shr 256 66 64;
+  check "div-neg" Instr.Div (-7) 2 (-3);
+  check "rem-neg" Instr.Rem (-7) 2 (-1);
   check "lt" Instr.Lt 3 4 1;
   check "lt-eq" Instr.Lt 4 4 0;
   check "le" Instr.Le 4 4 1;
+  check "le-gt" Instr.Le 5 4 0;
   check "eq" Instr.Eq 4 4 1;
+  check "eq-ne" Instr.Eq 4 5 0;
   check "ne" Instr.Ne 4 4 0;
+  check "ne-ne" Instr.Ne 4 5 1;
   check "min" Instr.Min 3 4 3;
-  check "max" Instr.Max 3 4 4
+  check "max" Instr.Max 3 4 4;
+  check "min-neg" Instr.Min (-3) 4 (-3);
+  check "max-neg" Instr.Max (-3) (-4) (-3)
 
 let test_defs_uses () =
   let open Instr in

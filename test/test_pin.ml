@@ -1,10 +1,14 @@
-(* Compiled output pinned byte for byte. Each case compiles a fixed
-   program and compares one MD5 over its full compiled form — the
-   program text, one row per region, the recovery table and the four
-   pass reports — against a recorded constant. A compiler change meant
-   to preserve output must keep every constant; one meant to change it
-   re-records them and says why. A failure names every kernel and
-   configuration whose output moved. *)
+(* Compiled output and execution results pinned byte for byte. Each
+   compile case compiles a fixed program and compares one MD5 over its
+   full compiled form — the program text, one row per region, the
+   recovery table and the four pass reports — against a recorded
+   constant. Each execution case runs a fixed compiled program and
+   compares one MD5 over everything observable of the run: counters,
+   outputs and acks, final registers and memory, persist and hierarchy
+   statistics, the region profile, and crash images. A change meant to
+   preserve output must keep every constant; one meant to change it
+   re-records them and says why. A failure names every case whose
+   output moved. *)
 
 open Capri
 module W = Capri_workloads
@@ -163,7 +167,7 @@ let kv_store_cfg =
     mode = Persist.Capri;
   }
 
-let check_all cases =
+let check_all ?(what = "compiled output") cases =
   let mismatches =
     List.filter_map
       (fun (name, expected, got) ->
@@ -172,8 +176,7 @@ let check_all cases =
       cases
   in
   if mismatches <> [] then
-    Alcotest.failf "compiled output differs:\n%s"
-      (String.concat "\n" mismatches)
+    Alcotest.failf "%s differs:\n%s" what (String.concat "\n" mismatches)
 
 let test_kernels () =
   let kernels = W.Suite.all ~scale:W.Suite.bench_scale () in
@@ -202,8 +205,255 @@ let test_kv_store () =
         digest (Svc.Server.plan kv_store_cfg).Svc.Server.compiled );
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Execution results.                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let md5 v =
+  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+
+let lines mem =
+  let acc = ref [] in
+  Memory.iter_lines mem (fun l data -> acc := (l, Array.to_list data) :: !acc);
+  List.sort compare !acc
+
+(* bench/perfsmoke.ml's fingerprint plus the region statistics and the
+   per-boundary profile, sorted by boundary id. *)
+let observed (r : Executor.result) =
+  let profile =
+    Hashtbl.fold
+      (fun id (bp : Executor.boundary_profile) acc ->
+        ( id, bp.Executor.instances, bp.Executor.p_instrs,
+          bp.Executor.p_stores, bp.Executor.p_max_stores )
+        :: acc)
+      r.Executor.profile []
+    |> List.sort compare
+  in
+  ( ( r.Executor.cycles, r.Executor.instrs, r.Executor.payload_instrs,
+      r.Executor.stores, r.Executor.ckpt_stores, r.Executor.boundaries ),
+    ( r.Executor.outputs, r.Executor.acks, r.Executor.final_regs,
+      r.Executor.stale_reads ),
+    (r.Executor.persist_stats, r.Executor.hier_stats),
+    lines r.Executor.memory,
+    (r.Executor.region_stats, profile) )
+
+let image_view (i : Persist.image) =
+  ( lines i.Persist.nvm, i.Persist.resume, i.Persist.slots, i.Persist.journal,
+    i.Persist.acked, i.Persist.acked_base, i.Persist.replayed )
+
+let finished name = function
+  | Executor.Finished r -> r
+  | Executor.Crashed _ -> Alcotest.failf "%s: unexpected crash" name
+
+(* "<kernel>/<mode>": default options at threshold 256, Suite.bench_scale,
+   crash-free. "<kernel>/crash": one crash at half the Capri run's
+   instructions — the crash point, the image, the slots after recovery
+   blocks and the resumed run. *)
+let run_digests =
+  [ ("505.mcf_r/capri", "edde0069dca9094b84e68eb53704d70a");
+    ("505.mcf_r/naive-sync", "7d2f352a90a97defee55b1cbee37f3de");
+    ("505.mcf_r/undo-sync", "7d2f352a90a97defee55b1cbee37f3de");
+    ("505.mcf_r/redo-nowb", "2649400e3b614adc85ad2b4c243c6fe2");
+    ("505.mcf_r/volatile", "657ad56b2a46fb9965648b1b0cbef968");
+    ("505.mcf_r/crash", "db03dc80c48291d1083758253bb27c12");
+    ("531.deepsjeng_r/capri", "781ed972d7b3077a5c5c29f52c47442c");
+    ("531.deepsjeng_r/naive-sync", "0e0098ec47f60cf8099d6027a4f91770");
+    ("531.deepsjeng_r/undo-sync", "0e0098ec47f60cf8099d6027a4f91770");
+    ("531.deepsjeng_r/redo-nowb", "76ba426346f55f096589ccc65a1b0896");
+    ("531.deepsjeng_r/volatile", "c61d893a428f0c5d876426b62eb7ba43");
+    ("531.deepsjeng_r/crash", "8b94f315bb672c5102f9f2c37e99bbbc");
+    ("541.leela_r/capri", "f53f7a5604f0b41f3b682a9f7c6b01d5");
+    ("541.leela_r/naive-sync", "d043b9a24b2ce4ccbe72e25109ba98f6");
+    ("541.leela_r/undo-sync", "d043b9a24b2ce4ccbe72e25109ba98f6");
+    ("541.leela_r/redo-nowb", "674a37fcdfa3ffe218a9d03f8f629c5d");
+    ("541.leela_r/volatile", "ffa119f5e7f292567a65b54716ac908b");
+    ("541.leela_r/crash", "652e95a4d362f49c92b94ef340720573");
+    ("508.namd_r/capri", "22d51bb9c02b5e37fc9069695a0e0cf3");
+    ("508.namd_r/naive-sync", "300975684d4039750c9623b888bbe25a");
+    ("508.namd_r/undo-sync", "300975684d4039750c9623b888bbe25a");
+    ("508.namd_r/redo-nowb", "1796e3b6b3f7d739c60b2aa7b1805ecd");
+    ("508.namd_r/volatile", "c5d53bdff015f5bb8371a501c3ad7278");
+    ("508.namd_r/crash", "ed83929200426f18caee54e82a29eeb0");
+    ("519.lbm_r/capri", "a7d0b633ae66b1f25718003c71cd114e");
+    ("519.lbm_r/naive-sync", "c3cd8c4b8264540d69d08ee8236ef137");
+    ("519.lbm_r/undo-sync", "c3cd8c4b8264540d69d08ee8236ef137");
+    ("519.lbm_r/redo-nowb", "4978e8920afeaec3451d5f8eca41e72c");
+    ("519.lbm_r/volatile", "9f05f107a6e57da35fff02679d754b7d");
+    ("519.lbm_r/crash", "c9a71607f795d151ecaf9ad778b4d2a8");
+    ("genome/capri", "a00e7862f1d039c59c06be119baba7a1");
+    ("genome/naive-sync", "8822af22e8b9919ccb93df58a2d161b9");
+    ("genome/undo-sync", "8822af22e8b9919ccb93df58a2d161b9");
+    ("genome/redo-nowb", "a6c700359e7791270c40e95da2878854");
+    ("genome/volatile", "e0aaa9dc4c0893f1e0f89598171106f4");
+    ("genome/crash", "6cd017733b11c3b5efaa0f04cc6b72be");
+    ("intruder/capri", "0f54aec35b31fdb0c6a6eafa128efa08");
+    ("intruder/naive-sync", "1332565d63efe4852e69bcd4fe7def6d");
+    ("intruder/undo-sync", "1332565d63efe4852e69bcd4fe7def6d");
+    ("intruder/redo-nowb", "ca9eea3355434f0b93432a23b0732e9a");
+    ("intruder/volatile", "0631ae40e7f6f7414170f21574fd96fa");
+    ("intruder/crash", "6612b0ba1b6e83b61f6fb149e7b0705b");
+    ("labyrinth/capri", "49782b556443eda426ab4e35243e1ac7");
+    ("labyrinth/naive-sync", "c5e8443af2c51bae204ffbbdd2f830ee");
+    ("labyrinth/undo-sync", "c5e8443af2c51bae204ffbbdd2f830ee");
+    ("labyrinth/redo-nowb", "4fa02d8b95f70307db61f9219cfd085f");
+    ("labyrinth/volatile", "04d5fd6914ada27ed3b9c88cda1fa60e");
+    ("labyrinth/crash", "e0d7e23302b65ce3f94a9089adad48e7");
+    ("ssca2/capri", "d5edcf39f8d41a6c08f6b14c0910430e");
+    ("ssca2/naive-sync", "453047e3e5ea5c2778b05292afb8a5f3");
+    ("ssca2/undo-sync", "453047e3e5ea5c2778b05292afb8a5f3");
+    ("ssca2/redo-nowb", "06a43eeb5fad5c9f28d49de5d7aeda70");
+    ("ssca2/volatile", "cd3f86d470e9ec89e3e4990f3248a163");
+    ("ssca2/crash", "812926aa62b3e63e52ecf6ad68251ab3");
+    ("vacation/capri", "ca6aadeea9977093fc25d4f97d797b4d");
+    ("vacation/naive-sync", "7e1a5c641afa8c272d48788155091407");
+    ("vacation/undo-sync", "7e1a5c641afa8c272d48788155091407");
+    ("vacation/redo-nowb", "04500759f1cf7ab77b966011a4705d5f");
+    ("vacation/volatile", "88fcd37ba057fb712f765a39b08413bd");
+    ("vacation/crash", "bfdeea1dff795daebe5b42a1ea06d32f");
+    ("barnes/capri", "7833639a14095ad6df9be8e12d48b68d");
+    ("barnes/naive-sync", "d352699437fca98d85e6226bcd883633");
+    ("barnes/undo-sync", "d352699437fca98d85e6226bcd883633");
+    ("barnes/redo-nowb", "2413d37add2d2d9f9eabebbfc3aae08b");
+    ("barnes/volatile", "6bab4fdb39ce4c9eec35a9babd6099ab");
+    ("barnes/crash", "81d37d914646c8b36404a25a19aabfd4");
+    ("fmm/capri", "2850ee7918572dc399d26613b91bcba3");
+    ("fmm/naive-sync", "0b872e3aa3b3af43dd638fea5bdd3e0c");
+    ("fmm/undo-sync", "0b872e3aa3b3af43dd638fea5bdd3e0c");
+    ("fmm/redo-nowb", "9be7949982f2bd3fb86c351f12a9dc54");
+    ("fmm/volatile", "f70496fc6c888fc6ddfb766723ef3131");
+    ("fmm/crash", "21db77b6dcfb29a65afce0b4e8daa275");
+    ("ocean/capri", "67b74233a50bfc399f8a58bec0811320");
+    ("ocean/naive-sync", "d50589723b4ae1ed3ce33fcb1934d8ed");
+    ("ocean/undo-sync", "d50589723b4ae1ed3ce33fcb1934d8ed");
+    ("ocean/redo-nowb", "aeac74cd82a466d360513de0f8087256");
+    ("ocean/volatile", "93c4eced7f3251549c6dd248658961a5");
+    ("ocean/crash", "139e249724b70dad3456825775f1c69b");
+    ("radiosity/capri", "a6af953716032e537944638842d8a6e7");
+    ("radiosity/naive-sync", "f4a86cc1167befcf9374529e2a839ced");
+    ("radiosity/undo-sync", "f4a86cc1167befcf9374529e2a839ced");
+    ("radiosity/redo-nowb", "8d6f1fabc701211f5409c6ef392825ba");
+    ("radiosity/volatile", "81c24825123e5e0090b8eb2f41069075");
+    ("radiosity/crash", "e6233ae2311ff58e71759b9508add1db");
+    ("raytrace/capri", "28cc7e2dac7505bedd11fc6efbf10543");
+    ("raytrace/naive-sync", "d43a57162ae66f0f68c31674d1dd5ffd");
+    ("raytrace/undo-sync", "d43a57162ae66f0f68c31674d1dd5ffd");
+    ("raytrace/redo-nowb", "28cc7e2dac7505bedd11fc6efbf10543");
+    ("raytrace/volatile", "610f01168c011cc25cbe7f874f9d06a0");
+    ("raytrace/crash", "dcc2a469c7489582198a568b3da8d5ca");
+    ("volrend/capri", "81a580a5e2c2657739cbc3199a1da900");
+    ("volrend/naive-sync", "054cfff8d00e64315ced5f2b8e696ce8");
+    ("volrend/undo-sync", "054cfff8d00e64315ced5f2b8e696ce8");
+    ("volrend/redo-nowb", "471efe59364cd51d18cc408b41c9a16d");
+    ("volrend/volatile", "34aec248fbfe5eaa70814ee29580bd15");
+    ("volrend/crash", "fd4435b17b92d9436246405d8fe01599");
+    ("water-nsquared/capri", "3035d1bfd727e898eca199a37d03577e");
+    ("water-nsquared/naive-sync", "b6cccb1f14c1e88b7e9bac2d2568a66e");
+    ("water-nsquared/undo-sync", "b6cccb1f14c1e88b7e9bac2d2568a66e");
+    ("water-nsquared/redo-nowb", "7356a0655ca99c182396855911f82a7d");
+    ("water-nsquared/volatile", "a590b053e640dab5a78fa9124b654f20");
+    ("water-nsquared/crash", "ad3f42e3a2be3ecbb2449772dd191503");
+    ("water-spatial/capri", "39a849493f36d0afad9019465ff07876");
+    ("water-spatial/naive-sync", "933f9d0135b24363987ce0a2d6f1803c");
+    ("water-spatial/undo-sync", "933f9d0135b24363987ce0a2d6f1803c");
+    ("water-spatial/redo-nowb", "b77b934e77d57beacf7bdc433a41e394");
+    ("water-spatial/volatile", "520ede757a439ed7172d99f0795039b5");
+    ("water-spatial/crash", "d4ccf4dafaf9024e7889b13a4c99eb93");
+    ("radix/capri", "263234a15c7c8988d3e26010cec524c2");
+    ("radix/naive-sync", "5dca2191e256a50b44334216cb6ef7a3");
+    ("radix/undo-sync", "5dca2191e256a50b44334216cb6ef7a3");
+    ("radix/redo-nowb", "f05c8d01bea1591ed60fb0f406452686");
+    ("radix/volatile", "c6a89ddb89e3436753f069a5d73358fa");
+    ("radix/crash", "600b22acbdb1a6b16c9b4ec855734775") ]
+
+let test_kernel_runs () =
+  let options = Options.with_threshold 256 Options.default in
+  check_all ~what:"execution"
+    (List.concat_map
+       (fun (k : W.Kernel.t) ->
+         let compiled = Pipeline.compile options k.W.Kernel.program in
+         let threads = k.W.Kernel.threads in
+         let run ?crash_at_instr mode =
+           Executor.run ?crash_at_instr
+             (Executor.start ~mode ~program:compiled.Compiled.program ~threads
+                ())
+         in
+         let case suffix got =
+           let name = k.W.Kernel.name ^ "/" ^ suffix in
+           ( name,
+             Option.value ~default:"" (List.assoc_opt name run_digests),
+             got )
+         in
+         let modes =
+           List.map
+             (fun mode ->
+               let name = Persist.mode_name mode in
+               (mode, finished name (run mode)))
+             Persist.all_modes
+         in
+         let total = (List.assoc Persist.Capri modes).Executor.instrs in
+         let crash =
+           match run ~crash_at_instr:(max 1 (total / 2)) Persist.Capri with
+           | Executor.Finished _ ->
+             Alcotest.failf "%s: crash did not fire" k.W.Kernel.name
+           | Executor.Crashed c ->
+             (* The image as the crash left it: recovery blocks update
+                its slots in place. *)
+             let image = md5 (image_view c.Executor.image) in
+             ignore (Recovery.apply_recovery_blocks compiled c.Executor.image);
+             let resumed =
+               Executor.resume ~compiled ~image:c.Executor.image ~threads ()
+               |> Executor.run |> finished k.W.Kernel.name
+             in
+             ( c.Executor.at_instr, c.Executor.at_cycle,
+               c.Executor.outputs_before, image, c.Executor.image.Persist.slots,
+               observed resumed )
+         in
+         List.map
+           (fun (mode, r) -> case (Persist.mode_name mode) (md5 (observed r)))
+           modes
+         @ [ case "crash" (md5 crash) ])
+       (W.Suite.all ~scale:W.Suite.bench_scale ()));
+  Alcotest.(check int) "19 kernels x (5 modes + crash)" (19 * 6)
+    (List.length run_digests)
+
+(* The kv-hot store above through [Server.run]: crash-free, and with two
+   crashes at a third of the crash-free run's instructions each (images
+   as [Server.run] returns them, recovery blocks applied). *)
+let store_run_digests =
+  [ ("kv-hot store/crash-free", "6ce2e831024fa013b632686351520af8");
+    ("kv-hot store/2 crashes", "afff9684e5ad49c65934977baa1b86cf") ]
+
+let test_store_runs () =
+  let t = Svc.Server.plan kv_store_cfg in
+  let view (o : Svc.Server.outcome) =
+    md5
+      ( ( o.Svc.Server.acks, o.Svc.Server.final, o.Svc.Server.cycles,
+          List.map image_view o.Svc.Server.images ),
+        ( o.Svc.Server.recoveries, o.Svc.Server.recovery_blocks,
+          o.Svc.Server.recovery_replayed, o.Svc.Server.recovery_tail,
+          o.Svc.Server.recovery_cycles, o.Svc.Server.downtime ),
+        observed o.Svc.Server.result )
+  in
+  let free = Svc.Server.run t in
+  let total = free.Svc.Server.result.Executor.instrs in
+  let crashed = Svc.Server.run ~crash_at:[ total / 3; total / 3 ] t in
+  Alcotest.(check int) "two recoveries" 2 crashed.Svc.Server.recoveries;
+  let case name o =
+    ( name, Option.value ~default:"" (List.assoc_opt name store_run_digests),
+      view o )
+  in
+  check_all ~what:"execution"
+    [
+      case "kv-hot store/crash-free" free;
+      case "kv-hot store/2 crashes" crashed;
+    ]
+
 let suite =
   [
     Alcotest.test_case "19 kernels x fig9 configs" `Quick test_kernels;
     Alcotest.test_case "kv-hot store" `Quick test_kv_store;
+    Alcotest.test_case "19 kernels: runs in all modes, crash + resume" `Quick
+      test_kernel_runs;
+    Alcotest.test_case "kv-hot store: runs, crash-free and 2 crashes" `Quick
+      test_store_runs;
   ]
