@@ -12,7 +12,11 @@
    identical: the pool is a pure scheduling change even on a box where
    `Domain.recommended_domain_count ()` is 1 (domains time-slice one
    core; determinism is what the smoke can and does verify there).
-   Runs as part of `dune runtest` (and as `make perfsmoke`). *)
+   It then gates allocation: minor words per simulated instruction
+   inside `Executor.run`, for each dispatch shape in Volatile mode (the
+   source program) and Capri mode (the compiled one), must stay at or
+   under a committed ceiling. Runs as part of `dune runtest` (and as
+   `make perfsmoke`). *)
 
 open Capri
 module W = Capri_workloads
@@ -42,6 +46,56 @@ let run_pair (name, mode, program, threads) =
   in
   ( name, Persist.mode_name mode,
     fingerprint_of Executor.run_reference, fingerprint_of Executor.run )
+
+(* Minor words [Executor.run] allocates over a whole run, and the
+   instructions it simulates. *)
+let run_words mode program =
+  let s =
+    Executor.start ~mode ~program ~threads:[ Executor.main_thread program ] ()
+  in
+  let w0 = Gc.minor_words () in
+  let outcome = Executor.run s in
+  let w1 = Gc.minor_words () in
+  match outcome with
+  | Executor.Finished r -> (w1 -. w0, r.Executor.instrs)
+  | Executor.Crashed _ -> assert false
+
+(* Words per instruction in steady state: the difference between a run
+   at [trips] and one at [2 * trips], so the per-run constants (the
+   result record, one-time growth of the proxy structures) cancel. *)
+let words_per_instr ~mode ~compiled shape =
+  let program trips =
+    let p = List.assoc shape (Capri_bench.Micro.dispatch_programs ~trips) in
+    if compiled then (compile p).Compiled.program else p
+  in
+  let trips = 10_000 in
+  let wa, ia = run_words mode (program trips) in
+  let wb, ib = run_words mode (program (2 * trips)) in
+  (wb -. wa) /. float_of_int (ib - ia)
+
+(* Ceilings in words per simulated instruction, (volatile, capri) per
+   shape. A pure register loop allocates nothing at all. *)
+let ceilings =
+  [ ("arith", (0., 0.)); ("branches", (0., 0.)); ("stores", (0., 0.)) ]
+
+let alloc_gate () =
+  print_endline "perf-smoke: minor words per instruction in Executor.run";
+  Printf.printf "  %-10s %10s %10s %10s %10s\n" "loop" "volatile" "ceiling"
+    "capri" "ceiling";
+  let over = ref 0 in
+  List.iter
+    (fun (shape, (vmax, cmax)) ->
+      let v = words_per_instr ~mode:Persist.Volatile ~compiled:false shape in
+      let c = words_per_instr ~mode:Persist.Capri ~compiled:true shape in
+      Printf.printf "  %-10s %10.4f %10.4f %10.4f %10.4f\n" shape v vmax c cmax;
+      if v > vmax then incr over;
+      if c > cmax then incr over)
+    ceilings;
+  if !over > 0 then begin
+    Printf.eprintf "perf-smoke: %d cell(s) allocate above their ceiling\n"
+      !over;
+    exit 1
+  end
 
 let () =
   let tasks = ref [] in
@@ -93,4 +147,5 @@ let () =
   end;
   print_endline
     "perf-smoke: run matches run_reference on all shapes and modes; jobs=4 \
-     matches jobs=1"
+     matches jobs=1";
+  alloc_gate ()

@@ -1,135 +1,143 @@
-type way = { mutable line : int; mutable dirty : bool; mutable lru : int }
-(* line = -1 for invalid *)
+(* Each set is one small int array holding, for every way, its line
+   ([no_line] when invalid), the LRU stamp of its last touch and its
+   dirty bit (0 or 1). Until a line is first inserted into a set, the
+   set is the shared all-invalid [vacant] array, so a session allocates
+   only the sets it touches. A way is named by [set lsl way_bits lor
+   way]. Probes are top-level tail recursion, so no call allocates. *)
+
+let no_line = min_int  (* an invalid way; no real line is min_int *)
+let fields = 3  (* ints per way: line, stamp, dirty *)
 
 type t = {
-  sets : int;
-  ways : way array array;
+  ways : int;
+  set_mask : int;
+  way_bits : int;
+  vacant : int array;  (* every way invalid; stands for each untouched set *)
+  sets : int array array;
   mutable tick : int;  (* LRU clock *)
   mutable insertions : int;
   mutable evictions : int;
   mutable dirty_evictions : int;
+  mutable evicted_dirty : bool;  (* the last [insert]'s victim *)
 }
-
-type eviction = { line : int; dirty : bool }
 
 type stats = { insertions : int; evictions : int; dirty_evictions : int }
 
 let create ~sets ~ways =
   if sets <= 0 || sets land (sets - 1) <> 0 then
     invalid_arg "Cache.create: sets must be a positive power of two";
+  let rec bits b = if 1 lsl b >= ways then b else bits (b + 1) in
+  let vacant = Array.make (fields * ways) 0 in
+  for w = 0 to ways - 1 do
+    vacant.(fields * w) <- no_line
+  done;
   {
-    sets;
-    ways =
-      Array.init sets (fun _ ->
-          Array.init ways (fun _ -> { line = -1; dirty = false; lru = 0 }));
+    ways;
+    set_mask = sets - 1;
+    way_bits = bits 0;
+    vacant;
+    sets = Array.make sets vacant;
     tick = 0;
     insertions = 0;
     evictions = 0;
     dirty_evictions = 0;
+    evicted_dirty = false;
   }
 
-let set_of t line = line land (t.sets - 1)
+let[@inline] set_of t w = Array.unsafe_get t.sets (w lsr t.way_bits)
+let[@inline] slot t w = fields * (w land ((1 lsl t.way_bits) - 1))
 
-(* Associativity is small (<= 16 ways), so a linear probe of the set beats
-   hashing the line number on every simulated access. *)
-let find_way t line =
-  let set = t.ways.(set_of t line) in
-  let n = Array.length set in
-  let rec go i =
-    if i >= n then None
-    else
-      let w = Array.unsafe_get set i in
-      if w.line = line then Some w else go (i + 1)
-  in
-  go 0
+let rec scan a line w ways =
+  if w >= ways then -1
+  else if Array.unsafe_get a (fields * w) = line then w
+  else scan a line (w + 1) ways
 
-let mem t line = find_way t line <> None
+let find t line =
+  let s = line land t.set_mask in
+  let w = scan (Array.unsafe_get t.sets s) line 0 t.ways in
+  if w < 0 then -1 else (s lsl t.way_bits) lor w
+
+let mem t line = find t line >= 0
 
 let is_dirty t line =
-  match find_way t line with Some w -> w.dirty | None -> false
+  let w = find t line in
+  w >= 0 && (set_of t w).(slot t w + 2) = 1
+
+let touch_way t w ~dirty =
+  let a = set_of t w and i = slot t w in
+  t.tick <- t.tick + 1;
+  a.(i + 1) <- t.tick;
+  if dirty then a.(i + 2) <- 1
 
 let touch t line ~dirty =
-  match find_way t line with
-  | Some w ->
-    t.tick <- t.tick + 1;
-    w.lru <- t.tick;
-    if dirty then w.dirty <- true
-  | None -> invalid_arg "Cache.touch: line not resident"
+  let w = find t line in
+  if w < 0 then invalid_arg "Cache.touch: line not resident";
+  touch_way t w ~dirty
 
-(* Fused residency test + touch: one set probe and no option allocation —
-   the per-access fast path of {!Hierarchy.access} ([mem] followed by
-   [touch] probes the set twice). Returns whether the line was resident;
-   a miss leaves the cache untouched. *)
-let touch_if_present t line ~dirty =
-  let set = t.ways.(set_of t line) in
-  let n = Array.length set in
-  let rec go i =
-    if i >= n then false
-    else
-      let w = Array.unsafe_get set i in
-      if w.line = line then begin
-        t.tick <- t.tick + 1;
-        w.lru <- t.tick;
-        if dirty then w.dirty <- true;
-        true
-      end
-      else go (i + 1)
-  in
-  go 0
+(* The first invalid way, else the way with the lowest stamp (the first
+   such way on ties). *)
+let rec victim a w ways best =
+  if w >= ways then best
+  else if Array.unsafe_get a (fields * w) = no_line then w
+  else
+    victim a (w + 1) ways
+      (if Array.unsafe_get a ((fields * w) + 1)
+          < Array.unsafe_get a ((fields * best) + 1)
+       then w
+       else best)
 
 let insert t line ~dirty =
   assert (not (mem t line));
-  let set = t.ways.(set_of t line) in
+  let s = line land t.set_mask in
+  if t.sets.(s) == t.vacant then t.sets.(s) <- Array.copy t.vacant;
+  let a = Array.unsafe_get t.sets s in
   t.tick <- t.tick + 1;
-  (* Prefer an invalid way; otherwise evict the LRU way. *)
-  let victim = ref set.(0) in
-  Array.iter
-    (fun (w : way) ->
-      let v : way = !victim in
-      if w.line = -1 && v.line <> -1 then victim := w
-      else if w.line <> -1 && v.line <> -1 && w.lru < v.lru then victim := w)
-    set;
-  let w = !victim in
-  let evicted =
-    if w.line = -1 then None else Some { line = w.line; dirty = w.dirty }
-  in
+  let i = fields * victim a 0 t.ways 0 in
+  let evicted = a.(i) in
   t.insertions <- t.insertions + 1;
-  (match evicted with
-  | Some e ->
+  t.evicted_dirty <- evicted <> no_line && a.(i + 2) = 1;
+  if evicted <> no_line then begin
     t.evictions <- t.evictions + 1;
-    if e.dirty then t.dirty_evictions <- t.dirty_evictions + 1
-  | None -> ());
-  w.line <- line;
-  w.dirty <- dirty;
-  w.lru <- t.tick;
+    if t.evicted_dirty then t.dirty_evictions <- t.dirty_evictions + 1
+  end;
+  a.(i) <- line;
+  a.(i + 1) <- t.tick;
+  a.(i + 2) <- (if dirty then 1 else 0);
   evicted
 
+let evicted_dirty t = t.evicted_dirty
+
+let invalidate_way t w =
+  let a = set_of t w and i = slot t w in
+  let dirty = a.(i + 2) = 1 in
+  a.(i) <- no_line;
+  a.(i + 2) <- 0;
+  dirty
+
 let invalidate t line =
-  match find_way t line with
-  | Some (w : way) ->
-    let dirty = w.dirty in
-    w.line <- -1;
-    w.dirty <- false;
-    dirty
-  | None -> false
+  let w = find t line in
+  w >= 0 && invalidate_way t w
 
 let dirty_lines t =
   let acc = ref [] in
   Array.iter
-    (fun set ->
-      Array.iter
-        (fun (w : way) -> if w.line <> -1 && w.dirty then acc := w.line :: !acc)
-        set)
-    t.ways;
+    (fun a ->
+      for w = 0 to t.ways - 1 do
+        let i = fields * w in
+        if a.(i) <> no_line && a.(i + 2) = 1 then acc := a.(i) :: !acc
+      done)
+    t.sets;
   !acc
 
 let resident t =
-  let n = ref 0 in
-  Array.iter
-    (fun set ->
-      Array.iter (fun (w : way) -> if w.line <> -1 then incr n) set)
-    t.ways;
-  !n
+  Array.fold_left
+    (fun n a ->
+      let k = ref n in
+      for w = 0 to t.ways - 1 do
+        if a.(fields * w) <> no_line then incr k
+      done;
+      !k)
+    0 t.sets
 
 let stats (t : t) =
   {
@@ -140,10 +148,10 @@ let stats (t : t) =
 
 let clear t =
   Array.iter
-    (fun set ->
-      Array.iter
-        (fun (w : way) ->
-          w.line <- -1;
-          w.dirty <- false)
-        set)
-    t.ways
+    (fun a ->
+      if a != t.vacant then
+        for w = 0 to t.ways - 1 do
+          a.(fields * w) <- no_line;
+          a.((fields * w) + 2) <- 0
+        done)
+    t.sets

@@ -25,13 +25,13 @@ type counters = {
 
 type t = {
   config : Config.t;
-  memory : Memory.t;
   l1 : Cache.t array;  (* per core *)
   l2 : Cache.t;
   dram : Cache.t;
-  owner : (int, int) Hashtbl.t;  (* line -> core owning a dirty L1 copy *)
-  on_nvm_writeback :
-    cycle:int -> line:int -> data:int array -> version:int -> unit;
+  on_nvm_writeback : cycle:int -> line:int -> unit;
+  mutable fetched_dirty : bool;
+      (* whether the copy the last [fetch_from_below] took was dirty: an
+         out-parameter instead of a result tuple per miss *)
   c : counters;
   metrics : Metrics.t;
   labels : Metrics.labels;
@@ -41,7 +41,7 @@ let pow2_ge n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-let create ?(obs = Obs.null) ?(labels = []) config memory ~on_nvm_writeback =
+let create ?(obs = Obs.null) ?(labels = []) config ~on_nvm_writeback =
   let mk lines ways =
     let sets = max 1 (pow2_ge (lines / ways)) in
     Cache.create ~sets ~ways
@@ -50,14 +50,13 @@ let create ?(obs = Obs.null) ?(labels = []) config memory ~on_nvm_writeback =
   let c name = Metrics.counter ~labels metrics ("cache_" ^ name) in
   {
     config;
-    memory;
     l1 =
       Array.init config.Config.cores (fun _ ->
           mk config.Config.l1_lines config.Config.l1_ways);
     l2 = mk config.Config.l2_lines config.Config.l2_ways;
     dram = Cache.create ~sets:(pow2_ge config.Config.dram_cache_lines) ~ways:1;
-    owner = Hashtbl.create 1024;
     on_nvm_writeback;
+    fetched_dirty = false;
     c =
       {
         c_l1_hits = c "l1_hits";
@@ -82,109 +81,86 @@ let rec sink t ~cycle ~line ~dirty ~from =
   if dirty then begin
     Metrics.Counter.inc t.c.c_writebacks;
     match from with
-    | L1 ->
-      Hashtbl.remove t.owner line;
-      if Cache.mem t.l2 line then Cache.touch t.l2 line ~dirty:true
-      else insert_into t ~cycle t.l2 ~line ~dirty:true ~level:L2
-    | L2 ->
-      if Cache.mem t.dram line then Cache.touch t.dram line ~dirty:true
-      else insert_into t ~cycle t.dram ~line ~dirty:true ~level:Dram
-    | Dram ->
-      t.on_nvm_writeback ~cycle ~line
-        ~data:(Memory.line_snapshot t.memory line)
-        ~version:(Memory.line_version t.memory line)
+    | L1 -> sink_into t ~cycle t.l2 ~line ~level:L2
+    | L2 -> sink_into t ~cycle t.dram ~line ~level:Dram
+    | Dram -> t.on_nvm_writeback ~cycle ~line
     | Nvm -> assert false
   end
-  else if from = L1 then Hashtbl.remove t.owner line
+
+and sink_into t ~cycle cache ~line ~level =
+  let w = Cache.find cache line in
+  if w >= 0 then Cache.touch_way cache w ~dirty:true
+  else insert_into t ~cycle cache ~line ~dirty:true ~level
 
 and insert_into t ~cycle cache ~line ~dirty ~level =
-  match Cache.insert cache line ~dirty with
-  | None -> ()
-  | Some { Cache.line = victim; dirty = vdirty } ->
-    sink t ~cycle ~line:victim ~dirty:vdirty ~from:level
+  let victim = Cache.insert cache line ~dirty in
+  if victim <> Cache.no_line then
+    sink t ~cycle ~line:victim ~dirty:(Cache.evicted_dirty cache) ~from:level
 
-(* Find the line below L1 and remove it from there (it moves up). Returns
-   the level it was found at and whether the copy was dirty. *)
-let fetch_from_below t ~cycle ~line =
-  (* Another core's L1? Dirty-or-clean, invalidate it; dirty data migrates
-     (it stays architecturally current, nothing to write back). *)
-  let stolen_dirty = ref false in
-  (match Hashtbl.find_opt t.owner line with
-   | Some other ->
-     ignore (Cache.invalidate t.l1.(other) line);
-     Hashtbl.remove t.owner line;
-     Metrics.Counter.inc t.c.c_invalidations;
-     stolen_dirty := true
-   | None ->
-     Array.iteri
-       (fun _ l1 ->
-         if Cache.mem l1 line then begin
-           ignore (Cache.invalidate l1 line);
-           Metrics.Counter.inc t.c.c_invalidations
-         end)
-       t.l1);
-  if !stolen_dirty then (L2, true)  (* cache-to-cache transfer, L2-ish cost *)
-  else if Cache.mem t.l2 line then begin
-    let dirty = Cache.invalidate t.l2 line in
-    (L2, dirty)
+(* Invalidate every L1 copy of [line] from core [i] on, counting each;
+   returns whether any of them was dirty. *)
+let rec invalidate_l1s t line i dirty =
+  if i >= Array.length t.l1 then dirty
+  else begin
+    let l1 = Array.unsafe_get t.l1 i in
+    let w = Cache.find l1 line in
+    if w >= 0 then begin
+      let d = Cache.invalidate_way l1 w in
+      Metrics.Counter.inc t.c.c_invalidations;
+      invalidate_l1s t line (i + 1) (dirty || d)
+    end
+    else invalidate_l1s t line (i + 1) dirty
   end
-  else if Cache.mem t.dram line then begin
-    let dirty = Cache.invalidate t.dram line in
-    (Dram, dirty)
+
+(* Find the line below the requesting L1 and remove it from there (it
+   moves up). Other L1s are searched first: a copy there is the only
+   one, and a dirty one migrates (it stays architecturally current, so
+   nothing is written back) at an L2-like cost. Returns the level it was
+   found at and leaves whether the copy was dirty in [fetched_dirty]. *)
+let fetch_from_below t ~line =
+  if invalidate_l1s t line 0 false then begin
+    t.fetched_dirty <- true;
+    L2
   end
   else begin
-    ignore cycle;
-    (Nvm, false)
+    let w = Cache.find t.l2 line in
+    if w >= 0 then begin
+      t.fetched_dirty <- Cache.invalidate_way t.l2 w;
+      L2
+    end
+    else begin
+      let w = Cache.find t.dram line in
+      if w >= 0 then begin
+        t.fetched_dirty <- Cache.invalidate_way t.dram w;
+        Dram
+      end
+      else begin
+        t.fetched_dirty <- false;
+        Nvm
+      end
+    end
   end
 
 let access t ~core ~cycle ~addr ~write =
   let line = Memory.line_of_addr addr in
   let l1 = t.l1.(core) in
-  if Cache.touch_if_present l1 line ~dirty:write then begin
-    (* On a write, ownership may still belong elsewhere only if the copy
-       was shared; steal it. *)
-    if write then begin
-      (match Hashtbl.find_opt t.owner line with
-       | Some other when other = core ->
-         (* Already the exclusive dirty owner — the steady state of a
-            store-heavy loop; rewriting the binding would be a no-op. *)
-         ()
-       | Some other ->
-         ignore (Cache.invalidate t.l1.(other) line);
-         Metrics.Counter.inc t.c.c_invalidations;
-         (* also drop other shared copies *)
-         Array.iteri
-           (fun i l1o ->
-             if i <> core && Cache.mem l1o line then begin
-               ignore (Cache.invalidate l1o line);
-               Metrics.Counter.inc t.c.c_invalidations
-             end)
-           t.l1;
-         Hashtbl.replace t.owner line core
-       | None ->
-         Array.iteri
-           (fun i l1o ->
-             if i <> core && Cache.mem l1o line then begin
-               ignore (Cache.invalidate l1o line);
-               Metrics.Counter.inc t.c.c_invalidations
-             end)
-           t.l1;
-         Hashtbl.replace t.owner line core)
-    end;
+  let w = Cache.find l1 line in
+  if w >= 0 then begin
+    (* Every miss takes the line away from any other L1, so an L1 holds
+       the only L1 copy of each of its lines: a hit, read or write, owns
+       the line already and needs no coherence action. *)
+    Cache.touch_way l1 w ~dirty:write;
     Metrics.Counter.inc t.c.c_l1_hits;
     L1
   end
   else begin
-    let found_at, was_dirty = fetch_from_below t ~cycle ~line in
+    let found_at = fetch_from_below t ~line in
     (match found_at with
      | L2 -> Metrics.Counter.inc t.c.c_l2_hits
      | Dram -> Metrics.Counter.inc t.c.c_dram_hits
      | Nvm -> Metrics.Counter.inc t.c.c_nvm_accesses
      | L1 -> assert false);
-    let dirty = write || was_dirty in
-    if write then Hashtbl.replace t.owner line core
-    else if was_dirty then Hashtbl.replace t.owner line core;
-    insert_into t ~cycle l1 ~line ~dirty ~level:L1;
+    insert_into t ~cycle l1 ~line ~dirty:(write || t.fetched_dirty) ~level:L1;
     found_at
   end
 
@@ -192,37 +168,23 @@ let load t ~core ~cycle ~addr = access t ~core ~cycle ~addr ~write:false
 let store t ~core ~cycle ~addr = access t ~core ~cycle ~addr ~write:true
 
 let flush_all t ~cycle =
-  Array.iter
-    (fun l1 ->
-      List.iter
-        (fun line ->
-          ignore (Cache.invalidate l1 line);
-          Hashtbl.remove t.owner line;
-          t.on_nvm_writeback ~cycle ~line
-            ~data:(Memory.line_snapshot t.memory line)
-            ~version:(Memory.line_version t.memory line))
-        (Cache.dirty_lines l1))
-    t.l1;
-  List.iter
-    (fun line ->
-      ignore (Cache.invalidate t.l2 line);
-      t.on_nvm_writeback ~cycle ~line
-        ~data:(Memory.line_snapshot t.memory line)
-        ~version:(Memory.line_version t.memory line))
-    (Cache.dirty_lines t.l2);
-  List.iter
-    (fun line ->
-      ignore (Cache.invalidate t.dram line);
-      t.on_nvm_writeback ~cycle ~line
-        ~data:(Memory.line_snapshot t.memory line)
-        ~version:(Memory.line_version t.memory line))
-    (Cache.dirty_lines t.dram)
+  let flush cache =
+    List.iter
+      (fun line ->
+        ignore (Cache.invalidate cache line);
+        t.on_nvm_writeback ~cycle ~line)
+      (Cache.dirty_lines cache)
+  in
+  Array.iter flush t.l1;
+  flush t.l2;
+  flush t.dram
 
 let drop_all t =
   Array.iter Cache.clear t.l1;
   Cache.clear t.l2;
-  Cache.clear t.dram;
-  Hashtbl.reset t.owner
+  Cache.clear t.dram
+
+let l1 t ~core = t.l1.(core)
 
 let stats t =
   let v = Metrics.Counter.value in

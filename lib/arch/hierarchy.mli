@@ -2,14 +2,16 @@
     direct-mapped memory-side DRAM cache over NVM (Optane memory mode,
     Figure 1).
 
-    Coherence keeps the single-dirty-copy invariant (MSI-flavoured): a
-    store acquires exclusive ownership, invalidating other L1 copies; a
-    dirty line therefore always holds the architecturally-latest data, so
-    a writeback's payload can be snapshotted from {!Memory} at eviction
-    time. Dirty evictions cascade L1 -> L2 -> DRAM cache -> NVM; only the
-    last step leaves the volatile domain and is reported through
-    [on_nvm_writeback] (feeding {!Persist}'s stale-read machinery and the
-    durable NVM image). *)
+    Coherence keeps the single-dirty-copy invariant: an L1 miss takes
+    the line from whichever other L1 holds it, so at most one L1 holds a
+    line, and a line dirty in an L1 is held by that L1 alone — its dirty
+    bit names the owner, and no owner table is kept. A dirty line
+    therefore always holds the architecturally-latest data, so a
+    writeback's payload can be read from {!Memory} at eviction time. Dirty evictions cascade L1 -> L2 ->
+    DRAM cache -> NVM; only the last step leaves the volatile domain and
+    is reported through [on_nvm_writeback] (the caller reads the line's
+    data and version from memory for {!Persist}'s stale-read machinery
+    and the durable NVM image). *)
 
 type t
 
@@ -18,8 +20,8 @@ type level = L1 | L2 | Dram | Nvm
 val create :
   ?obs:Capri_obs.Obs.t ->
   ?labels:Capri_obs.Metrics.labels ->
-  Config.t -> Memory.t ->
-  on_nvm_writeback:(cycle:int -> line:int -> data:int array -> version:int -> unit) ->
+  Config.t ->
+  on_nvm_writeback:(cycle:int -> line:int -> unit) ->
   t
 (** With an enabled [obs] bundle the hit/writeback/invalidation counters
     are registered in the metrics registry (as [cache_*] series, carrying
@@ -39,11 +41,14 @@ val latency : Config.t -> level -> int
 (** Access latency to the given level. *)
 
 val flush_all : t -> cycle:int -> unit
-(** Write every dirty line back to NVM (used by the volatile baseline at
-    halt and by tests; a Capri crash does {e not} flush — caches die). *)
+(** Write every dirty line back to NVM. Only tests call it: no mode
+    flushes at halt, and a crash does {e not} flush — caches die. *)
 
 val drop_all : t -> unit
 (** Power loss: every cached line vanishes. *)
+
+val l1 : t -> core:int -> Cache.t
+(** A core's private L1, for inspection by tests. *)
 
 type stats = {
   mutable l1_hits : int;

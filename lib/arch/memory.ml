@@ -104,6 +104,28 @@ let line_snapshot t l =
   | Some p ->
     Array.sub p.data ((l land page_off_mask) lsl line_bits) line_words
 
+let blit_line t l dst off =
+  match find_page t (l asr page_bits) with
+  | None -> Array.fill dst off line_words 0
+  | Some p ->
+    Array.blit p.data ((l land page_off_mask) lsl line_bits) dst off line_words
+
+(* An all-zero page's data, standing in for absent pages so two lines
+   compare at the same offset without a snapshot of either. *)
+let zero_page = Array.make (page_lines * line_words) 0
+
+let page_data t l =
+  match find_page t (l asr page_bits) with None -> zero_page | Some p -> p.data
+
+let rec words_equal da db i stop =
+  i >= stop
+  || Array.unsafe_get da i = Array.unsafe_get db i
+     && words_equal da db (i + 1) stop
+
+let line_equal a b l =
+  let base = (l land page_off_mask) lsl line_bits in
+  words_equal (page_data a l) (page_data b l) base (base + line_words)
+
 let line_version t l =
   match find_page t (l asr page_bits) with
   | None -> 0
@@ -115,14 +137,16 @@ let write_line t l data =
   Array.blit data 0 p.data (lo lsl line_bits) line_words;
   p.version.(lo) <- p.version.(lo) + 1
 
-let write_line_masked t l data mask =
+let write_line_masked_from t l src off mask =
   let p = get_page t (l asr page_bits) in
   let lo = l land page_off_mask in
   let base = lo lsl line_bits in
   for o = 0 to line_words - 1 do
-    if mask land (1 lsl o) <> 0 then p.data.(base + o) <- data.(o)
+    if mask land (1 lsl o) <> 0 then p.data.(base + o) <- src.(off + o)
   done;
   p.version.(lo) <- p.version.(lo) + 1
+
+let write_line_masked t l data mask = write_line_masked_from t l data 0 mask
 
 let copy_page = function
   | None -> None
@@ -163,6 +187,9 @@ let iter_present t f =
 let iter_lines t f =
   iter_present t (fun l p lo ->
       f l (Array.sub p.data (lo lsl line_bits) line_words))
+
+let iter_line_data t f =
+  iter_present t (fun l p lo -> f l p.data (lo lsl line_bits))
 
 let zero_line = Array.make line_words 0
 

@@ -121,26 +121,9 @@ type image = {
          charges per core *)
 }
 
-type entry = {
-  line : int;
-  undo : int array;
-  mutable redo : int array;
-  mutable mask : int;  (* bit per stored word offset within the line *)
-  mutable version : int;
-  mutable valid : bool;
-  seq : int;  (* dynamic region sequence number, per core *)
-}
-
-type commit_info = {
-  resume_boundary : int;
-  sp : int;
-  elide_resume : bool;
-  outs : int list;  (* the region's journaled outputs, in order *)
-}
-
-let dummy_entry =
-  { line = min_int; undo = [||]; redo = [||]; mask = 0; version = 0;
-    valid = false; seq = min_int }
+let[@inline] imin (a : int) b = if a <= b then a else b
+let[@inline] imax (a : int) b = if a >= b then a else b
+let full_mask = (1 lsl Config.line_words) - 1
 
 (* The proxy-path event plumbing. The original implementation kept one
    global binary heap of (time, serial, event) for both item arrivals and
@@ -155,24 +138,24 @@ let dummy_entry =
 module Ring = struct
   (* Capacity is always a power of two, so index wraparound is a bit
      mask, not a division — pushes and pops run once per proxy-path item. *)
-  type 'a t = {
+  type t = {
     mutable times : int array;
     mutable serials : int array;
-    mutable vals : 'a array;
+    mutable vals : int array;
     mutable mask : int;  (* capacity - 1 *)
     mutable head : int;
     mutable len : int;
   }
 
-  let create (dummy : 'a) =
-    { times = Array.make 64 0; serials = Array.make 64 0;
-      vals = Array.make 64 dummy; mask = 63; head = 0; len = 0 }
+  let create () =
+    { times = Array.make 16 0; serials = Array.make 16 0;
+      vals = Array.make 16 0; mask = 15; head = 0; len = 0 }
 
   let grow r =
     let cap = Array.length r.times in
     let nt = Array.make (2 * cap) 0
     and ns = Array.make (2 * cap) 0
-    and nv = Array.make (2 * cap) r.vals.(0) in
+    and nv = Array.make (2 * cap) 0 in
     for i = 0 to r.len - 1 do
       let j = (r.head + i) land r.mask in
       nt.(i) <- r.times.(j);
@@ -205,27 +188,29 @@ module Ring = struct
     r.len <- r.len - 1;
     v
 
-  let[@inline] is_empty r = r.len = 0
+  (* The [i]-th value from the head, without popping. *)
+  let get r i = r.vals.((r.head + i) land r.mask)
+
+  let clear r =
+    r.head <- 0;
+    r.len <- 0
 end
 
-(* Untimed FIFO on a growable circular buffer: the front proxy queue.
-   Replaces [Stdlib.Queue], whose linked cells cost an allocation per
-   push — this queue sees one push and one pop per proxy-path item. *)
+(* Untimed int FIFO on a growable circular buffer: the front proxy queue
+   and the per-core payload queues. *)
 module Fifo = struct
-  type 'a t = {
-    mutable vals : 'a array;
+  type t = {
+    mutable vals : int array;
     mutable mask : int;  (* capacity - 1; capacity is a power of two *)
     mutable head : int;
     mutable len : int;
-    dummy : 'a;
   }
 
-  let create (dummy : 'a) =
-    { vals = Array.make 64 dummy; mask = 63; head = 0; len = 0; dummy }
+  let create () = { vals = Array.make 16 0; mask = 15; head = 0; len = 0 }
 
   let grow q =
     let cap = Array.length q.vals in
-    let nv = Array.make (2 * cap) q.dummy in
+    let nv = Array.make (2 * cap) 0 in
     for i = 0 to q.len - 1 do
       nv.(i) <- q.vals.((q.head + i) land q.mask)
     done;
@@ -243,48 +228,110 @@ module Fifo = struct
 
   let[@inline] pop q =
     let v = Array.unsafe_get q.vals q.head in
-    Array.unsafe_set q.vals q.head q.dummy;
     q.head <- (q.head + 1) land q.mask;
     q.len <- q.len - 1;
     v
 
-  let iter f q =
-    for i = 0 to q.len - 1 do
-      f q.vals.((q.head + i) land q.mask)
-    done
+  let get q i = q.vals.((q.head + i) land q.mask)
 
   let clear q =
-    Array.fill q.vals 0 (Array.length q.vals) q.dummy;
     q.head <- 0;
     q.len <- 0
 end
 
-(* An item travelling the per-core proxy path, in FIFO order. *)
-type item =
-  | Data of entry
-  | Ckpt_flush of { seq : int; slot : int; value : int }
-  | Commit of { seq : int; info : commit_info }
+(* Undo/redo entries live in a per-core slab: a handle indexes parallel
+   arrays, and [words] holds each entry's undo line then its redo line.
+   Entries are created on the store path, freed by their region's commit
+   or by crash recovery, and never copied. The front proxy stalls the
+   store path at [front_proxy_entries] and the back end refuses data
+   beyond [back_proxy_entries], so at most their sum is live; the slab
+   grows by doubling up to that. *)
+module Slab = struct
+  type t = {
+    mutable line : int array;
+    mutable mask : int array;  (* bit per stored word offset in the line *)
+    mutable version : int array;
+    mutable valid : bool array;
+    mutable seq : int array;  (* dynamic region sequence number *)
+    mutable words : int array;
+    mutable free : int array;  (* stack of free handles *)
+    mutable free_n : int;
+    limit : int;
+  }
 
-let dummy_item =
-  Commit { seq = min_int;
-           info = { resume_boundary = -1; sp = 0; elide_resume = true;
-                    outs = [] } }
+  let entry_words = 2 * Config.line_words
+  let[@inline] undo_off h = h * entry_words
+  let[@inline] redo_off h = (h * entry_words) + Config.line_words
 
-(* A region as seen by the back-end proxy. *)
-type back_region = {
-  mutable bseq : int;
-  mutable bentries : entry list;  (* reverse arrival order *)
-  mutable bcount : int;
-  mutable bslots : (int * int) list;
-  mutable bcommit : commit_info option;
-}
+  let create ~limit =
+    let cap = 4 in
+    {
+      line = Array.make cap 0;
+      mask = Array.make cap 0;
+      version = Array.make cap 0;
+      valid = Array.make cap false;
+      seq = Array.make cap 0;
+      words = Array.make (cap * entry_words) 0;
+      free = Array.init cap (fun i -> cap - 1 - i);
+      free_n = cap;
+      limit;
+    }
 
-let dummy_back =
-  { bseq = min_int; bentries = []; bcount = 0; bslots = []; bcommit = None }
+  let capacity s = Array.length s.line
+
+  let grow s =
+    let cap = capacity s in
+    let ext a z =
+      let b = Array.make (2 * Array.length a) z in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    s.line <- ext s.line 0;
+    s.mask <- ext s.mask 0;
+    s.version <- ext s.version 0;
+    s.valid <- ext s.valid false;
+    s.seq <- ext s.seq 0;
+    s.words <- ext s.words 0;
+    s.free <- Array.make (2 * cap) 0;
+    for i = 0 to cap - 1 do
+      s.free.(i) <- (2 * cap) - 1 - i
+    done;
+    s.free_n <- cap
+
+  let alloc s =
+    if s.free_n = 0 then grow s;
+    s.free_n <- s.free_n - 1;
+    assert (capacity s - s.free_n <= s.limit);
+    s.free.(s.free_n)
+
+  let release s h =
+    s.free.(s.free_n) <- h;
+    s.free_n <- s.free_n + 1
+
+  let reset s =
+    let cap = capacity s in
+    for i = 0 to cap - 1 do
+      s.free.(i) <- cap - 1 - i
+    done;
+    s.free_n <- cap
+end
+
+(* A path item is an int: a Data item is its entry's handle; the two
+   marker kinds are negative, and their payloads wait in the core's
+   [ckq]/[cmq] in push order — a core's stream is FIFO from the front
+   queue to the back end, so markers meet their payloads in order. *)
+let ckpt_item = -1  (* payload in ckq: slot, value *)
+let commit_item = -2  (* payload in cmq: seq, resume boundary, sp, #outs *)
+
+(* The resume record as ints; {!resume} is built only where it is read. *)
+let never_started = 0
+let resume_at = 1
+let finished = 2
 
 type core_state = {
   id : int;
-  front : item Fifo.t;
+  slab : Slab.t;
+  front : Fifo.t;
   mutable front_data : int;  (* Data items currently in the front queue *)
   (* line -> mergeable front entry, as a bounded linear map: the front
      queue holds at most [front_proxy_entries] (= 32) data entries — the
@@ -292,13 +339,18 @@ type core_state = {
      line numbers beats hashing on every store. At most one binding per
      line; [fi_n] live. *)
   fi_lines : int array;
-  fi_entries : entry array;
+  fi_handles : int array;
   mutable fi_n : int;
   staged_order : int array;  (* slots in first-store order; staged_n live *)
   mutable staged_n : int;
   staged_val : int array;  (* per slot; meaningful while staged_mark *)
   staged_mark : bool array;
-  mutable out_staged : int list;  (* I/O journal: open region, reversed *)
+  ckq : Fifo.t;
+  cmq : Fifo.t;
+  outq : Fifo.t;
+      (* I/O journal values in emission order: committed regions' outputs
+         still on the path, then the open region's [out_open] *)
+  mutable out_open : int;
   mutable journal : (int * int) list;
       (* committed (output, commit cycle), reversed: the cycle stamps when
          the region carrying the output reached phase 2 — the serving
@@ -314,104 +366,115 @@ type core_state = {
   mutable open_seq : int;
   mutable open_entries : int;  (* data entries created in the open region *)
   mutable next_drain : int;
-  arrivals : item Ring.t;  (* in flight on the proxy path, FIFO *)
-  mutable back : back_region list;  (* ascending seq *)
-  mutable back_spare : back_region;
-      (* recycled region record: regions commit in order, so one spare
-         covers the steady state and back-region allocation happens once,
-         not once per dynamic region. [dummy_back] = empty. *)
+  arrivals : Ring.t;  (* in flight on the proxy path, FIFO *)
+  (* The back end's one open region: a core's items arrive in order and
+     each Commit closes the region whose items precede it, so the back
+     end never holds more than the region being gathered. *)
+  mutable back : int array;  (* handles, in arrival order *)
+  mutable back_n : int;
+  mutable back_slots : int array;  (* slot, value pairs, in arrival order *)
+  mutable back_slots_n : int;  (* pairs *)
   mutable back_used : int;
-  mutable resume : resume;
+      (* back-end entries not yet released: delivered or in flight *)
+  mutable res_kind : int;  (* never_started | resume_at | finished *)
+  mutable res_boundary : int;
+  mutable res_sp : int;
   slot_array : int array;
-  mutable halted : bool;
 }
+
+type wait = Front_slot | Drained
 
 type t = {
   config : Config.t;
   mode : mode;
   cores : core_state array;
-  frees : (int * int) Ring.t;  (* back-end space releases: (core, n) *)
+  frees : Ring.t;
+      (* back-end space releases, each [n * cores + core] for n entries *)
   mutable eserial : int;  (* global event order stamp across all rings *)
   nvm : Memory.t;  (* durable contents *)
-  mutable stamp_pages : int array array;
-      (* per-word version stamps of stored NVM data, paged flat arrays:
-         page [line lsr 8] holds 256 lines x line_words stamps ([-1] =
-         never written). The age guard must match the word granularity of
-         masked redo/undo application; [stamps] runs once per NVM line
-         write, so it is a shift and two bounds checks, not a hash. *)
+  stamps : Line_pages.t;
+      (* per-word version stamps of stored NVM data ([-1] = never
+         written). The age guard must match the word granularity of
+         masked redo/undo application. *)
   mutable nvm_wq_free : int;  (* write-queue service timeline *)
   mutable wake : int;
-      (* earliest cycle at which any internal event (heap entry or
+      (* earliest cycle at which any internal event (ring entry or
          drainable front-queue head) is due; [advance] is a no-op before
          then. May be conservatively early — every mutation outside
          [advance] that could schedule work lowers it — but never late. *)
-  mutable recent_wb : (int * int * int) list;  (* line, version, ctrl time *)
-  pending : (int, int array) Hashtbl.t;
-      (* line -> per-core count of not-yet-committed entries; drives the
-         cross-core conflict fence (see store_conflict) *)
+  (* Monitoring window: recent writebacks as (line, version, controller
+     time), oldest first, pruned in place. *)
+  mutable wb_line : int array;
+  mutable wb_version : int array;
+  mutable wb_time : int array;
+  mutable wb_n : int;
+  pending : Line_pages.t;
+      (* per line, per core: count of not-yet-committed entries and the
+         OR of their word masks; drives the cross-core conflict fence
+         (see store_conflict) *)
   c : counters;
   obs : Obs.t;
 }
 
 let create ?(obs = Obs.null) config ~mode =
+  let ncores = config.Config.cores in
+  let fi_cap = config.Config.front_proxy_entries + 1 in
   {
     config;
     mode;
     cores =
-      Array.init config.Config.cores (fun id ->
+      Array.init ncores (fun id ->
           {
             id;
-            front = Fifo.create dummy_item;
+            slab =
+              Slab.create
+                ~limit:
+                  (config.Config.front_proxy_entries
+                  + config.Config.back_proxy_entries);
+            front = Fifo.create ();
             front_data = 0;
-            fi_lines = Array.make (config.Config.front_proxy_entries + 1) min_int;
-            fi_entries =
-              Array.make (config.Config.front_proxy_entries + 1) dummy_entry;
+            fi_lines = Array.make fi_cap min_int;
+            fi_handles = Array.make fi_cap (-1);
             fi_n = 0;
             staged_order = Array.make Capri_ir.Reg.count 0;
             staged_n = 0;
             staged_val = Array.make Capri_ir.Reg.count 0;
             staged_mark = Array.make Capri_ir.Reg.count false;
-            out_staged = [];
+            ckq = Fifo.create ();
+            cmq = Fifo.create ();
+            outq = Fifo.create ();
+            out_open = 0;
             journal = [];
             journal_len = 0;
             journal_base = 0;
             open_seq = 0;
             open_entries = 0;
             next_drain = 0;
-            arrivals = Ring.create dummy_item;
-            back = [];
-            back_spare = dummy_back;
+            arrivals = Ring.create ();
+            back = Array.make 8 0;
+            back_n = 0;
+            back_slots = Array.make 8 0;
+            back_slots_n = 0;
             back_used = 0;
-            resume = Never_started;
+            res_kind = never_started;
+            res_boundary = 0;
+            res_sp = 0;
             slot_array = Array.make Capri_ir.Reg.count 0;
-            halted = false;
           });
-    frees = Ring.create (0, 0);
+    frees = Ring.create ();
     eserial = 0;
     nvm = Memory.create ();
-    stamp_pages = [||];
+    stamps = Line_pages.create ~width:Config.line_words ~init:(-1);
     nvm_wq_free = 0;
     wake = 0;
-    recent_wb = [];
-    pending = Hashtbl.create 256;
+    wb_line = [||];
+    wb_version = [||];
+    wb_time = [||];
+    wb_n = 0;
+    pending = Line_pages.create ~width:(2 * ncores) ~init:0;
     c = mk_counters obs.Obs.metrics ~mode;
     obs;
   }
-
-let debug_line =
-  match Sys.getenv_opt "CAPRI_DEBUG_LINE" with
-  | Some s -> (try Some (int_of_string s) with _ -> None)
-  | None -> None
-
-(* Whether any line is being debugged at all: the hot paths test this
-   cheap flag before touching [dbg] — [Printf.ifprintf] still interprets
-   the format string (allocating its ignore-continuations), which at
-   millions of calls per run is real simulation time. *)
-let dbg_on = debug_line <> None
-
-let dbg line fmt =
-  if debug_line = Some line then Printf.eprintf fmt
-  else Printf.ifprintf stderr fmt
 
 let mode t = t.mode
 
@@ -440,42 +503,51 @@ let stats t =
     journal_truncated = v t.c.c_journal_truncated;
   }
 
+(* The resume record's committed form: [boundary >= 0] resumes there,
+   a negative boundary (the halt's) marks the core done. *)
+let set_resume cs ~boundary ~sp =
+  if boundary >= 0 then begin
+    cs.res_kind <- resume_at;
+    cs.res_boundary <- boundary;
+    cs.res_sp <- sp
+  end
+  else cs.res_kind <- finished
+
+let resume_of cs =
+  if cs.res_kind = resume_at then
+    Resume { boundary = cs.res_boundary; sp = cs.res_sp }
+  else if cs.res_kind = finished then Done
+  else Never_started
+
 let init_slots t ~core ~slots ~resume_boundary ~sp =
   let cs = t.cores.(core) in
   Array.blit slots 0 cs.slot_array 0 (Array.length cs.slot_array);
   match resume_boundary with
-  | Some boundary -> cs.resume <- Resume { boundary; sp }
-  | None -> cs.resume <- Never_started
+  | Some boundary ->
+    cs.res_kind <- resume_at;
+    cs.res_boundary <- boundary;
+    cs.res_sp <- sp
+  | None -> cs.res_kind <- never_started
 
 let seed_core t ~core ~slots ~resume =
   let cs = t.cores.(core) in
   Array.blit slots 0 cs.slot_array 0 (Array.length cs.slot_array);
-  cs.resume <- resume;
-  (match resume with Done -> cs.halted <- true | Resume _ | Never_started -> ())
+  match resume with
+  | Resume { boundary; sp } ->
+    cs.res_kind <- resume_at;
+    cs.res_boundary <- boundary;
+    cs.res_sp <- sp
+  | Done -> cs.res_kind <- finished
+  | Never_started -> cs.res_kind <- never_started
 
-let stamp_page t line =
-  let p = line lsr 8 in
-  let np = Array.length t.stamp_pages in
-  if p >= np then begin
-    let grown = Array.make (max (p + 1) (2 * np)) [||] in
-    Array.blit t.stamp_pages 0 grown 0 np;
-    t.stamp_pages <- grown
-  end;
-  let pg = Array.unsafe_get t.stamp_pages p in
-  if pg != [||] then pg
-  else begin
-    let pg = Array.make (256 * Config.line_words) (-1) in
-    t.stamp_pages.(p) <- pg;
-    pg
-  end
-
-(* Word-granular aged write: each masked word lands only if its data is
-   at least as new as what that word already holds. [kind] attributes the
-   line write to one of the three traffic categories at the single choke
-   point, so nvm_line_writes = wb + redo + slot holds by construction. *)
-let nvm_write ?(mask = 0xFF) t ~kind ~line ~data ~version =
-  let stamps = stamp_page t line in
-  let base = (line land 255) * Config.line_words in
+(* Word-granular aged write: each masked word of the line at
+   [data.(off)].. lands only if its data is at least as new as what that
+   word already holds. [kind] attributes the line write to one of the
+   three traffic categories at the single choke point, so
+   nvm_line_writes = wb + redo + slot holds by construction. *)
+let nvm_write t ~kind ~line ~data ~off ~mask ~version =
+  let stamps = Line_pages.page t.stamps line in
+  let base = Line_pages.offset t.stamps line in
   Metrics.Counter.inc t.c.c_nvm_line_writes;
   Metrics.Counter.inc
     (match kind with
@@ -489,11 +561,8 @@ let nvm_write ?(mask = 0xFF) t ~kind ~line ~data ~version =
       stamps.(base + o) <- version
     end
   done;
-  if dbg_on then
-    dbg line "nvm_write line=%d mask=%x wrote=%x v=%d data2=%d\n" line mask
-      !write_mask version data.(2);
   if !write_mask <> 0 then begin
-    Memory.write_line_masked t.nvm line data !write_mask;
+    Memory.write_line_masked_from t.nvm line data off !write_mask;
     true
   end
   else begin
@@ -502,57 +571,53 @@ let nvm_write ?(mask = 0xFF) t ~kind ~line ~data ~version =
   end
 
 let nvm_line t line = Memory.line_snapshot t.nvm line
+let nvm_line_equal t memory line = Memory.line_equal t.nvm memory line
 
-(* Loader/restart path: install a line of the initial (or recovered)
-   durable image directly, regardless of mode. Routing this through
-   {!on_writeback} would silently drop it in [Redo_nowb] mode — whose
-   writeback handler discards dirty lines by design — leaving the data
-   segment non-durable before the first committed region (lost by a
-   crash at instruction 0; found by the fuzzer). *)
-let install_line t ~line ~data ~version =
-  ignore (nvm_write t ~kind:`Wb ~line ~data ~version)
+(* Loader/restart path: install the initial (or recovered) durable image
+   directly, regardless of mode. Routing this through {!on_writeback}
+   would silently drop it in [Redo_nowb] mode — whose writeback handler
+   discards dirty lines by design — leaving the data segment non-durable
+   before the first committed region (lost by a crash at instruction 0;
+   found by the fuzzer). *)
+let install_image t memory =
+  Memory.iter_line_data memory (fun line data off ->
+      ignore
+        (nvm_write t ~kind:`Wb ~line ~data ~off ~mask:full_mask ~version:0))
 
 (* ---------------- cross-core conflict fence ---------------- *)
 
 (* Per line and core: how many uncommitted entries touch it, and the OR
    of their word masks. The mask clears when the count drops to zero —
    slightly conservative when several of a core's regions overlap on a
-   line, never unsound. *)
-let pending_counts t line =
-  match Hashtbl.find_opt t.pending line with
-  | Some a -> a
-  | None ->
-    let a = Array.make (2 * t.config.Config.cores) 0 in
-    Hashtbl.replace t.pending line a;
-    a
-
-(* The pending table's only reader is [store_conflict], which is a no-op
-   unless the fence is configured on — so with the fence off (the paper's
-   hardware model, and every timing experiment) the per-store bookkeeping
-   is skipped entirely. *)
+   line, never unsound. The table's only reader is [store_conflict],
+   which is a no-op unless the fence is configured on — so with the
+   fence off (the paper's hardware model, and every timing experiment)
+   the per-store bookkeeping is skipped entirely. *)
 let pending_inc t ~core ~line ~mask =
   if t.config.Config.conflict_fence then begin
-    let a = pending_counts t line in
-    a.(2 * core) <- a.(2 * core) + 1;
-    a.((2 * core) + 1) <- a.((2 * core) + 1) lor mask
+    let a = Line_pages.page t.pending line in
+    let i = Line_pages.offset t.pending line + (2 * core) in
+    a.(i) <- a.(i) + 1;
+    a.(i + 1) <- a.(i + 1) lor mask
   end
 
 let pending_add_mask t ~core ~line ~mask =
   if t.config.Config.conflict_fence then begin
-    let a = pending_counts t line in
-    a.((2 * core) + 1) <- a.((2 * core) + 1) lor mask
+    let a = Line_pages.page t.pending line in
+    let i = Line_pages.offset t.pending line + (2 * core) in
+    a.(i + 1) <- a.(i + 1) lor mask
   end
 
 let pending_dec t ~core ~line =
   if t.config.Config.conflict_fence then begin
-    let a = pending_counts t line in
-    a.(2 * core) <- max 0 (a.(2 * core) - 1);
-    if a.(2 * core) = 0 then a.((2 * core) + 1) <- 0
+    let a = Line_pages.page t.pending line in
+    let i = Line_pages.offset t.pending line + (2 * core) in
+    a.(i) <- imax 0 (a.(i) - 1);
+    if a.(i) = 0 then a.(i + 1) <- 0
   end
 
-(* Front-index linear map (see [core_state.fi_lines]). [fi_find] returns
-   [dummy_entry] on miss — its [seq] is [min_int], which no open region
-   ever has, so the merge guard rejects it without a branch on "found". *)
+(* Front-index linear map (see [core_state.fi_lines]): [fi_find] returns
+   the bound handle or -1. *)
 let rec fi_scan cs line i =
   if i >= cs.fi_n then -1
   else if Array.unsafe_get cs.fi_lines i = line then i
@@ -560,101 +625,103 @@ let rec fi_scan cs line i =
 
 let[@inline] fi_find cs line =
   let i = fi_scan cs line 0 in
-  if i < 0 then dummy_entry else Array.unsafe_get cs.fi_entries i
+  if i < 0 then -1 else Array.unsafe_get cs.fi_handles i
 
-(* Bind [line -> e], replacing any existing binding for the line (the
+(* Bind [line -> h], replacing any existing binding for the line (the
    replaced entry is necessarily a stale one from an earlier region). *)
-let fi_bind cs line e =
+let fi_bind cs line h =
   let i = fi_scan cs line 0 in
-  if i >= 0 then cs.fi_entries.(i) <- e
+  if i >= 0 then cs.fi_handles.(i) <- h
   else begin
     cs.fi_lines.(cs.fi_n) <- line;
-    cs.fi_entries.(cs.fi_n) <- e;
+    cs.fi_handles.(cs.fi_n) <- h;
     cs.fi_n <- cs.fi_n + 1
   end
 
-(* Remove the binding for [e.line] iff it is [e] itself. *)
-let fi_unbind cs e =
-  let i = fi_scan cs e.line 0 in
-  if i >= 0 && Array.unsafe_get cs.fi_entries i == e then begin
+(* Remove the binding for [h]'s line iff it is [h] itself. *)
+let fi_unbind cs h =
+  let i = fi_scan cs cs.slab.Slab.line.(h) 0 in
+  if i >= 0 && Array.unsafe_get cs.fi_handles i = h then begin
     cs.fi_n <- cs.fi_n - 1;
     cs.fi_lines.(i) <- cs.fi_lines.(cs.fi_n);
-    cs.fi_entries.(i) <- cs.fi_entries.(cs.fi_n);
-    cs.fi_lines.(cs.fi_n) <- min_int;
-    cs.fi_entries.(cs.fi_n) <- dummy_entry
+    cs.fi_handles.(i) <- cs.fi_handles.(cs.fi_n)
   end
 
 (* ---------------- back-end ---------------- *)
 
-let back_region_for cs seq =
-  (* FIFO delivery means the region being delivered to is almost always
-     the head of [back] (regions complete in order); the scan and the
-     append only run on region creation and the rare multi-region case. *)
-  match cs.back with
-  | r :: _ when r.bseq = seq -> r
-  | l ->
-    let rec find = function
-      | [] ->
-        let r =
-          if cs.back_spare != dummy_back then begin
-            let r = cs.back_spare in
-            cs.back_spare <- dummy_back;
-            r.bseq <- seq;
-            r
-          end
-          else
-            { bseq = seq; bentries = []; bcount = 0; bslots = [];
-              bcommit = None }
-        in
-        cs.back <- cs.back @ [ r ];
-        r
-      | r :: tl -> if r.bseq = seq then r else find tl
-    in
-    find l
+let grown a n =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (imax 8 (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
 
+let back_add_entry cs h =
+  cs.back <- grown cs.back cs.back_n;
+  cs.back.(cs.back_n) <- h;
+  cs.back_n <- cs.back_n + 1
+
+let back_add_slot cs ~slot ~value =
+  cs.back_slots <- grown cs.back_slots ((2 * cs.back_slots_n) + 1);
+  cs.back_slots.(2 * cs.back_slots_n) <- slot;
+  cs.back_slots.((2 * cs.back_slots_n) + 1) <- value;
+  cs.back_slots_n <- cs.back_slots_n + 1
+
+(* Drop monitoring-window entries whose time is up, keeping the order. *)
 let prune_window t now =
-  match t.recent_wb with
-  | [] -> ()  (* the common case outside writeback storms: no filter pass *)
-  | _ ->
+  if t.wb_n > 0 then begin
     let w = t.config.Config.monitor_window in
-    t.recent_wb <- List.filter (fun (_, _, tw) -> tw + w >= now) t.recent_wb
+    let k = ref 0 in
+    for i = 0 to t.wb_n - 1 do
+      if t.wb_time.(i) + w >= now then begin
+        t.wb_line.(!k) <- t.wb_line.(i);
+        t.wb_version.(!k) <- t.wb_version.(i);
+        t.wb_time.(!k) <- t.wb_time.(i);
+        incr k
+      end
+    done;
+    t.wb_n <- !k
+  end
 
-(* [bentries]/[bslots] are in reverse arrival order; recursing into the
-   tail first processes oldest-first without materializing [List.rev].
-   Depth is bounded by back_proxy_entries / the per-region slot count.
-   Top-level (not local to [do_commit]) so no closures are built per
-   commit. pending_dec only touches the conflict table and nvm_write
-   never reads it, so fusing the two passes per entry is observationally
-   identical to the original two-pass loop. Returns the number of line
-   writes issued. *)
-let rec commit_entries t cs now = function
-  | [] -> 0
-  | e :: older ->
-    let n = commit_entries t cs now older in
-    pending_dec t ~core:cs.id ~line:e.line;
-    if not e.valid then begin
-      Metrics.Counter.inc t.c.c_redo_skipped_invalid;
-      n
-    end
+let window_push t ~line ~version ~time =
+  t.wb_line <- grown t.wb_line t.wb_n;
+  t.wb_version <- grown t.wb_version t.wb_n;
+  t.wb_time <- grown t.wb_time t.wb_n;
+  t.wb_line.(t.wb_n) <- line;
+  t.wb_version.(t.wb_n) <- version;
+  t.wb_time.(t.wb_n) <- time;
+  t.wb_n <- t.wb_n + 1
+
+let rec window_covers t ~line ~version i =
+  i < t.wb_n
+  && ((t.wb_line.(i) = line && t.wb_version.(i) >= version)
+     || window_covers t ~line ~version (i + 1))
+
+(* Phase 2's redo pass over the open region's entries, oldest first:
+   pending_dec only touches the conflict table and nvm_write never reads
+   it, so one pass per entry serves both. Frees every handle; returns the
+   number of line writes issued. *)
+let commit_entries t cs now =
+  let s = cs.slab in
+  let lines = ref 0 in
+  for i = 0 to cs.back_n - 1 do
+    let h = cs.back.(i) in
+    pending_dec t ~core:cs.id ~line:s.Slab.line.(h);
+    if not s.Slab.valid.(h) then Metrics.Counter.inc t.c.c_redo_skipped_invalid
     else begin
       t.nvm_wq_free <-
-        max t.nvm_wq_free now + t.config.Config.nvm_write_service;
-      if nvm_write ~mask:e.mask t ~kind:`Redo ~line:e.line ~data:e.redo
-           ~version:e.version
+        imax t.nvm_wq_free now + t.config.Config.nvm_write_service;
+      if
+        nvm_write t ~kind:`Redo ~line:s.Slab.line.(h) ~data:s.Slab.words
+          ~off:(Slab.redo_off h) ~mask:s.Slab.mask.(h)
+          ~version:s.Slab.version.(h)
       then Metrics.Counter.inc t.c.c_redo_writes;
-      n + 1
-    end
-
-let rec apply_slots cs = function
-  | [] -> ()
-  | (slot, value) :: older ->
-    apply_slots cs older;
-    cs.slot_array.(slot) <- value
-
-(* Drop [region] from a back list; it is almost always the head. *)
-let rec remove_back region = function
-  | [] -> []
-  | r :: tl -> if r == region then tl else r :: remove_back region tl
+      incr lines
+    end;
+    Slab.release s h
+  done;
+  !lines
 
 (* Oracle-sensitivity fault injection for compaction (see [compact]):
    when armed, the physical journal reclaim runs *before* the checkpoint
@@ -693,116 +760,95 @@ let compact t cs =
     Metrics.Counter.add t.c.c_journal_truncated truncated
   end
 
-(* Phase 2: copy redo data of valid entries, apply checkpoint slots, update
-   the resume record, and schedule the space release. *)
-let do_commit t cs region info now =
-  (match debug_line with
-   | Some l when List.exists (fun e -> e.line = l) region.bentries ->
-     Printf.eprintf "commit seq=%d resume=%d now=%d entries=%d\n" region.bseq
-       info.resume_boundary now region.bcount
-   | _ -> ());
+(* Phase 2 of the open back region, on its commit marker: copy redo data
+   of valid entries, apply checkpoint slots, journal the region's
+   outputs, update the resume record, and schedule the space release. *)
+let do_commit t cs now =
+  let seq = Fifo.pop cs.cmq in
+  let boundary = Fifo.pop cs.cmq in
+  let sp = Fifo.pop cs.cmq in
+  let nouts = Fifo.pop cs.cmq in
   Metrics.Counter.inc t.c.c_commits;
-  let commit_lines = ref (commit_entries t cs now region.bentries) in
-  apply_slots cs region.bslots;
+  let entry_lines = commit_entries t cs now in
+  for i = 0 to cs.back_slots_n - 1 do
+    cs.slot_array.(cs.back_slots.(2 * i)) <- cs.back_slots.((2 * i) + 1)
+  done;
   (* Slot stores are adjacent 8-byte words of the per-core checkpoint
      array: they coalesce into whole-line writes (at most 4 lines for 32
      registers). They bypass the stamp machinery (the slot arrays live
      outside data memory) but still count as NVM line traffic. *)
-  let slot_lines = (List.length region.bslots + 7) / 8 in
+  let slot_lines = (cs.back_slots_n + 7) / 8 in
   Metrics.Counter.add t.c.c_nvm_writes_slot slot_lines;
   Metrics.Counter.add t.c.c_nvm_line_writes slot_lines;
-  commit_lines := !commit_lines + slot_lines;
   for _ = 1 to slot_lines do
-    t.nvm_wq_free <- max t.nvm_wq_free now + t.config.Config.nvm_write_service
+    t.nvm_wq_free <- imax t.nvm_wq_free now + t.config.Config.nvm_write_service
   done;
-  Capri_obs.Profiler.on_commit t.obs.Obs.regions ~core:cs.id ~seq:region.bseq
-    ~cycle:now ~nvm_lines:!commit_lines;
+  let commit_lines = entry_lines + slot_lines in
+  Capri_obs.Profiler.on_commit t.obs.Obs.regions ~core:cs.id ~seq ~cycle:now
+    ~nvm_lines:commit_lines;
   if Capri_obs.Tracer.enabled t.obs.Obs.tracer then
     Capri_obs.Tracer.instant t.obs.Obs.tracer ~track:Capri_obs.Tracer.Proxy
       ~name:"commit" ~ts:now
       ~args:
         [
           ("core", string_of_int cs.id);
-          ("seq", string_of_int region.bseq);
-          ("nvm_lines", string_of_int !commit_lines);
+          ("seq", string_of_int seq);
+          ("nvm_lines", string_of_int commit_lines);
         ];
-  (match info.outs with
-   | [] -> ()
-   | outs ->
-     cs.journal <- List.rev_append (List.map (fun v -> (v, now)) outs) cs.journal;
-     cs.journal_len <- cs.journal_len + List.length outs;
-     compact t cs);
-  if not info.elide_resume then
-    cs.resume <-
-      (if info.resume_boundary >= 0 then
-         Resume { boundary = info.resume_boundary; sp = info.sp }
-       else Done);
-  if region.bcount > 0 then begin
-    t.eserial <- t.eserial + 1;
-    Ring.push t.frees (max now t.nvm_wq_free) t.eserial (cs.id, region.bcount)
+  if nouts > 0 then begin
+    for _ = 1 to nouts do
+      cs.journal <- (Fifo.pop cs.outq, now) :: cs.journal
+    done;
+    cs.journal_len <- cs.journal_len + nouts;
+    compact t cs
   end;
-  cs.back <- remove_back region cs.back;
-  (* Recycle the record for the next region on this core. *)
-  if cs.back_spare == dummy_back then begin
-    region.bseq <- min_int;
-    region.bentries <- [];
-    region.bcount <- 0;
-    region.bslots <- [];
-    region.bcommit <- None;
-    cs.back_spare <- region
-  end
+  set_resume cs ~boundary ~sp;
+  if cs.back_n > 0 then begin
+    t.eserial <- t.eserial + 1;
+    Ring.push t.frees (imax now t.nvm_wq_free) t.eserial
+      ((cs.back_n * Array.length t.cores) + cs.id)
+  end;
+  cs.back_n <- 0;
+  cs.back_slots_n <- 0
 
-let deliver t core item now =
-  let cs = t.cores.(core) in
-  match item with
-  | Data e ->
+let deliver t cs item now =
+  if item >= 0 then begin
     (* Monitoring window: a writeback that already carried data at least
        this new (same line) invalidates the arriving redo. *)
     prune_window t now;
+    let s = cs.slab in
     if
-      (match t.recent_wb with
-       | [] -> false  (* no closure built on the windowless fast path *)
-       | l ->
-         List.exists (fun (line, v, _) -> line = e.line && v >= e.version) l)
+      t.wb_n > 0
+      && window_covers t ~line:s.Slab.line.(item) ~version:s.Slab.version.(item)
+           0
+      && s.Slab.valid.(item)
     then begin
-      if e.valid then begin
-        e.valid <- false;
-        Metrics.Counter.inc t.c.c_window_invalidations
-      end
+      s.Slab.valid.(item) <- false;
+      Metrics.Counter.inc t.c.c_window_invalidations
     end;
-    let r = back_region_for cs e.seq in
-    r.bentries <- e :: r.bentries;
-    r.bcount <- r.bcount + 1;
-    (match r.bcommit with
-     | Some info -> do_commit t cs r info now  (* late entry: can't happen
-                                                  with FIFO, kept for safety *)
-     | None -> ())
-  | Ckpt_flush { seq; slot; value } ->
-    let r = back_region_for cs seq in
-    r.bslots <- (slot, value) :: r.bslots
-  | Commit { seq; info } ->
-    let r = back_region_for cs seq in
-    r.bcommit <- Some info;
-    do_commit t cs r info now
+    back_add_entry cs item
+  end
+  else if item = ckpt_item then begin
+    let slot = Fifo.pop cs.ckq in
+    back_add_slot cs ~slot ~value:(Fifo.pop cs.ckq)
+  end
+  else do_commit t cs now
 
 (* ---------------- draining ---------------- *)
 
 let[@inline] head_drainable t cs =
   (not (Fifo.is_empty cs.front))
-  &&
-  match Fifo.peek cs.front with
-  | Data _ -> cs.back_used < t.config.Config.back_proxy_entries
-  | Ckpt_flush _ | Commit _ -> true
+  && (Fifo.peek cs.front < 0
+     || cs.back_used < t.config.Config.back_proxy_entries)
 
 let drain_one t cs now =
   let item = Fifo.pop cs.front in
-  (match item with
-   | Data e ->
-     cs.front_data <- cs.front_data - 1;
-     cs.back_used <- cs.back_used + 1;
-     (* The entry leaves the front-end: no longer mergeable. *)
-     fi_unbind cs e
-   | Ckpt_flush _ | Commit _ -> ());
+  if item >= 0 then begin
+    cs.front_data <- cs.front_data - 1;
+    cs.back_used <- cs.back_used + 1;
+    (* The entry leaves the front-end: no longer mergeable. *)
+    fi_unbind cs item
+  end;
   t.eserial <- t.eserial + 1;
   Ring.push cs.arrivals (now + t.config.Config.proxy_path_latency) t.eserial
     item;
@@ -810,92 +856,84 @@ let drain_one t cs now =
      lines (undo + redo), a checkpoint flush or commit marker a dozen
      bytes. *)
   let gap =
-    match item with
-    | Data _ -> t.config.Config.proxy_path_gap
-    | Ckpt_flush _ | Commit _ -> max 1 (t.config.Config.proxy_path_gap / 4)
+    if item >= 0 then t.config.Config.proxy_path_gap
+    else imax 1 (t.config.Config.proxy_path_gap / 4)
   in
   cs.next_drain <- now + gap
 
-let advance_loop t ~cycle =
-  (* Interleave heap events and per-core drains in time order. Runs once
-     per proxy-path item systemwide, so it is written allocation-free:
-     [max_int] for "nothing pending", heap wins time ties, first core
-     wins drain-time ties (matching the heap's serial order and the
-     original fold's first-minimal choice). *)
-  (* Written as closure-free tail recursion with immediate-int
-     accumulators: this loop runs once per proxy-path event systemwide
-     (millions of iterations per run), and refs or [Array.iter] closures
-     allocated inside it were the single largest allocation source in the
-     whole simulator. *)
-  let ncores = Array.length t.cores in
-  (* Earliest event ring by (time, serial): returns -1 for the free ring,
-     the core id for an arrival ring — the exact pop order of the old
-     global heap, since serials are stamped at push in chronological
-     order across all rings. *)
-  let rec best_event i bt bs bi =
-    if i >= ncores then bi
-    else begin
-      let a = (Array.unsafe_get t.cores i).arrivals in
-      let ti = Ring.top_time a in
-      if ti < bt || (ti = bt && Ring.top_serial a < bs) then
-        best_event (i + 1) ti (Ring.top_serial a) i
-      else best_event (i + 1) bt bs bi
-    end
-  in
-  (* Earliest drainable core by due time; first core wins ties (matching
-     the original fold's first-minimal choice). *)
-  let rec best_drain i bt bi =
-    if i >= ncores then bi
-    else begin
-      let cs = Array.unsafe_get t.cores i in
-      if head_drainable t cs then begin
-        let d = if cs.next_drain > 0 then cs.next_drain else 0 in
-        if d < bt then best_drain (i + 1) d i else best_drain (i + 1) bt bi
-      end
-      else best_drain (i + 1) bt bi
-    end
-  in
-  let rec go () =
-    let bi = best_event 0 (Ring.top_time t.frees) (Ring.top_serial t.frees) (-1) in
-    let bt =
-      if bi < 0 then Ring.top_time t.frees
-      else Ring.top_time t.cores.(bi).arrivals
-    in
-    let di = best_drain 0 max_int (-1) in
-    let td =
-      if di < 0 then max_int
-      else begin
-        let d = t.cores.(di).next_drain in
-        if d > 0 then d else 0
-      end
-    in
-    if bt <= cycle && bt <= td then begin
-      (if bi < 0 then begin
-         let core, n = Ring.pop t.frees in
-         t.cores.(core).back_used <- t.cores.(core).back_used - n
-       end
-       else deliver t bi (Ring.pop t.cores.(bi).arrivals) bt);
-      go ()
-    end
-    else if td <= cycle then begin
-      drain_one t t.cores.(di) td;
-      go ()
-    end
-    else
-      (* The stopping iteration has the exact next internal event time in
-         hand — record it so [advance] need not rescan. *)
-      t.wake <- if bt < td then bt else td
-  in
-  go ()
+(* The event loop interleaves ring events and per-core drains in time
+   order. It runs once per proxy-path item systemwide, so it is
+   closure-free top-level recursion over immediate ints: [max_int] for
+   "nothing pending", rings win time ties over drains, first core wins
+   drain-time ties (matching the heap's serial order and the original
+   fold's first-minimal choice). *)
 
-(* Recompute the exact next internal event time. Identical to the
-   next-time scan in [stall_until]: the minimum over the heap's head and
-   every core whose front-queue head is currently drainable. *)
+(* Earliest event ring by (time, serial): returns -1 for the free ring,
+   the core id for an arrival ring — the exact pop order of the old
+   global heap, since serials are stamped at push in chronological
+   order across all rings. *)
+let rec best_event t i bt bs bi =
+  if i >= Array.length t.cores then bi
+  else begin
+    let a = (Array.unsafe_get t.cores i).arrivals in
+    let ti = Ring.top_time a in
+    if ti < bt || (ti = bt && Ring.top_serial a < bs) then
+      best_event t (i + 1) ti (Ring.top_serial a) i
+    else best_event t (i + 1) bt bs bi
+  end
+
+(* Earliest drainable core by due time; first core wins ties. *)
+let rec best_drain t i bt bi =
+  if i >= Array.length t.cores then bi
+  else begin
+    let cs = Array.unsafe_get t.cores i in
+    if head_drainable t cs then begin
+      let d = imax cs.next_drain 0 in
+      if d < bt then best_drain t (i + 1) d i else best_drain t (i + 1) bt bi
+    end
+    else best_drain t (i + 1) bt bi
+  end
+
+let release_space t =
+  let v = Ring.pop t.frees in
+  let ncores = Array.length t.cores in
+  let cs = t.cores.(v mod ncores) in
+  cs.back_used <- cs.back_used - (v / ncores)
+
+let rec advance_loop t ~cycle =
+  let bi =
+    best_event t 0 (Ring.top_time t.frees) (Ring.top_serial t.frees) (-1)
+  in
+  let bt =
+    if bi < 0 then Ring.top_time t.frees
+    else Ring.top_time t.cores.(bi).arrivals
+  in
+  let di = best_drain t 0 max_int (-1) in
+  let td = if di < 0 then max_int else imax t.cores.(di).next_drain 0 in
+  if bt <= cycle && bt <= td then begin
+    if bi < 0 then release_space t
+    else begin
+      let cs = t.cores.(bi) in
+      deliver t cs (Ring.pop cs.arrivals) bt
+    end;
+    advance_loop t ~cycle
+  end
+  else if td <= cycle then begin
+    drain_one t t.cores.(di) td;
+    advance_loop t ~cycle
+  end
+  else
+    (* The stopping iteration has the exact next internal event time in
+       hand — record it so [advance] need not rescan. *)
+    t.wake <- imin bt td
+
+(* Recompute the exact next internal event time: the minimum over the
+   ring heads and every core whose front-queue head is drainable. *)
 let rec next_event_from t i m =
   if i >= Array.length t.cores then m
   else begin
     let ti = Ring.top_time (Array.unsafe_get t.cores i).arrivals in
-    next_event_from t (i + 1) (if ti < m then ti else m)
+    next_event_from t (i + 1) (imin ti m)
   end
 
 let next_event_time t = next_event_from t 0 (Ring.top_time t.frees)
@@ -904,9 +942,7 @@ let rec next_drain_from t i m =
   if i >= Array.length t.cores then m
   else begin
     let cs = Array.unsafe_get t.cores i in
-    let m =
-      if head_drainable t cs then min m (max cs.next_drain 0) else m
-    in
+    let m = if head_drainable t cs then imin m (imax cs.next_drain 0) else m in
     next_drain_from t (i + 1) m
   end
 
@@ -915,20 +951,28 @@ let[@inline] advance t ~cycle =
      [t.wake] itself, so no separate rescan is needed here. *)
   if cycle >= t.wake then advance_loop t ~cycle
 
-(* Pump time forward until [cond] holds; returns the cycle at which it
-   does. Used to model core stalls on full buffers. *)
-let stall_until t ~cycle cond =
+let fully_drained cs =
+  Fifo.is_empty cs.front && cs.back_n = 0 && cs.back_slots_n = 0
+  && cs.back_used = 0
+
+let blocked t cs = function
+  | Front_slot -> cs.front_data >= t.config.Config.front_proxy_entries
+  | Drained -> not (fully_drained cs)
+
+(* Pump time forward until [cs] is no longer blocked on [wait]; returns
+   the cycle at which it is not. Models core stalls on full buffers. *)
+let stall_until t ~cycle cs wait =
   let now = ref cycle in
   advance t ~cycle:!now;
   let guard = ref 0 in
-  while not (cond ()) do
+  while blocked t cs wait do
     incr guard;
     if !guard > 100_000_000 then failwith "Persist: stall does not resolve";
     let next_time = next_drain_from t 0 (next_event_time t) in
     if next_time = max_int then
       failwith "Persist: stalled with no pending events"
     else begin
-      now := max !now next_time;
+      now := imax !now next_time;
       advance t ~cycle:!now
     end
   done;
@@ -937,82 +981,33 @@ let stall_until t ~cycle cond =
 let fence_active t =
   t.config.Config.conflict_fence && t.mode <> Volatile
 
+let rec conflicts a base ~core ~mask c ncores =
+  c < ncores
+  && ((c <> core
+      && a.(base + (2 * c)) > 0
+      && a.(base + (2 * c) + 1) land mask <> 0)
+     || conflicts a base ~core ~mask (c + 1) ncores)
+
 let store_conflict t ~core ~cycle ~line ~mask =
   match t.mode with
   | Volatile -> false
   | _ when not t.config.Config.conflict_fence -> false
   | Capri | Naive_sync | Undo_sync | Redo_nowb ->
     advance t ~cycle;
-    (match Hashtbl.find_opt t.pending line with
-     | None -> false
-     | Some a ->
-       let conflict = ref false in
-       for c = 0 to t.config.Config.cores - 1 do
-         if c <> core && a.(2 * c) > 0 && a.((2 * c) + 1) land mask <> 0 then
-           conflict := true
-       done;
-       !conflict)
+    let a = Line_pages.find t.pending line in
+    a != Line_pages.absent
+    && conflicts a (Line_pages.offset t.pending line) ~core ~mask 0
+         (Array.length t.cores)
 
 (* ---------------- core-facing operations ---------------- *)
 
-let on_store t ~core ~cycle ~line ~mask ~undo ~redo ~version =
-  match t.mode with
-  | Volatile -> 0
-  | Capri | Naive_sync | Undo_sync | Redo_nowb ->
-    let cs = t.cores.(core) in
-    advance t ~cycle;
-    (* Merge with a front-resident entry of the same open region. *)
-    (match fi_find cs line with
-     | e when e.seq = cs.open_seq ->
-       e.redo <- redo;
-       e.mask <- e.mask lor mask;
-       e.version <- version;
-       if dbg_on then
-         dbg line "merge line=%d seq=%d mask=%x v=%d redo2=%d\n" line e.seq
-           e.mask version redo.(2);
-       pending_add_mask t ~core ~line ~mask;
-       Metrics.Counter.inc t.c.c_entries_merged;
-       0
-     | _ ->
-       let resolved =
-         if cs.front_data >= t.config.Config.front_proxy_entries then begin
-           let target = cycle in
-           let finish =
-             stall_until t ~cycle (fun () ->
-                 cs.front_data < t.config.Config.front_proxy_entries)
-           in
-           let stall = max 0 (finish - target) in
-           Metrics.Counter.add t.c.c_store_stall_cycles stall;
-           stall
-         end
-         else 0
-       in
-       let e =
-         { line; undo; redo; mask; version; valid = true; seq = cs.open_seq }
-       in
-       if dbg_on then
-         dbg line "entry line=%d seq=%d mask=%x v=%d redo2=%d undo2=%d\n" line
-           e.seq mask version redo.(2) undo.(2);
-       pending_inc t ~core:cs.id ~line ~mask;
-       Fifo.push cs.front (Data e);
-       cs.front_data <- cs.front_data + 1;
-       cs.open_entries <- cs.open_entries + 1;
-       fi_bind cs line e;
-       (* The transfer to the back-end cannot begin in the creation
-          cycle, so a same-cycle second store to the line still merges. *)
-       cs.next_drain <- max cs.next_drain (cycle + 1);
-       t.wake <- min t.wake (max cs.next_drain 0);
-       Metrics.Counter.inc t.c.c_entries_created;
-       resolved)
-
-(* Same phase-1 protocol as {!on_store}, but fed a single word delta
-   instead of caller-built line snapshots. The proxy entry itself is the
+(* Phase 1, fed a single word delta. The proxy entry itself is the
    accumulation buffer: a merge is one in-place word write (the entry's
    unmasked words are never observed — recovery and phase 2 both apply
    [mask] — so refreshing them would be wasted work), and only entry
-   creation snapshots the line. [memory] is the architectural memory
-   *after* the store, so the undo image is the snapshot with the stored
-   word rolled back to [old]. *)
+   creation copies the line, from [memory]'s page straight into the
+   slab. [memory] is the architectural memory *after* the store, so the
+   undo image is that line with the stored word rolled back to [old]. *)
 let on_store_word t ~core ~cycle ~line ~mask ~word ~value ~old ~version
     ~memory =
   match t.mode with
@@ -1020,49 +1015,50 @@ let on_store_word t ~core ~cycle ~line ~mask ~word ~value ~old ~version
   | Capri | Naive_sync | Undo_sync | Redo_nowb ->
     let cs = t.cores.(core) in
     advance t ~cycle;
-    (match fi_find cs line with
-     | e when e.seq = cs.open_seq ->
-       e.redo.(word) <- value;
-       e.mask <- e.mask lor mask;
-       e.version <- version;
-       if dbg_on then
-         dbg line "merge line=%d seq=%d mask=%x v=%d redo2=%d\n" line e.seq
-           e.mask version e.redo.(2);
-       pending_add_mask t ~core ~line ~mask;
-       Metrics.Counter.inc t.c.c_entries_merged;
-       0
-     | _ ->
-       let resolved =
-         if cs.front_data >= t.config.Config.front_proxy_entries then begin
-           let target = cycle in
-           let finish =
-             stall_until t ~cycle (fun () ->
-                 cs.front_data < t.config.Config.front_proxy_entries)
-           in
-           let stall = max 0 (finish - target) in
-           Metrics.Counter.add t.c.c_store_stall_cycles stall;
-           stall
-         end
-         else 0
-       in
-       let redo = Memory.line_snapshot memory line in
-       let undo = Array.copy redo in
-       undo.(word) <- old;
-       let e =
-         { line; undo; redo; mask; version; valid = true; seq = cs.open_seq }
-       in
-       if dbg_on then
-         dbg line "entry line=%d seq=%d mask=%x v=%d redo2=%d undo2=%d\n" line
-           e.seq mask version redo.(2) undo.(2);
-       pending_inc t ~core:cs.id ~line ~mask;
-       Fifo.push cs.front (Data e);
-       cs.front_data <- cs.front_data + 1;
-       cs.open_entries <- cs.open_entries + 1;
-       fi_bind cs line e;
-       cs.next_drain <- max cs.next_drain (cycle + 1);
-       t.wake <- min t.wake (max cs.next_drain 0);
-       Metrics.Counter.inc t.c.c_entries_created;
-       resolved)
+    let s = cs.slab in
+    let h = fi_find cs line in
+    if h >= 0 && s.Slab.seq.(h) = cs.open_seq then begin
+      (* Merge with a front-resident entry of the same open region. *)
+      s.Slab.words.(Slab.redo_off h + word) <- value;
+      s.Slab.mask.(h) <- s.Slab.mask.(h) lor mask;
+      s.Slab.version.(h) <- version;
+      pending_add_mask t ~core ~line ~mask;
+      Metrics.Counter.inc t.c.c_entries_merged;
+      0
+    end
+    else begin
+      let stall =
+        if cs.front_data >= t.config.Config.front_proxy_entries then begin
+          let finish = stall_until t ~cycle cs Front_slot in
+          let stall = imax 0 (finish - cycle) in
+          Metrics.Counter.add t.c.c_store_stall_cycles stall;
+          stall
+        end
+        else 0
+      in
+      let h = Slab.alloc s in
+      let words = s.Slab.words in
+      Memory.blit_line memory line words (Slab.redo_off h);
+      Array.blit words (Slab.redo_off h) words (Slab.undo_off h)
+        Config.line_words;
+      words.(Slab.undo_off h + word) <- old;
+      s.Slab.line.(h) <- line;
+      s.Slab.mask.(h) <- mask;
+      s.Slab.version.(h) <- version;
+      s.Slab.valid.(h) <- true;
+      s.Slab.seq.(h) <- cs.open_seq;
+      pending_inc t ~core:cs.id ~line ~mask;
+      Fifo.push cs.front h;
+      cs.front_data <- cs.front_data + 1;
+      cs.open_entries <- cs.open_entries + 1;
+      fi_bind cs line h;
+      (* The transfer to the back-end cannot begin in the creation
+         cycle, so a same-cycle second store to the line still merges. *)
+      cs.next_drain <- imax cs.next_drain (cycle + 1);
+      t.wake <- imin t.wake (imax cs.next_drain 0);
+      Metrics.Counter.inc t.c.c_entries_created;
+      stall
+    end
 
 let on_ckpt t ~core ~slot ~value =
   match t.mode with
@@ -1082,7 +1078,8 @@ let on_ckpt t ~core ~slot ~value =
    double-emit. *)
 let on_out t ~core ~value =
   let cs = t.cores.(core) in
-  cs.out_staged <- value :: cs.out_staged
+  Fifo.push cs.outq value;
+  cs.out_open <- cs.out_open + 1
 
 let journal t ~core = List.rev_map fst t.cores.(core).journal
 
@@ -1108,24 +1105,24 @@ let flush_region t cs ~boundary ~sp =
   (* Close the open region: flush staged checkpoints (final values),
      journaled outputs and the commit marker, unless the region produced
      nothing (elided boundary entry, Section 5.2.1 optimization). *)
-  let outs = List.rev cs.out_staged in
-  let has_work = cs.open_entries > 0 || cs.staged_n > 0 || outs <> [] in
+  let has_work = cs.open_entries > 0 || cs.staged_n > 0 || cs.out_open > 0 in
   if has_work then begin
     for i = 0 to cs.staged_n - 1 do
       let slot = cs.staged_order.(i) in
       Metrics.Counter.inc t.c.c_ckpt_flushes;
-      Fifo.push cs.front
-        (Ckpt_flush { seq = cs.open_seq; slot; value = cs.staged_val.(slot) })
+      Fifo.push cs.ckq slot;
+      Fifo.push cs.ckq cs.staged_val.(slot);
+      Fifo.push cs.front ckpt_item
     done;
-    Fifo.push cs.front
-      (Commit
-         { seq = cs.open_seq;
-           info = { resume_boundary = boundary; sp; elide_resume = false;
-                    outs } });
-    t.wake <- min t.wake (max cs.next_drain 0)
+    Fifo.push cs.cmq cs.open_seq;
+    Fifo.push cs.cmq boundary;
+    Fifo.push cs.cmq sp;
+    Fifo.push cs.cmq cs.out_open;
+    Fifo.push cs.front commit_item;
+    t.wake <- imin t.wake (imax cs.next_drain 0)
   end
   else Metrics.Counter.inc t.c.c_boundaries_elided;
-  cs.out_staged <- [];
+  cs.out_open <- 0;
   for i = 0 to cs.staged_n - 1 do
     cs.staged_mark.(cs.staged_order.(i)) <- false
   done;
@@ -1136,8 +1133,6 @@ let flush_region t cs ~boundary ~sp =
      map once per region), and draining removes them. *)
   cs.open_seq <- cs.open_seq + 1;
   cs.open_entries <- 0
-
-let fully_drained cs = Fifo.is_empty cs.front && cs.back = [] && cs.back_used = 0
 
 let on_boundary t ~core ~cycle ~boundary ~sp =
   match t.mode with
@@ -1153,41 +1148,43 @@ let on_boundary t ~core ~cycle ~boundary ~sp =
     let cs = t.cores.(core) in
     advance t ~cycle;
     flush_region t cs ~boundary ~sp;
-    let finish = stall_until t ~cycle (fun () -> fully_drained cs) in
-    let stall = max 0 (finish - cycle) in
+    let finish = stall_until t ~cycle cs Drained in
+    let stall = imax 0 (finish - cycle) in
     Metrics.Counter.add t.c.c_boundary_stall_cycles stall;
     stall
 
 let on_writeback t ~cycle ~line ~data ~version =
   match t.mode with
-  | Volatile -> ignore (nvm_write t ~kind:`Wb ~line ~data ~version)
+  | Volatile ->
+    ignore
+      (nvm_write t ~kind:`Wb ~line ~data ~off:0 ~mask:full_mask ~version)
   | Redo_nowb ->
     (* Dirty lines are dropped: only the redo log updates NVM. *)
     ()
   | Capri | Naive_sync | Undo_sync ->
     advance t ~cycle;
-    if dbg_on then
-      dbg line "writeback line=%d v=%d data2=%d cyc=%d\n" line version data.(2)
-        cycle;
-    ignore (nvm_write t ~kind:`Wb ~line ~data ~version);
-    t.nvm_wq_free <- max t.nvm_wq_free cycle + t.config.Config.nvm_write_service;
+    ignore
+      (nvm_write t ~kind:`Wb ~line ~data ~off:0 ~mask:full_mask ~version);
+    t.nvm_wq_free <-
+      imax t.nvm_wq_free cycle + t.config.Config.nvm_write_service;
     (* Scan the back-end proxies: invalidate overtaken redo entries. *)
     Array.iter
       (fun cs ->
-        List.iter
-          (fun r ->
-            List.iter
-              (fun e ->
-                if e.line = line && e.valid && e.version <= version then begin
-                  e.valid <- false;
-                  Metrics.Counter.inc t.c.c_scan_invalidations
-                end)
-              r.bentries)
-          cs.back)
+        let s = cs.slab in
+        for i = 0 to cs.back_n - 1 do
+          let h = cs.back.(i) in
+          if
+            s.Slab.line.(h) = line && s.Slab.valid.(h)
+            && s.Slab.version.(h) <= version
+          then begin
+            s.Slab.valid.(h) <- false;
+            Metrics.Counter.inc t.c.c_scan_invalidations
+          end
+        done)
       t.cores;
     (* Arm the monitoring window for in-flight entries. *)
     prune_window t cycle;
-    t.recent_wb <- (line, version, cycle) :: t.recent_wb
+    window_push t ~line ~version ~time:cycle
 
 let on_halt t ~core ~cycle =
   match t.mode with
@@ -1201,16 +1198,14 @@ let on_halt t ~core ~cycle =
     let cs = t.cores.(core) in
     advance t ~cycle;
     flush_region t cs ~boundary:(-1) ~sp:0;
-    cs.halted <- true;
     0
   | Naive_sync | Undo_sync ->
     let cs = t.cores.(core) in
     advance t ~cycle;
     flush_region t cs ~boundary:(-1) ~sp:0;
-    let finish = stall_until t ~cycle (fun () -> fully_drained cs) in
-    cs.halted <- true;
-    cs.resume <- Done;
-    max 0 (finish - cycle)
+    let finish = stall_until t ~cycle cs Drained in
+    cs.res_kind <- finished;
+    imax 0 (finish - cycle)
 
 let load_extra_latency t (level : Hierarchy.level) =
   match (t.mode, level) with
@@ -1235,102 +1230,135 @@ let fault_drop_undo = Atomic.make false
 
 (* Per-core recovery work, split plan/apply so the planning half can fan
    out over a domain pool. A core's plan is a pure function of its own
-   back-end state (sorting the surviving regions, separating committed
-   regions' valid redo entries and slot updates from the interrupted
-   region's undo entries) — exactly the per-core log scan a parallel
-   restart runs on every core at once. Application — the actual NVM
-   writes, stamp bumps, journal appends and resume flips — stays in
-   fixed core order: stamp pages and counters are shared across cores,
-   and a fixed order is what makes the recovered image byte-identical at
-   any [jobs] count (the modeled restart time still charges the per-core
-   maximum, not the sum — see the serving layer). *)
+   proxy state — exactly the per-core log scan a parallel restart runs on
+   every core at once. Application — the actual NVM writes, stamp bumps,
+   journal appends and resume flips — stays in fixed core order: stamp
+   pages and counters are shared across cores, and a fixed order is what
+   makes the recovered image byte-identical at any [jobs] count (the
+   modeled restart time still charges the per-core maximum, not the sum
+   — see the serving layer). *)
 type rec_step =
   | P_commit of {
-      redo : entry list;  (* valid entries, oldest first *)
+      redo : int list;  (* valid entries' handles, oldest first *)
       slots : (int * int) list;  (* oldest first *)
-      info : commit_info;
+      boundary : int;
+      sp : int;
+      outs : int list;  (* emission order *)
     }
-  | P_undo of entry list  (* newest first *)
+  | P_undo of int list  (* handles, newest first *)
 
+(* Battery drain, as a walk: everything on a core's proxy path reaches
+   the back end in stream order — the open back region, then the
+   in-flight ring (every in-flight item predates everything still in the
+   front), then the front queue. Walking in any other order would
+   interleave one region's entries out of order when it spans the
+   queues — rolled back, two stores to the same word would then restore
+   the intermediate value instead of the oldest undo image (a lock word
+   acquired and released inside one open region would revert to "held",
+   orphaning the lock across recovery). Each Commit closes a group of
+   items that is redone; the trailing group, the interrupted region, is
+   undone. *)
 let plan_core cs =
-  let regions = List.sort (fun a b -> Int.compare a.bseq b.bseq) cs.back in
+  let s = cs.slab in
   let drop_undo = Atomic.get fault_drop_undo in
-  let steps =
-    List.map
-      (fun r ->
-        match r.bcommit with
-        | Some info ->
-          P_commit
-            {
-              redo = List.filter (fun e -> e.valid) (List.rev r.bentries);
-              slots = List.rev r.bslots;
-              info;
-            }
-        | None -> P_undo (if drop_undo then [] else r.bentries))
-      regions
+  let steps = ref [] and replayed = ref 0 in
+  let entries = ref [] and slots = ref [] in  (* the open group, newest first *)
+  let ck = ref 0 and cm = ref 0 and out = ref 0 in  (* payload cursors *)
+  for i = 0 to cs.back_n - 1 do
+    entries := cs.back.(i) :: !entries
+  done;
+  for i = 0 to cs.back_slots_n - 1 do
+    slots := (cs.back_slots.(2 * i), cs.back_slots.((2 * i) + 1)) :: !slots
+  done;
+  let item it =
+    if it >= 0 then entries := it :: !entries
+    else if it = ckpt_item then begin
+      slots := (Fifo.get cs.ckq !ck, Fifo.get cs.ckq (!ck + 1)) :: !slots;
+      ck := !ck + 2
+    end
+    else begin
+      let boundary = Fifo.get cs.cmq (!cm + 1)
+      and sp = Fifo.get cs.cmq (!cm + 2)
+      and nouts = Fifo.get cs.cmq (!cm + 3) in
+      cm := !cm + 4;
+      let outs = List.init nouts (fun k -> Fifo.get cs.outq (!out + k)) in
+      out := !out + nouts;
+      let redo = List.filter (fun h -> s.Slab.valid.(h)) (List.rev !entries) in
+      replayed := !replayed + List.length redo;
+      steps :=
+        P_commit { redo; slots = List.rev !slots; boundary; sp; outs }
+        :: !steps;
+      entries := [];
+      slots := []
+    end
   in
-  let replayed =
-    List.fold_left
-      (fun acc s ->
-        acc
-        +
-        match s with
-        | P_commit { redo; _ } -> List.length redo
-        | P_undo undo -> List.length undo)
-      0 steps
-  in
-  (steps, replayed)
+  for i = 0 to cs.arrivals.Ring.len - 1 do
+    item (Ring.get cs.arrivals i)
+  done;
+  for i = 0 to cs.front.Fifo.len - 1 do
+    item (Fifo.get cs.front i)
+  done;
+  let undo = if drop_undo then [] else !entries in
+  replayed := !replayed + List.length undo;
+  (List.rev (P_undo undo :: !steps), !replayed)
+
+let apply_plan t cs ~cycle steps =
+  let s = cs.slab in
+  List.iter
+    (function
+      | P_commit { redo; slots; boundary; sp; outs } ->
+        List.iter
+          (fun h ->
+            ignore
+              (nvm_write t ~kind:`Redo ~line:s.Slab.line.(h) ~data:s.Slab.words
+                 ~off:(Slab.redo_off h) ~mask:s.Slab.mask.(h)
+                 ~version:s.Slab.version.(h)))
+          redo;
+        List.iter (fun (slot, value) -> cs.slot_array.(slot) <- value) slots;
+        (* Committed journaled outputs survive the crash too; their
+           regions reach phase 2 during recovery, at the crash cycle. (No
+           compaction here: compaction is a steady-state activity, not
+           something a restart interleaves with its own replay.) *)
+        List.iter (fun v -> cs.journal <- (v, cycle) :: cs.journal) outs;
+        cs.journal_len <- cs.journal_len + List.length outs;
+        set_resume cs ~boundary ~sp
+      | P_undo handles ->
+        (* Interrupted region: roll back with undo data, newest entry
+           first. Staged slots of this region are discarded. *)
+        List.iter
+          (fun h ->
+            let line = s.Slab.line.(h) and mask = s.Slab.mask.(h) in
+            Memory.write_line_masked_from t.nvm line s.Slab.words
+              (Slab.undo_off h) mask;
+            let stamps = Line_pages.page t.stamps line in
+            let base = Line_pages.offset t.stamps line in
+            for o = 0 to Config.line_words - 1 do
+              if mask land (1 lsl o) <> 0 then
+                stamps.(base + o) <-
+                  imax stamps.(base + o) (s.Slab.version.(h) + 1)
+            done)
+          handles)
+    steps
+
+(* Volatile proxy state after the drain: every queue empty, every
+   handle free. *)
+let clear_core cs =
+  Slab.reset cs.slab;
+  Fifo.clear cs.front;
+  Fifo.clear cs.ckq;
+  Fifo.clear cs.cmq;
+  Fifo.clear cs.outq;
+  Ring.clear cs.arrivals;
+  cs.front_data <- 0;
+  cs.fi_n <- 0;
+  cs.out_open <- 0;
+  cs.back_n <- 0;
+  cs.back_slots_n <- 0;
+  cs.back_used <- 0
 
 let crash_recover ?(jobs = 1) t ~cycle =
   advance t ~cycle;
-  (* Battery drain: everything still in the front-end or on the path
-     reaches the back-end structures. [bentries]/[bslots] are reverse
-     arrival order (each drained item is prepended), so older items must
-     drain first: the in-flight ring holds items that already left the
-     front queue, i.e. every in-flight item predates everything still in
-     the front. Draining front-first would interleave one region's
-     entries out of order when it spans both queues — rolled back, two
-     stores to the same word would then restore the intermediate value
-     instead of the oldest undo image (a lock word acquired and released
-     inside one open region would revert to "held", orphaning the lock
-     across recovery). *)
-  Array.iter
-    (fun cs ->
-      while not (Ring.is_empty cs.arrivals) do
-        match Ring.pop cs.arrivals with
-        | Data e ->
-          let r = back_region_for cs e.seq in
-          r.bentries <- e :: r.bentries;
-          r.bcount <- r.bcount + 1
-        | Ckpt_flush { seq; slot; value } ->
-          let r = back_region_for cs seq in
-          r.bslots <- (slot, value) :: r.bslots
-        | Commit { seq; info } ->
-          let r = back_region_for cs seq in
-          r.bcommit <- Some info
-      done)
-    t.cores;
-  Array.iter
-    (fun cs ->
-      Fifo.iter
-        (fun item ->
-          match item with
-          | Data e ->
-            let r = back_region_for cs e.seq in
-            r.bentries <- e :: r.bentries;
-            r.bcount <- r.bcount + 1
-          | Ckpt_flush { seq; slot; value } ->
-            let r = back_region_for cs seq in
-            r.bslots <- (slot, value) :: r.bslots
-          | Commit { seq; info } ->
-            let r = back_region_for cs seq in
-            r.bcommit <- Some info)
-        cs.front;
-      Fifo.clear cs.front)
-    t.cores;
-  while not (Ring.is_empty t.frees) do
-    ignore (Ring.pop t.frees)
-  done;
+  Ring.clear t.frees;
   (* Section 5.4: redo committed regions in order, then undo the (at most
      one per core) interrupted region. Planning fans out across cores —
      every core scans its own surviving log independently — and the
@@ -1345,61 +1373,16 @@ let crash_recover ?(jobs = 1) t ~cycle =
   in
   Array.iteri
     (fun i cs ->
-      let steps, _ = plans.(i) in
-      List.iter
-        (function
-          | P_commit { redo; slots; info } ->
-            List.iter
-              (fun e ->
-                dbg e.line "recover-redo line=%d seq=%d v=%d redo2=%d\n" e.line
-                  e.seq e.version e.redo.(2);
-                ignore
-                  (nvm_write ~mask:e.mask t ~kind:`Redo ~line:e.line
-                     ~data:e.redo ~version:e.version))
-              redo;
-            List.iter (fun (slot, value) -> cs.slot_array.(slot) <- value) slots;
-            (* Committed journaled outputs survive the crash too; their
-               regions reach phase 2 during recovery, at the crash
-               cycle. (No compaction here: compaction is a steady-state
-               activity, not something a restart interleaves with its
-               own replay.) *)
-            (match info.outs with
-             | [] -> ()
-             | outs ->
-               cs.journal <-
-                 List.rev_append (List.map (fun v -> (v, cycle)) outs) cs.journal;
-               cs.journal_len <- cs.journal_len + List.length outs);
-            if not info.elide_resume then
-              if info.resume_boundary >= 0 then
-                cs.resume <-
-                  Resume { boundary = info.resume_boundary; sp = info.sp }
-              else cs.resume <- Done
-          | P_undo entries ->
-            (* Interrupted region: roll back with undo data, newest entry
-               first. Staged slots of this region are discarded. *)
-            List.iter
-              (fun e ->
-                dbg e.line "undo line=%d seq=%d mask=%x v=%d undo2=%d\n" e.line
-                  e.seq e.mask e.version e.undo.(2);
-                Memory.write_line_masked t.nvm e.line e.undo e.mask;
-                let stamps = stamp_page t e.line in
-                let base = (e.line land 255) * Config.line_words in
-                for o = 0 to Config.line_words - 1 do
-                  if e.mask land (1 lsl o) <> 0 then
-                    stamps.(base + o) <- max stamps.(base + o) (e.version + 1)
-                done)
-              entries)
-        steps;
-      cs.back <- [];
-      cs.back_used <- 0)
+      apply_plan t cs ~cycle (fst plans.(i));
+      clear_core cs)
     t.cores;
-  Hashtbl.reset t.pending;
+  Line_pages.reset t.pending;
   {
     nvm = Memory.copy t.nvm;
-    resume = Array.map (fun cs -> cs.resume) t.cores;
+    resume = Array.map resume_of t.cores;
     slots = Array.map (fun cs -> Array.copy cs.slot_array) t.cores;
     journal = Array.map (fun cs -> List.rev_map fst cs.journal) t.cores;
     acked = Array.map (fun cs -> List.rev cs.journal) t.cores;
     acked_base = Array.map (fun cs -> cs.journal_base) t.cores;
-    replayed = Array.map (fun (_, replayed) -> replayed) plans;
+    replayed = Array.map snd plans;
   }

@@ -149,25 +149,18 @@ val store_conflict :
     carry word masks and recovery applies them word-selectively, so
     false sharing of a line across cores needs no fence at all. *)
 
-val on_store :
-  t -> core:int -> cycle:int -> line:int -> mask:int -> undo:int array ->
-  redo:int array -> version:int -> int
-(** Phase-1 entry creation; returns stall cycles (front-end proxy full). *)
-
 val on_store_word :
   t -> core:int -> cycle:int -> line:int -> mask:int -> word:int ->
   value:int -> old:int -> version:int -> memory:Memory.t -> int
-(** Word-delta form of {!on_store} — the executor's hot path. Instead of
-    receiving caller-built undo/redo line snapshots, the engine is told
-    which word of [line] changed ([word], with [mask] its single-bit
-    line mask), the [value] written and the [old] value it replaced;
-    [memory] is the architectural memory {e after} the store. A merge
-    into the open region's front-resident entry is a single in-place
-    word update (the entry's unmasked words are unobservable: phase 2
-    and recovery apply the mask), and only entry creation snapshots the
-    line — so a store costs no allocation at all on the merge path and
-    one line copy on the create path, versus two per store for
-    {!on_store}. Returns stall cycles exactly as {!on_store} does. *)
+(** Phase-1 entry creation or merge for one stored word; returns stall
+    cycles (front-end proxy full). The engine is told which word of
+    [line] changed ([word], with [mask] its single-bit line mask), the
+    [value] written and the [old] value it replaced; [memory] is the
+    architectural memory {e after} the store. A merge into the open
+    region's front-resident entry is a single in-place word update (the
+    entry's unmasked words are unobservable: phase 2 and recovery apply
+    the mask), and entry creation copies the line from [memory] into the
+    core's entry slab. Neither allocates. *)
 
 val on_ckpt : t -> core:int -> slot:int -> value:int -> unit
 (** Stage into the register-file storage (merged per slot per region). *)
@@ -207,13 +200,14 @@ val on_boundary : t -> core:int -> cycle:int -> boundary:int -> sp:int -> int
 val on_writeback :
   t -> cycle:int -> line:int -> data:int array -> version:int -> unit
 (** A dirty line left the volatile domain (DRAM-cache eviction or final
-    flush). *)
+    flush). [data] is read during the call only, so callers may pass a
+    reused buffer. *)
 
-val install_line : t -> line:int -> data:int array -> version:int -> unit
-(** Loader/restart path: place a line of the initial (or recovered)
-    durable image into NVM directly, in every mode. Unlike
-    {!on_writeback} this is never dropped in [Redo_nowb] mode, where
-    ordinary dirty writebacks are discarded by design. *)
+val install_image : t -> Memory.t -> unit
+(** Loader/restart path: place every written line of the initial (or
+    recovered) durable image into NVM directly, at version 0, in every
+    mode. Unlike {!on_writeback} this is never dropped in [Redo_nowb]
+    mode, where ordinary dirty writebacks are discarded by design. *)
 
 val on_halt : t -> core:int -> cycle:int -> int
 (** Final implicit boundary + full drain; returns stall cycles. *)
@@ -228,7 +222,11 @@ val advance : t -> cycle:int -> unit
 (** Process internal events up to the given time. *)
 
 val nvm_line : t -> int -> int array
-(** Current durable contents of a line (for stale-read oracles). *)
+(** A copy of the current durable contents of a line. *)
+
+val nvm_line_equal : t -> Memory.t -> int -> bool
+(** Whether a line's durable contents equal the given memory's, compared
+    in place (the executor's stale-read oracle). *)
 
 val crash_recover : ?jobs:int -> t -> cycle:int -> image
 (** Power failure at [cycle]: volatile state dies, battery-backed proxy

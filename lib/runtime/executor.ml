@@ -263,9 +263,9 @@ let close_dyn_region s (th : thread) ~next_id =
       if th.prof_id = th.cur_region_id then th.prof_bp
       else begin
         let bp =
-          match Hashtbl.find_opt s.profile th.cur_region_id with
-          | Some bp -> bp
-          | None ->
+          match Hashtbl.find s.profile th.cur_region_id with
+          | bp -> bp
+          | exception Not_found ->
             let bp =
               { instances = 0; p_instrs = 0; p_stores = 0; p_max_stores = 0 }
             in
@@ -302,9 +302,8 @@ let stores_arg = "stores"
 let instr_arg = "instr"
 
 (* One architectural store: functional update, word-delta hand-off to the
-   persist engine (which snapshots the line itself only when it creates a
-   proxy entry — the merge path allocates nothing), cache timing. Returns
-   the cycle cost. *)
+   persist engine (which copies the line into its entry slab only when it
+   creates a proxy entry), cache timing. Returns the cycle cost. *)
 let do_store s (th : thread) addr value =
   let line = Memory.line_of_addr addr in
   let old = Memory.read s.memory addr in
@@ -338,10 +337,11 @@ let do_load s (th : thread) addr =
        (* Stale-read oracle: an NVM-level load must observe the latest
           data (Section 5.3); mismatches are counted (and would be real
           bugs in modes without prevention). *)
-       let line = Memory.line_of_addr addr in
-       let durable = Persist.nvm_line s.persist line in
-       let current = Memory.line_snapshot s.memory line in
-       if durable <> current then s.stale_reads <- s.stale_reads + 1
+       if
+         not
+           (Persist.nvm_line_equal s.persist s.memory
+              (Memory.line_of_addr addr))
+       then s.stale_reads <- s.stale_reads + 1
      | Hierarchy.L1 | Hierarchy.L2 | Hierarchy.Dram -> ());
     let cost = Array.unsafe_get s.lcosts (level_idx level) in
     if s.redo_extra then cost + Persist.load_extra_latency s.persist level
@@ -649,19 +649,22 @@ let lower_block s (b : Code.block) =
    cache hierarchy over [memory], whose contents become the initial NVM
    image (installed directly: the writeback path would lose them under
    Redo_nowb, which drops dirty writebacks by design), one thread per
-   spec at its function's entry, and every block lowered. *)
+   spec at its function's entry, and every block lowered. A writeback
+   hands the persist engine the line's current words through one
+   per-session buffer. *)
 let create ~config ~mode ~journal_io ~recovery_jobs ~obs ~check_threshold
     ~program ~memory specs =
   let config = { config with Config.cores = max 1 (List.length specs) } in
   let persist = Persist.create ~obs config ~mode in
+  let wb_data = Array.make Config.line_words 0 in
   let hier =
     Hierarchy.create ~obs ~labels:[ ("mode", Persist.mode_name mode) ] config
-      memory
-      ~on_nvm_writeback:(fun ~cycle ~line ~data ~version ->
-        Persist.on_writeback persist ~cycle ~line ~data ~version)
+      ~on_nvm_writeback:(fun ~cycle ~line ->
+        Memory.blit_line memory line wb_data 0;
+        Persist.on_writeback persist ~cycle ~line ~data:wb_data
+          ~version:(Memory.line_version memory line))
   in
-  Memory.iter_lines memory (fun l data ->
-      Persist.install_line persist ~line:l ~data:(Array.copy data) ~version:0);
+  Persist.install_image persist memory;
   let code = Code.build program in
   let lcosts, scosts = mk_cost_tables config in
   let s =

@@ -73,8 +73,3 @@ let apply_recovery_blocks_per_core ?(jobs = 1) (compiled : Compiled.t)
 let apply_recovery_blocks ?jobs (compiled : Compiled.t)
     (image : Arch.Persist.image) =
   Array.fold_left ( + ) 0 (apply_recovery_blocks_per_core ?jobs compiled image)
-
-let resume_session ?config ?mode ?check_threshold ~compiled ~image ~threads ()
-    =
-  ignore (apply_recovery_blocks compiled image);
-  Executor.resume ?config ?mode ?check_threshold ~compiled ~image ~threads ()

@@ -27,9 +27,3 @@ val apply_recovery_blocks_per_core :
 val apply_recovery_blocks :
   ?jobs:int -> Capri_compiler.Compiled.t -> Arch.Persist.image -> int
 (** Total over {!apply_recovery_blocks_per_core}. *)
-
-val resume_session :
-  ?config:Arch.Config.t -> ?mode:Arch.Persist.mode -> ?check_threshold:int ->
-  compiled:Capri_compiler.Compiled.t -> image:Arch.Persist.image ->
-  threads:Executor.thread_spec list -> unit -> Executor.session
-(** {!apply_recovery_blocks} followed by {!Executor.resume}. *)

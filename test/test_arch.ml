@@ -48,14 +48,12 @@ let test_memory_equal_diff () =
 
 let test_cache_lru () =
   let c = Cache.create ~sets:1 ~ways:2 in
-  Alcotest.(check (option unit)) "miss insert" None
-    (Option.map (fun _ -> ()) (Cache.insert c 1 ~dirty:false));
+  Alcotest.(check int) "miss insert" Cache.no_line
+    (Cache.insert c 1 ~dirty:false);
   ignore (Cache.insert c 2 ~dirty:true);
   Cache.touch c 1 ~dirty:false;  (* 1 is now MRU, 2 LRU *)
-  (match Cache.insert c 3 ~dirty:false with
-   | Some { Cache.line = 2; dirty = true } -> ()
-   | Some e -> Alcotest.failf "evicted %d" e.Cache.line
-   | None -> Alcotest.fail "expected eviction");
+  Alcotest.(check int) "LRU victim" 2 (Cache.insert c 3 ~dirty:false);
+  Alcotest.(check bool) "victim was dirty" true (Cache.evicted_dirty c);
   Alcotest.(check bool) "1 resident" true (Cache.mem c 1);
   Alcotest.(check bool) "2 gone" false (Cache.mem c 2);
   Alcotest.(check bool) "3 resident" true (Cache.mem c 3)
@@ -75,9 +73,7 @@ let test_cache_set_isolation () =
   ignore (Cache.insert c 1 ~dirty:false);  (* set 1 *)
   Alcotest.(check int) "both resident" 2 (Cache.resident c);
   (* line 2 maps to set 0: evicts line 0, not line 1 *)
-  (match Cache.insert c 2 ~dirty:false with
-   | Some { Cache.line = 0; _ } -> ()
-   | _ -> Alcotest.fail "wrong victim");
+  Alcotest.(check int) "victim" 0 (Cache.insert c 2 ~dirty:false);
   Alcotest.(check bool) "line 1 untouched" true (Cache.mem c 1)
 
 let mk_hier ?(cores = 2) () =
@@ -94,9 +90,12 @@ let mk_hier ?(cores = 2) () =
   let memory = Memory.create () in
   let writebacks = ref [] in
   let hier =
-    Hier.create config memory
-      ~on_nvm_writeback:(fun ~cycle:_ ~line ~data ~version ->
-        writebacks := (line, Array.copy data, version) :: !writebacks)
+    Hier.create config
+      ~on_nvm_writeback:(fun ~cycle:_ ~line ->
+        writebacks :=
+          (line, Memory.line_snapshot memory line,
+           Memory.line_version memory line)
+          :: !writebacks)
   in
   (config, memory, hier, writebacks)
 

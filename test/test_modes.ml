@@ -119,9 +119,56 @@ let test_modes_crash_recovery_capri_only () =
        | Persist.Done | Persist.Never_started -> false)
   | Executor.Finished _ -> Alcotest.fail "expected crash"
 
+(* The shipped counter example, moved to negative addresses: r1 starts
+   at -64 and steps down one line per iteration. Stacks grow below the
+   data segment, so negative lines are real and every mode must store to
+   them, commit them and recover them. *)
+let negative_counter () =
+  let rebase line =
+    match String.trim line with
+    | "r1 = mov 65536" -> "  r1 = mov -64"
+    | "r1 = add r1, 1" -> "  r1 = sub r1, 8"
+    | _ -> line
+  in
+  let text =
+    In_channel.with_open_text "../examples/counter.capri" In_channel.input_all
+    |> String.split_on_char '\n' |> List.map rebase |> String.concat "\n"
+  in
+  match Parser.parse text with
+  | Ok program -> program
+  | Error e -> Alcotest.failf "line %d: %s" e.Parser.line e.Parser.message
+
+let test_negative_addresses_all_modes () =
+  let compiled = compile (negative_counter ()) in
+  let reference = Verify.reference ~mode:Persist.Volatile compiled in
+  Alcotest.(check (list int)) "volatile output" [ 100 ]
+    reference.Executor.outputs.(0);
+  Alcotest.(check int) "lowest store" 99
+    (Memory.read reference.Executor.memory (-64 - (99 * 8)));
+  let same what candidate =
+    match Verify.check_equivalence ~reference ~candidate with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  List.iter
+    (fun mode ->
+      let name = Persist.mode_name mode in
+      same name (Verify.reference ~mode compiled);
+      if Persist.crash_recoverable mode then begin
+        let crash_at = reference.Executor.instrs / 2 in
+        let result, recoveries, _ =
+          Verify.run_with_crashes ~mode ~crash_at:[ crash_at ] compiled
+        in
+        Alcotest.(check int) (name ^ " recoveries") 1 recoveries;
+        same (name ^ " with one crash") result
+      end)
+    Persist.all_modes
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "negative addresses in every mode" `Quick
+        test_negative_addresses_all_modes;
       Alcotest.test_case "redo-only content path" `Quick
         test_redo_mode_content_path;
       Alcotest.test_case "crash image sanity" `Quick

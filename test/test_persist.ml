@@ -12,10 +12,17 @@ let mk ?(mode = Persist.Capri) ?(cfg = config) () = Persist.create cfg ~mode
 
 let line_data v = Array.make 8 v
 
+(* Store [to_] over [from] in word 0 of [line] on [core]: the
+   architectural memory the engine copies the line from holds [to_]
+   after the store. *)
+let store_on t ~core ~cycle ~line ~from ~to_ ~version =
+  let memory = Memory.create () in
+  Memory.write memory (Memory.addr_of_line line) to_;
+  Persist.on_store_word t ~core ~cycle ~line ~mask:1 ~word:0 ~value:to_
+    ~old:from ~version ~memory
+
 let store t ~cycle ~line ~from ~to_ ~version =
-  ignore
-    (Persist.on_store t ~core:0 ~cycle ~line ~mask:0xFF
-       ~undo:(line_data from) ~redo:(line_data to_) ~version)
+  ignore (store_on t ~core:0 ~cycle ~line ~from ~to_ ~version)
 
 let test_merge_within_region () =
   let t = mk () in
@@ -161,8 +168,8 @@ let test_front_proxy_backpressure () =
   for i = 0 to 7 do
     total_stall :=
       !total_stall
-      + Persist.on_store t ~core:0 ~cycle:i ~line:(100 + i) ~mask:0xFF
-          ~undo:(line_data 0) ~redo:(line_data i) ~version:1
+      + store_on t ~core:0 ~cycle:i ~line:(100 + i) ~from:0 ~to_:i
+          ~version:1
   done;
   Alcotest.(check bool) "store stalled" true (!total_stall > 0)
 
@@ -178,17 +185,15 @@ let test_region_overflow_detected () =
     (fun () ->
       for i = 0 to 7 do
         ignore
-          (Persist.on_store t ~core:0 ~cycle:i ~line:(100 + i) ~mask:0xFF
-             ~undo:(line_data 0) ~redo:(line_data i) ~version:1)
+          (store_on t ~core:0 ~cycle:i ~line:(100 + i) ~from:0 ~to_:i
+             ~version:1)
       done)
 
 let test_multi_core_isolation () =
   let cfg = { config with Config.cores = 2 } in
   let t = mk ~cfg () in
   store t ~cycle:0 ~line:7 ~from:0 ~to_:10 ~version:1;
-  ignore
-    (Persist.on_store t ~core:1 ~cycle:0 ~line:9 ~mask:0xFF
-       ~undo:(line_data 0) ~redo:(line_data 30) ~version:1);
+  ignore (store_on t ~core:1 ~cycle:0 ~line:9 ~from:0 ~to_:30 ~version:1);
   ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0);
   (* core 1 never commits *)
   let image = Persist.crash_recover t ~cycle:5 in
@@ -213,6 +218,46 @@ let test_halt_commits_in_background () =
    | Persist.Done -> ()
    | Persist.Resume _ | Persist.Never_started ->
      Alcotest.fail "halted core should be Done")
+
+(* Recovery must walk a core's stream in order: the open back region,
+   then the in-flight path, then the front queue. Here the interrupted
+   region stores line 7 three times and line 8 twice, and each store
+   finds the line's previous entry drained out of the front (so it
+   cannot merge). At the crash line 7's entries sit in the back end, on
+   the path and in the front queue, and line 8's on the path and in the
+   front queue. Undone newest first, both words return to their
+   pre-region values; the committed region before them survives, slots
+   and resume record included. *)
+let test_crash_undo_spans_back_path_front () =
+  let t = mk () in
+  let store ~cycle ~line ~from ~to_ ~version =
+    ignore (store_on t ~core:0 ~cycle ~line ~from ~to_ ~version)
+  in
+  (* committed region: line 7 = 10, line 8 = 30, slot 4 = 77 *)
+  store ~cycle:0 ~line:7 ~from:0 ~to_:10 ~version:1;
+  store ~cycle:0 ~line:8 ~from:0 ~to_:30 ~version:1;
+  Persist.on_ckpt t ~core:0 ~slot:4 ~value:77;
+  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:3 ~sp:100);
+  (* interrupted region; a data entry drains 4 cycles after the previous
+     one and arrives 40 cycles after it drains *)
+  store ~cycle:200 ~line:7 ~from:10 ~to_:11 ~version:2;  (* drains 201, back *)
+  store ~cycle:210 ~line:7 ~from:11 ~to_:12 ~version:3;  (* drains 211, path *)
+  store ~cycle:212 ~line:8 ~from:30 ~to_:31 ~version:2;  (* drains 215, path *)
+  store ~cycle:245 ~line:7 ~from:12 ~to_:13 ~version:4;  (* front *)
+  store ~cycle:245 ~line:8 ~from:31 ~to_:32 ~version:3;  (* front *)
+  Persist.on_ckpt t ~core:0 ~slot:4 ~value:99;
+  let image = Persist.crash_recover t ~cycle:245 in
+  let word line = Memory.read image.Persist.nvm (Memory.addr_of_line line) in
+  Alcotest.(check int) "line 7 rolled back across back, path, front" 10
+    (word 7);
+  Alcotest.(check int) "line 8 rolled back across path, front" 30 (word 8);
+  Alcotest.(check int) "committed slot" 77 image.Persist.slots.(0).(4);
+  (match image.Persist.resume.(0) with
+   | Persist.Resume { boundary = 3; sp = 100 } -> ()
+   | Persist.Resume _ | Persist.Done | Persist.Never_started ->
+     Alcotest.fail "expected resume at boundary 3");
+  Alcotest.(check int) "five undo records replayed" 5
+    image.Persist.replayed.(0)
 
 let suite =
   [
@@ -241,4 +286,6 @@ let suite =
     Alcotest.test_case "multi-core isolation" `Quick test_multi_core_isolation;
     Alcotest.test_case "halt commits in background" `Quick
       test_halt_commits_in_background;
+    Alcotest.test_case "crash: undo spans back, path and front" `Quick
+      test_crash_undo_spans_back_path_front;
   ]

@@ -276,6 +276,115 @@ let prop_memory_model =
        Memory.write c a (Memory.read c a + 1);
        Memory.read m a = model_read a))
 
+(* The cache against a list-per-set LRU model (most recent first):
+   random insert, touch, invalidate and probe operations over lines on
+   both sides of zero, on 1..4-way geometries. Residency, dirty bits,
+   victims and the eviction counts must all agree. *)
+let prop_cache_model =
+  QCheck.Test.make ~count:200 ~name:"cache == LRU list model" seed_gen
+    (fun seed ->
+      let module Cache = Capri_arch.Cache in
+      let state = ref (seed + 1) in
+      let next () =
+        state := (!state * 48271 + 11) land 0x3fff_ffff;
+        !state
+      in
+      let sets = 1 lsl (seed mod 3) and ways = 1 + (seed / 3 mod 4) in
+      let c = Cache.create ~sets ~ways in
+      let model = Array.make sets [] in  (* (line, dirty), MRU first *)
+      let set_of line = line land (sets - 1) in
+      let evictions = ref 0 and dirty_evictions = ref 0 and inserts = ref 0 in
+      let fail fmt = QCheck.Test.fail_reportf ("seed %d: " ^^ fmt) seed in
+      for step = 1 to 300 do
+        let line = (next () mod 24) - 12 in
+        let s = set_of line in
+        let resident = List.mem_assoc line model.(s) in
+        if Cache.mem c line <> resident then fail "step %d: mem %d" step line;
+        if Cache.is_dirty c line <> (resident && List.assoc line model.(s))
+        then fail "step %d: dirty bit of %d" step line;
+        let dirty = next () land 1 = 0 in
+        match next () mod 3 with
+        | 0 when not resident ->
+          let victim = Cache.insert c line ~dirty in
+          incr inserts;
+          let expected =
+            if List.length model.(s) < ways then Cache.no_line
+            else fst (List.nth model.(s) (ways - 1))
+          in
+          if victim <> expected then
+            fail "step %d: insert %d evicted %d, model %d" step line victim
+              expected;
+          if victim <> Cache.no_line then begin
+            let vdirty = List.assoc victim model.(s) in
+            if Cache.evicted_dirty c <> vdirty then
+              fail "step %d: victim %d dirty bit" step victim;
+            incr evictions;
+            if vdirty then incr dirty_evictions;
+            model.(s) <- List.remove_assoc victim model.(s)
+          end;
+          model.(s) <- (line, dirty) :: model.(s)
+        | 0 | 1 when resident ->
+          Cache.touch c line ~dirty;
+          let d = List.assoc line model.(s) in
+          model.(s) <- (line, d || dirty) :: List.remove_assoc line model.(s)
+        | _ ->
+          let was = resident && List.assoc line model.(s) in
+          if Cache.invalidate c line <> was then
+            fail "step %d: invalidate %d" step line;
+          model.(s) <- List.remove_assoc line model.(s)
+      done;
+      let st = Cache.stats c in
+      st.Cache.insertions = !inserts
+      && st.Cache.evictions = !evictions
+      && st.Cache.dirty_evictions = !dirty_evictions
+      && Cache.resident c
+         = Array.fold_left (fun n l -> n + List.length l) 0 model)
+
+(* Coherence without an owner table: after every access of a random
+   multi-core load/store stream on a tiny hierarchy, no line is held by
+   two L1s, and a line dirty in some L1 is held by that L1 alone. *)
+let prop_single_dirty_copy =
+  QCheck.Test.make ~count:100 ~name:"a dirty line has exactly one L1 copy"
+    seed_gen (fun seed ->
+      let module Hier = Capri_arch.Hierarchy in
+      let module Cache = Capri_arch.Cache in
+      let cores = 2 + (seed mod 3) in
+      let config =
+        { Capri_arch.Config.sim_default with
+          Capri_arch.Config.cores; l1_lines = 4; l1_ways = 2; l2_lines = 8;
+          l2_ways = 2; dram_cache_lines = 16 }
+      in
+      let hier = Hier.create config ~on_nvm_writeback:(fun ~cycle:_ ~line:_ -> ()) in
+      let state = ref (seed + 1) in
+      let next () =
+        state := (!state * 48271 + 11) land 0x3fff_ffff;
+        !state
+      in
+      let lw = Capri_arch.Config.line_words in
+      let ok = ref true in
+      for cycle = 1 to 400 do
+        let core = next () mod cores in
+        let addr = ((next () mod 12) - 6) * lw in
+        if next () land 1 = 0 then ignore (Hier.load hier ~core ~cycle ~addr)
+        else ignore (Hier.store hier ~core ~cycle ~addr);
+        for line = -6 to 5 do
+          let holders = ref 0 and dirty = ref 0 in
+          for c = 0 to cores - 1 do
+            let l1 = Hier.l1 hier ~core:c in
+            if Cache.mem l1 line then incr holders;
+            if Cache.is_dirty l1 line then incr dirty
+          done;
+          if !holders > 1 || (!dirty > 0 && (!dirty <> 1 || !holders <> 1))
+          then begin
+            ok := false;
+            QCheck.Test.fail_reportf
+              "seed %d cycle %d: line %d dirty in %d L1s, held by %d" seed
+              cycle line !dirty !holders
+          end
+        done
+      done;
+      !ok)
+
 (* The parser round-trips every compiled artifact. *)
 let prop_parser_round_trip =
   QCheck.Test.make ~count:40 ~name:"parser round-trips compiled programs"
@@ -418,5 +527,5 @@ let suite =
       [
         prop_journal_exactly_once; prop_pgo_preserves; prop_memory_model;
         prop_parser_round_trip; prop_series_merge_laws; prop_dominators;
-        prop_inter_liveness;
+        prop_inter_liveness; prop_cache_model; prop_single_dirty_copy;
       ]
