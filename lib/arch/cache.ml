@@ -3,7 +3,10 @@
    dirty bit (0 or 1). Until a line is first inserted into a set, the
    set is the shared all-invalid [vacant] array, so a session allocates
    only the sets it touches. A way is named by [set lsl way_bits lor
-   way]. Probes are top-level tail recursion, so no call allocates. *)
+   way]. Probes are top-level tail recursion, so no call allocates.
+   Every comparison is at type int (see [Int_cmp]). *)
+
+open Int_cmp
 
 let no_line = min_int  (* an invalid way; no real line is min_int *)
 let fields = 3  (* ints per way: line, stamp, dirty *)

@@ -11,7 +11,13 @@
    Sparse semantics are preserved exactly: a line is "present" iff it has
    been written, and every write path bumps the line version, so
    present <=> version > 0. [iter_lines] and [diff] enumerate only
-   present lines, identical to the Hashtbl behaviour. *)
+   present lines, identical to the Hashtbl behaviour.
+
+   Every comparison operator here is at type int (see [Int_cmp]); the
+   two that are not say so: [diff] sorts with [Stdlib.compare] and
+   [equal] matches on the empty list. *)
+
+open Int_cmp
 
 let line_words = Config.line_words
 
@@ -58,7 +64,7 @@ let find_page t pidx =
 
 let grow table i =
   let n = Array.length table in
-  let bigger = Array.make (max (i + 1) (2 * n)) None in
+  let bigger = Array.make (Int.max (i + 1) (2 * n)) None in
   Array.blit table 0 bigger 0 n;
   bigger
 
@@ -217,6 +223,6 @@ let diff ?(from = min_int) a b =
   in
   iter_present a (fun l _ _ -> check l);
   iter_present b (fun l _ _ -> check l);
-  List.sort compare !mismatches
+  List.sort Stdlib.compare !mismatches
 
-let equal ?from a b = diff ?from a b = []
+let equal ?from a b = match diff ?from a b with [] -> true | _ :: _ -> false

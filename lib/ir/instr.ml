@@ -84,8 +84,8 @@ let binop_fn : binop -> int -> int -> int = function
   | Le -> fun a b -> if a <= b then 1 else 0
   | Eq -> fun a b -> if a = b then 1 else 0
   | Ne -> fun a b -> if a <> b then 1 else 0
-  | Min -> min
-  | Max -> max
+  | Min -> Int.min
+  | Max -> Int.max
 
 let eval_binop op a b = binop_fn op a b
 

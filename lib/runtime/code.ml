@@ -78,6 +78,21 @@ let fuse_safe = function
   | Dbinop _ | Dmov _ | Dload _ | Dstore _ | Datomic _ | Dfence | Dout _
   | Dckpt _ -> true
 
+(* The executor's runahead may run these ahead of the reference order.
+   A [Dckpt] qualifies because it stages into its own core's slot
+   buffer, read only at that core's next boundary; a [Dfence] because
+   it is a counter bump whenever runahead is on (the tracer is off). *)
+let thread_local b i =
+  if i < Array.length b.dinstrs then
+    match b.dinstrs.(i) with
+    | Dbinop _ | Dmov _ | Dckpt _ | Dfence -> true
+    | Dload _ | Dstore _ | Datomic _ | Dout _ | Dboundary _ | Dckpt_load _ ->
+      false
+  else
+    match b.dterm with
+    | Djump _ | Dbranch _ -> true
+    | Dcall _ | Dret | Dhalt -> false
+
 let build (program : Program.t) =
   (* Number every block in layout order first: a terminator may name a
      later block or function. *)

@@ -45,6 +45,14 @@ type block = {
   label : Label.t;
 }
 
+val thread_local : block -> int -> bool
+(** [thread_local b i]: closure [i] of [b] (the terminator at
+    [i = Array.length b.dinstrs]) touches only its own thread's
+    registers, cycle count and staged checkpoints, and costs one cycle:
+    [Dbinop], [Dmov], [Dckpt], [Dfence], [Djump] and [Dbranch]. Every
+    other instruction and terminator reaches memory, the caches, the
+    persist engine or the journal. *)
+
 type t
 
 val build : Program.t -> t

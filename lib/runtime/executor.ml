@@ -911,7 +911,19 @@ let run_reference ?crash_at_instr ?(max_steps = default_max_steps) s =
    fused-eligible blocks run with per-block (not per-instruction) budget
    checks when nothing can interleave: a single runnable thread, no
    conflict fence, and crash/step budgets that cannot expire
-   mid-block. *)
+   mid-block.
+
+   Runahead: past its bound, a thread keeps running its thread-local
+   closures ({!Code.thread_local}) and stops before the next shared one.
+   They touch nothing another thread reads and cost one cycle each, so
+   running them early moves no result; every shared closure still runs
+   at or below its thread's bound, in the reference's (cycle, core)
+   order. Three things observe the global order of all instructions,
+   and each turns runahead off or bounds it: a crash point (counted in
+   global instructions), the tracer (region spans record the global
+   instruction index) and the step budget (a thread that reaches
+   [max_steps] waits for its turn to raise [Livelock], so the thread the
+   reference names raises first). *)
 let run ?crash_at_instr ?(max_steps = default_max_steps) s =
   let crashed = ref None in
   let threads = s.threads in
@@ -920,6 +932,9 @@ let run ?crash_at_instr ?(max_steps = default_max_steps) s =
     match crash_at_instr with Some n -> n | None -> max_int
   in
   let fuse = not s.fence_on in
+  let runahead =
+    Option.is_none crash_at_instr && not (Tracer.enabled s.obs.Obs.tracer)
+  in
   let pick () =
     let best = ref (-1) and bestc = ref max_int in
     for j = 0 to nthreads - 1 do
@@ -972,8 +987,11 @@ let run ?crash_at_instr ?(max_steps = default_max_steps) s =
             if th.steps > max_steps then livelock th;
             exec_one s th
           end;
-          if th.halted || th.cycle > bound || s.instr_count >= crash_n then
-            continue := false
+          if th.halted || s.instr_count >= crash_n then continue := false
+          else if th.cycle > bound then
+            continue :=
+              runahead && th.steps < max_steps
+              && Code.thread_local (Code.block s.code th.cur_idx) th.index
         done;
         sched ()
       end

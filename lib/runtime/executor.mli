@@ -131,8 +131,17 @@ val run : ?crash_at_instr:int -> ?max_steps:int -> session -> outcome
     thread's earlier cycle could win the pick; while nothing can
     interleave (one runnable thread, conflict fence off, budgets that
     cannot expire mid-block) it executes whole fused blocks with one
-    budget check per block. Results are exactly those of
-    {!run_reference}. *)
+    budget check per block.
+
+    A burst may pass its bound only with thread-local instructions
+    ({!Code.thread_local}: register moves and arithmetic, checkpoint
+    staging, untraced fences, jumps and branches), and only when the run
+    has no [crash_at_instr], the session's tracer is off and the thread
+    has used fewer than [max_steps] steps; it stops before the next
+    instruction that reaches memory, the caches, the persist engine or
+    the journal. Those instructions touch nothing another thread reads
+    and cost one cycle each, so running them early changes no result.
+    Results are exactly those of {!run_reference}. *)
 
 val run_reference :
   ?crash_at_instr:int -> ?max_steps:int -> session -> outcome

@@ -11,6 +11,9 @@ open Capri
 open Helpers
 module Opt = Capri_compiler.Options
 module Gen = Capri_workloads.Gen
+module Suite = Capri_workloads.Suite
+module Kernel = Capri_workloads.Kernel
+module Obs = Capri_obs.Obs
 
 (* Same seed-driven option mix as the qcheck suite, forced failure-atomic
    so crash schedules are meaningful. *)
@@ -26,10 +29,10 @@ let options_of_seed seed =
 type scheduler =
   ?crash_at_instr:int -> ?max_steps:int -> Executor.session -> Executor.outcome
 
-let run_with ?config ?(mode = Persist.Capri) ?crash_at_instr ?max_steps
+let run_with ?config ?(mode = Persist.Capri) ?obs ?crash_at_instr ?max_steps
     ~(run : scheduler) (compiled : Compiled.t) threads =
   let session =
-    Executor.start ?config ~mode
+    Executor.start ?config ~mode ?obs
       ~check_threshold:compiled.Compiled.options.Opt.threshold
       ~program:compiled.Compiled.program ~threads ()
   in
@@ -302,6 +305,72 @@ let test_livelock_structured () =
   in
   ignore (finished "solo main" solo)
 
+(* Runahead must not spend a thread's step budget ahead of its turn.
+   Two register-only spin loops, uncompiled so no boundary interrupts
+   them; core 0 first makes a cold load, which puts its 501st step later
+   in simulated time than core 1's. Core 0 runs first and could spin
+   through its whole budget thread-locally, but the reference names
+   core 1, and so must [run]. *)
+let test_livelock_runahead () =
+  let b = Builder.create () in
+  let cold = Builder.alloc b ~words:1 in
+  let spin name ~load_cold =
+    let f = Builder.func b name in
+    let loop = Builder.block f "loop" in
+    if load_cold then Builder.load f (r 3) ~base:(r 2) ~off:cold ();
+    Builder.li f (r 1) 0;
+    Builder.jump f loop;
+    Builder.switch f loop;
+    Builder.add f (r 1) (rg 1) (im 1);
+    Builder.jump f loop
+  in
+  spin "main" ~load_cold:true;
+  spin "other" ~load_cold:false;
+  let program = Builder.finish b ~main:"main" in
+  let threads =
+    [
+      { Executor.func = "main"; args = [] };
+      { Executor.func = "other"; args = [] };
+    ]
+  in
+  let livelock_of name (run : scheduler) =
+    let session =
+      Executor.start ~mode:Persist.Volatile ~program ~threads ()
+    in
+    match run ~max_steps:500 session with
+    | exception Executor.Livelock { core; region; steps } ->
+      (core, region, steps)
+    | Executor.Finished _ | Executor.Crashed _ ->
+      Alcotest.fail (name ^ ": expected Livelock")
+  in
+  let core_a, region_a, steps_a =
+    livelock_of "reference" Executor.run_reference
+  in
+  let core_b, region_b, steps_b = livelock_of "run" Executor.run in
+  Alcotest.(check int) "later-starting spinner (reference)" 1 core_a;
+  Alcotest.(check int) "same core" core_a core_b;
+  Alcotest.(check string) "same region" region_a region_b;
+  Alcotest.(check int) "same step count" steps_a steps_b
+
+(* A traced run records every region span with its global instruction
+   index, so runahead is off under the tracer: the 4-thread Splash3
+   kernels must give the reference's results and its timeline. *)
+let test_traced_multicore () =
+  List.iter
+    (fun name ->
+      let k = Suite.by_name ~scale:Suite.test_scale name in
+      let compiled = Pipeline.compile Opt.default k.Kernel.program in
+      let traced (run : scheduler) =
+        let obs = Obs.create () in
+        let r = finished name (run_with ~obs ~run compiled k.Kernel.threads) in
+        (r, Executor.boundary_instrs obs.Obs.tracer)
+      in
+      let a, ia = traced Executor.run_reference in
+      let b, ib = traced Executor.run in
+      check_same name a b;
+      Alcotest.(check (list int)) (name ^ ": boundary_instrs") ia ib)
+    [ "barnes"; "radix"; "water-spatial" ]
+
 (* The transactional serving layer: a cross-shard 2PC store's sessions,
    driven directly with journaled I/O (the only differential over
    journaled [Out]), must be scheduler-invariant end to end — acks,
@@ -468,6 +537,10 @@ let suite =
       test_crash_recovery_identity;
     Alcotest.test_case "livelock: per-thread budget, structured error" `Quick
       test_livelock_structured;
+    Alcotest.test_case "livelock: runahead keeps the reference's core"
+      `Quick test_livelock_runahead;
+    Alcotest.test_case "traced multicore: reference timeline" `Quick
+      test_traced_multicore;
     Alcotest.test_case "txn service: run == run_reference" `Quick
       test_txn_service_differential;
   ]
