@@ -97,19 +97,21 @@ and insert_into t ~cycle cache ~line ~dirty ~level =
   if victim <> Cache.no_line then
     sink t ~cycle ~line:victim ~dirty:(Cache.evicted_dirty cache) ~from:level
 
-(* Invalidate every L1 copy of [line] from core [i] on, counting each;
-   returns whether any of them was dirty. *)
-let rec invalidate_l1s t line i dirty =
+(* Invalidate every other L1's copy of [line] from core [i] on, counting
+   each; returns whether any of them was dirty. The requesting [core]'s
+   own L1 has just missed, so it is not probed. *)
+let rec invalidate_l1s t ~core line i dirty =
   if i >= Array.length t.l1 then dirty
+  else if i = core then invalidate_l1s t ~core line (i + 1) dirty
   else begin
     let l1 = Array.unsafe_get t.l1 i in
     let w = Cache.find l1 line in
     if w >= 0 then begin
       let d = Cache.invalidate_way l1 w in
       Metrics.Counter.inc t.c.c_invalidations;
-      invalidate_l1s t line (i + 1) (dirty || d)
+      invalidate_l1s t ~core line (i + 1) (dirty || d)
     end
-    else invalidate_l1s t line (i + 1) dirty
+    else invalidate_l1s t ~core line (i + 1) dirty
   end
 
 (* Find the line below the requesting L1 and remove it from there (it
@@ -117,8 +119,8 @@ let rec invalidate_l1s t line i dirty =
    one, and a dirty one migrates (it stays architecturally current, so
    nothing is written back) at an L2-like cost. Returns the level it was
    found at and leaves whether the copy was dirty in [fetched_dirty]. *)
-let fetch_from_below t ~line =
-  if invalidate_l1s t line 0 false then begin
+let fetch_from_below t ~core ~line =
+  if invalidate_l1s t ~core line 0 false then begin
     t.fetched_dirty <- true;
     L2
   end
@@ -154,7 +156,7 @@ let access t ~core ~cycle ~addr ~write =
     L1
   end
   else begin
-    let found_at = fetch_from_below t ~line in
+    let found_at = fetch_from_below t ~core ~line in
     (match found_at with
      | L2 -> Metrics.Counter.inc t.c.c_l2_hits
      | Dram -> Metrics.Counter.inc t.c.c_dram_hits

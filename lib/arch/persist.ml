@@ -316,12 +316,15 @@ module Slab = struct
     s.free_n <- cap
 end
 
-(* A path item is an int: a Data item is its entry's handle; the two
-   marker kinds are negative, and their payloads wait in the core's
-   [ckq]/[cmq] in push order — a core's stream is FIFO from the front
-   queue to the back end, so markers meet their payloads in order. *)
-let ckpt_item = -1  (* payload in ckq: slot, value *)
-let commit_item = -2  (* payload in cmq: seq, resume boundary, sp, #outs *)
+(* A path item is an int: a Data item is its entry's handle, and the
+   commit marker of a region with [k] staged checkpoint slots is
+   [-1 - k]. The marker carries the slots: its payload waits in the
+   core's [cmq] in push order — seq, resume boundary, sp, #outs, then the
+   k (slot, value) pairs in staged order. A core's stream is FIFO from
+   the front queue to the back end, so markers meet their payloads in
+   order. *)
+let[@inline] commit_item k = -1 - k
+let[@inline] commit_slots item = -1 - item
 
 (* The resume record as ints; {!resume} is built only where it is read. *)
 let never_started = 0
@@ -345,7 +348,6 @@ type core_state = {
   mutable staged_n : int;
   staged_val : int array;  (* per slot; meaningful while staged_mark *)
   staged_mark : bool array;
-  ckq : Fifo.t;
   cmq : Fifo.t;
   outq : Fifo.t;
       (* I/O journal values in emission order: committed regions' outputs
@@ -372,8 +374,6 @@ type core_state = {
      end never holds more than the region being gathered. *)
   mutable back : int array;  (* handles, in arrival order *)
   mutable back_n : int;
-  mutable back_slots : int array;  (* slot, value pairs, in arrival order *)
-  mutable back_slots_n : int;  (* pairs *)
   mutable back_used : int;
       (* back-end entries not yet released: delivered or in flight *)
   mutable res_kind : int;  (* never_started | resume_at | finished *)
@@ -391,6 +391,9 @@ type t = {
   frees : Ring.t;
       (* back-end space releases, each [n * cores + core] for n entries *)
   mutable eserial : int;  (* global event order stamp across all rings *)
+  marker_gap : int;
+      (* path occupancy of a marker: a checkpoint slot or a commit is a
+         dozen bytes, a data entry two cache lines *)
   nvm : Memory.t;  (* durable contents *)
   stamps : Line_pages.t;
       (* per-word version stamps of stored NVM data ([-1] = never
@@ -440,7 +443,6 @@ let create ?(obs = Obs.null) config ~mode =
             staged_n = 0;
             staged_val = Array.make Capri_ir.Reg.count 0;
             staged_mark = Array.make Capri_ir.Reg.count false;
-            ckq = Fifo.create ();
             cmq = Fifo.create ();
             outq = Fifo.create ();
             out_open = 0;
@@ -453,8 +455,6 @@ let create ?(obs = Obs.null) config ~mode =
             arrivals = Ring.create ();
             back = Array.make 8 0;
             back_n = 0;
-            back_slots = Array.make 8 0;
-            back_slots_n = 0;
             back_used = 0;
             res_kind = never_started;
             res_boundary = 0;
@@ -463,6 +463,7 @@ let create ?(obs = Obs.null) config ~mode =
           });
     frees = Ring.create ();
     eserial = 0;
+    marker_gap = imax 1 (config.Config.proxy_path_gap / 4);
     nvm = Memory.create ();
     stamps = Line_pages.create ~width:Config.line_words ~init:(-1);
     nvm_wq_free = 0;
@@ -662,12 +663,6 @@ let back_add_entry cs h =
   cs.back.(cs.back_n) <- h;
   cs.back_n <- cs.back_n + 1
 
-let back_add_slot cs ~slot ~value =
-  cs.back_slots <- grown cs.back_slots ((2 * cs.back_slots_n) + 1);
-  cs.back_slots.(2 * cs.back_slots_n) <- slot;
-  cs.back_slots.((2 * cs.back_slots_n) + 1) <- value;
-  cs.back_slots_n <- cs.back_slots_n + 1
-
 (* Drop monitoring-window entries whose time is up, keeping the order. *)
 let prune_window t now =
   if t.wb_n > 0 then begin
@@ -760,32 +755,35 @@ let compact t cs =
     Metrics.Counter.add t.c.c_journal_truncated truncated
   end
 
-(* Phase 2 of the open back region, on its commit marker: copy redo data
-   of valid entries, apply checkpoint slots, journal the region's
-   outputs, update the resume record, and schedule the space release. *)
-let do_commit t cs now =
+(* Phase 2 of the open back region, on its commit marker carrying [k]
+   slots: copy redo data of valid entries, apply the checkpoint slots,
+   journal the region's outputs, update the resume record, and schedule
+   the space release. *)
+let do_commit t cs k now =
   let seq = Fifo.pop cs.cmq in
   let boundary = Fifo.pop cs.cmq in
   let sp = Fifo.pop cs.cmq in
   let nouts = Fifo.pop cs.cmq in
   Metrics.Counter.inc t.c.c_commits;
   let entry_lines = commit_entries t cs now in
-  for i = 0 to cs.back_slots_n - 1 do
-    cs.slot_array.(cs.back_slots.(2 * i)) <- cs.back_slots.((2 * i) + 1)
+  for _ = 1 to k do
+    let slot = Fifo.pop cs.cmq in
+    cs.slot_array.(slot) <- Fifo.pop cs.cmq
   done;
   (* Slot stores are adjacent 8-byte words of the per-core checkpoint
      array: they coalesce into whole-line writes (at most 4 lines for 32
      registers). They bypass the stamp machinery (the slot arrays live
      outside data memory) but still count as NVM line traffic. *)
-  let slot_lines = (cs.back_slots_n + 7) / 8 in
+  let slot_lines = (k + 7) / 8 in
   Metrics.Counter.add t.c.c_nvm_writes_slot slot_lines;
   Metrics.Counter.add t.c.c_nvm_line_writes slot_lines;
   for _ = 1 to slot_lines do
     t.nvm_wq_free <- imax t.nvm_wq_free now + t.config.Config.nvm_write_service
   done;
   let commit_lines = entry_lines + slot_lines in
-  Capri_obs.Profiler.on_commit t.obs.Obs.regions ~core:cs.id ~seq ~cycle:now
-    ~nvm_lines:commit_lines;
+  if Capri_obs.Profiler.enabled t.obs.Obs.regions then
+    Capri_obs.Profiler.on_commit t.obs.Obs.regions ~core:cs.id ~seq ~cycle:now
+      ~nvm_lines:commit_lines;
   if Capri_obs.Tracer.enabled t.obs.Obs.tracer then
     Capri_obs.Tracer.instant t.obs.Obs.tracer ~track:Capri_obs.Tracer.Proxy
       ~name:"commit" ~ts:now
@@ -808,8 +806,7 @@ let do_commit t cs now =
     Ring.push t.frees (imax now t.nvm_wq_free) t.eserial
       ((cs.back_n * Array.length t.cores) + cs.id)
   end;
-  cs.back_n <- 0;
-  cs.back_slots_n <- 0
+  cs.back_n <- 0
 
 let deliver t cs item now =
   if item >= 0 then begin
@@ -828,18 +825,26 @@ let deliver t cs item now =
     end;
     back_add_entry cs item
   end
-  else if item = ckpt_item then begin
-    let slot = Fifo.pop cs.ckq in
-    back_add_slot cs ~slot ~value:(Fifo.pop cs.ckq)
-  end
-  else do_commit t cs now
+  else do_commit t cs (commit_slots item) now
 
 (* ---------------- draining ---------------- *)
 
-let[@inline] head_drainable t cs =
-  (not (Fifo.is_empty cs.front))
-  && (Fifo.peek cs.front < 0
-     || cs.back_used < t.config.Config.back_proxy_entries)
+(* When the front queue's head leaves for the back end: [max_int] when
+   the queue is empty or its head is a data entry waiting for back-end
+   space. Each slot a region checkpoints occupies the path like a marker
+   of its own, one marker gap ahead of the region's commit, so a commit
+   carrying [k] slots leaves [k] marker gaps after its turn: a region
+   close costs one path item yet keeps the timing of [k + 1]. *)
+let[@inline] drain_time t cs =
+  if Fifo.is_empty cs.front then max_int
+  else begin
+    let item = Fifo.peek cs.front in
+    if item >= 0 then
+      if cs.back_used < t.config.Config.back_proxy_entries then
+        imax cs.next_drain 0
+      else max_int
+    else imax cs.next_drain 0 + (commit_slots item * t.marker_gap)
+  end
 
 let drain_one t cs now =
   let item = Fifo.pop cs.front in
@@ -853,46 +858,9 @@ let drain_one t cs now =
   Ring.push cs.arrivals (now + t.config.Config.proxy_path_latency) t.eserial
     item;
   (* Occupancy is proportional to payload: a data entry carries two cache
-     lines (undo + redo), a checkpoint flush or commit marker a dozen
-     bytes. *)
-  let gap =
-    if item >= 0 then t.config.Config.proxy_path_gap
-    else imax 1 (t.config.Config.proxy_path_gap / 4)
-  in
-  cs.next_drain <- now + gap
-
-(* The event loop interleaves ring events and per-core drains in time
-   order. It runs once per proxy-path item systemwide, so it is
-   closure-free top-level recursion over immediate ints: [max_int] for
-   "nothing pending", rings win time ties over drains, first core wins
-   drain-time ties (matching the heap's serial order and the original
-   fold's first-minimal choice). *)
-
-(* Earliest event ring by (time, serial): returns -1 for the free ring,
-   the core id for an arrival ring — the exact pop order of the old
-   global heap, since serials are stamped at push in chronological
-   order across all rings. *)
-let rec best_event t i bt bs bi =
-  if i >= Array.length t.cores then bi
-  else begin
-    let a = (Array.unsafe_get t.cores i).arrivals in
-    let ti = Ring.top_time a in
-    if ti < bt || (ti = bt && Ring.top_serial a < bs) then
-      best_event t (i + 1) ti (Ring.top_serial a) i
-    else best_event t (i + 1) bt bs bi
-  end
-
-(* Earliest drainable core by due time; first core wins ties. *)
-let rec best_drain t i bt bi =
-  if i >= Array.length t.cores then bi
-  else begin
-    let cs = Array.unsafe_get t.cores i in
-    if head_drainable t cs then begin
-      let d = imax cs.next_drain 0 in
-      if d < bt then best_drain t (i + 1) d i else best_drain t (i + 1) bt bi
-    end
-    else best_drain t (i + 1) bt bi
-  end
+     lines (undo + redo), a marker a dozen bytes. *)
+  cs.next_drain <-
+    (now + if item >= 0 then t.config.Config.proxy_path_gap else t.marker_gap)
 
 let release_space t =
   let v = Ring.pop t.frees in
@@ -900,26 +868,47 @@ let release_space t =
   let cs = t.cores.(v mod ncores) in
   cs.back_used <- cs.back_used - (v / ncores)
 
+(* The event loop interleaves ring events and per-core drains in time
+   order. It runs once per proxy-path item systemwide, so each iteration
+   is one closure-free pass over the cores that picks both candidates:
+   the earliest ring head by (time, serial) — the free ring first, then
+   each core's arrivals, the exact pop order of one global heap, since
+   serials are stamped at push in chronological order across all
+   rings — and the earliest drain, first core on ties. A ring head wins
+   a time tie against a drain. *)
 let rec advance_loop t ~cycle =
-  let bi =
-    best_event t 0 (Ring.top_time t.frees) (Ring.top_serial t.frees) (-1)
-  in
-  let bt =
-    if bi < 0 then Ring.top_time t.frees
-    else Ring.top_time t.cores.(bi).arrivals
-  in
-  let di = best_drain t 0 max_int (-1) in
-  let td = if di < 0 then max_int else imax t.cores.(di).next_drain 0 in
+  let cores = t.cores in
+  let bt = ref (Ring.top_time t.frees) in
+  let bs = ref (Ring.top_serial t.frees) in
+  let bi = ref (-1) in
+  let td = ref max_int in
+  let di = ref (-1) in
+  for i = 0 to Array.length cores - 1 do
+    let cs = Array.unsafe_get cores i in
+    let a = cs.arrivals in
+    let ti = Ring.top_time a in
+    if ti < !bt || (ti = !bt && Ring.top_serial a < !bs) then begin
+      bt := ti;
+      bs := Ring.top_serial a;
+      bi := i
+    end;
+    let d = drain_time t cs in
+    if d < !td then begin
+      td := d;
+      di := i
+    end
+  done;
+  let bt = !bt and td = !td in
   if bt <= cycle && bt <= td then begin
-    if bi < 0 then release_space t
+    if !bi < 0 then release_space t
     else begin
-      let cs = t.cores.(bi) in
+      let cs = Array.unsafe_get cores !bi in
       deliver t cs (Ring.pop cs.arrivals) bt
     end;
     advance_loop t ~cycle
   end
   else if td <= cycle then begin
-    drain_one t t.cores.(di) td;
+    drain_one t (Array.unsafe_get cores !di) td;
     advance_loop t ~cycle
   end
   else
@@ -928,36 +917,40 @@ let rec advance_loop t ~cycle =
     t.wake <- imin bt td
 
 (* Recompute the exact next internal event time: the minimum over the
-   ring heads and every core whose front-queue head is drainable. *)
+   ring heads and every core's drain time. *)
 let rec next_event_from t i m =
   if i >= Array.length t.cores then m
   else begin
-    let ti = Ring.top_time (Array.unsafe_get t.cores i).arrivals in
-    next_event_from t (i + 1) (imin ti m)
+    let cs = Array.unsafe_get t.cores i in
+    next_event_from t (i + 1)
+      (imin m (imin (Ring.top_time cs.arrivals) (drain_time t cs)))
   end
 
 let next_event_time t = next_event_from t 0 (Ring.top_time t.frees)
-
-let rec next_drain_from t i m =
-  if i >= Array.length t.cores then m
-  else begin
-    let cs = Array.unsafe_get t.cores i in
-    let m = if head_drainable t cs then imin m (imax cs.next_drain 0) else m in
-    next_drain_from t (i + 1) m
-  end
 
 let[@inline] advance t ~cycle =
   (* [advance_loop]'s stopping iteration stores the next due time into
      [t.wake] itself, so no separate rescan is needed here. *)
   if cycle >= t.wake then advance_loop t ~cycle
 
-let fully_drained cs =
-  Fifo.is_empty cs.front && cs.back_n = 0 && cs.back_slots_n = 0
-  && cs.back_used = 0
+(* Whether everything [cs] produced is durable at [now]. A commit's
+   slots land one marker gap apart ahead of it (see [drain_time]), and
+   landed slots wait in the back end for their commit, so the core is
+   not drained from its first slot's landing until the commit lands.
+   With no back-end space held only commits are in flight, and only the
+   oldest can have begun landing: a later commit's first slot would land
+   after the oldest commit itself. *)
+let fully_drained t cs ~now =
+  Fifo.is_empty cs.front && cs.back_n = 0 && cs.back_used = 0
+  && (cs.arrivals.Ring.len = 0
+     || begin
+       let k = commit_slots (Ring.get cs.arrivals 0) in
+       k = 0 || Ring.top_time cs.arrivals - (k * t.marker_gap) > now
+     end)
 
-let blocked t cs = function
+let blocked t cs ~now = function
   | Front_slot -> cs.front_data >= t.config.Config.front_proxy_entries
-  | Drained -> not (fully_drained cs)
+  | Drained -> not (fully_drained t cs ~now)
 
 (* Pump time forward until [cs] is no longer blocked on [wait]; returns
    the cycle at which it is not. Models core stalls on full buffers. *)
@@ -965,10 +958,10 @@ let stall_until t ~cycle cs wait =
   let now = ref cycle in
   advance t ~cycle:!now;
   let guard = ref 0 in
-  while blocked t cs wait do
+  while blocked t cs ~now:!now wait do
     incr guard;
     if !guard > 100_000_000 then failwith "Persist: stall does not resolve";
-    let next_time = next_drain_from t 0 (next_event_time t) in
+    let next_time = next_event_time t in
     if next_time = max_int then
       failwith "Persist: stalled with no pending events"
     else begin
@@ -1036,6 +1029,14 @@ let on_store_word t ~core ~cycle ~line ~mask ~word ~value ~old ~version
         end
         else 0
       in
+      (* The transfer to the back-end cannot begin in the creation
+         cycle, so a same-cycle second store to the line still merges.
+         Time has advanced to this cycle, so a drainable head already
+         leaves after it: only an idle front needs the raise. Raising
+         under a waiting commit would move its turn, from which its
+         slots' gaps are counted (see [drain_time]). *)
+      if drain_time t cs = max_int then
+        cs.next_drain <- imax cs.next_drain (cycle + 1);
       let h = Slab.alloc s in
       let words = s.Slab.words in
       Memory.blit_line memory line words (Slab.redo_off h);
@@ -1052,9 +1053,6 @@ let on_store_word t ~core ~cycle ~line ~mask ~word ~value ~old ~version
       cs.front_data <- cs.front_data + 1;
       cs.open_entries <- cs.open_entries + 1;
       fi_bind cs line h;
-      (* The transfer to the back-end cannot begin in the creation
-         cycle, so a same-cycle second store to the line still merges. *)
-      cs.next_drain <- imax cs.next_drain (cycle + 1);
       t.wake <- imin t.wake (imax cs.next_drain 0);
       Metrics.Counter.inc t.c.c_entries_created;
       stall
@@ -1102,23 +1100,23 @@ let seed_journal t ~core ?(base = 0) ~outs () =
   cs.journal_base <- max 0 (min base cs.journal_len)
 
 let flush_region t cs ~boundary ~sp =
-  (* Close the open region: flush staged checkpoints (final values),
-     journaled outputs and the commit marker, unless the region produced
-     nothing (elided boundary entry, Section 5.2.1 optimization). *)
+  (* Close the open region: send the commit marker carrying the staged
+     checkpoints (final values) and journaled outputs, unless the region
+     produced nothing (elided boundary entry, Section 5.2.1
+     optimization). *)
   let has_work = cs.open_entries > 0 || cs.staged_n > 0 || cs.out_open > 0 in
   if has_work then begin
-    for i = 0 to cs.staged_n - 1 do
-      let slot = cs.staged_order.(i) in
-      Metrics.Counter.inc t.c.c_ckpt_flushes;
-      Fifo.push cs.ckq slot;
-      Fifo.push cs.ckq cs.staged_val.(slot);
-      Fifo.push cs.front ckpt_item
-    done;
+    Metrics.Counter.add t.c.c_ckpt_flushes cs.staged_n;
     Fifo.push cs.cmq cs.open_seq;
     Fifo.push cs.cmq boundary;
     Fifo.push cs.cmq sp;
     Fifo.push cs.cmq cs.out_open;
-    Fifo.push cs.front commit_item;
+    for i = 0 to cs.staged_n - 1 do
+      let slot = cs.staged_order.(i) in
+      Fifo.push cs.cmq slot;
+      Fifo.push cs.cmq cs.staged_val.(slot)
+    done;
+    Fifo.push cs.front (commit_item cs.staged_n);
     t.wake <- imin t.wake (imax cs.next_drain 0)
   end
   else Metrics.Counter.inc t.c.c_boundaries_elided;
@@ -1262,34 +1260,29 @@ let plan_core cs =
   let s = cs.slab in
   let drop_undo = Atomic.get fault_drop_undo in
   let steps = ref [] and replayed = ref 0 in
-  let entries = ref [] and slots = ref [] in  (* the open group, newest first *)
-  let ck = ref 0 and cm = ref 0 and out = ref 0 in  (* payload cursors *)
+  let entries = ref [] in  (* the open group's handles, newest first *)
+  let cm = ref 0 and out = ref 0 in  (* payload cursors *)
   for i = 0 to cs.back_n - 1 do
     entries := cs.back.(i) :: !entries
   done;
-  for i = 0 to cs.back_slots_n - 1 do
-    slots := (cs.back_slots.(2 * i), cs.back_slots.((2 * i) + 1)) :: !slots
-  done;
   let item it =
     if it >= 0 then entries := it :: !entries
-    else if it = ckpt_item then begin
-      slots := (Fifo.get cs.ckq !ck, Fifo.get cs.ckq (!ck + 1)) :: !slots;
-      ck := !ck + 2
-    end
     else begin
       let boundary = Fifo.get cs.cmq (!cm + 1)
       and sp = Fifo.get cs.cmq (!cm + 2)
       and nouts = Fifo.get cs.cmq (!cm + 3) in
-      cm := !cm + 4;
+      let slots =
+        List.init (commit_slots it) (fun j ->
+            let p = !cm + 4 + (2 * j) in
+            (Fifo.get cs.cmq p, Fifo.get cs.cmq (p + 1)))
+      in
+      cm := !cm + 4 + (2 * commit_slots it);
       let outs = List.init nouts (fun k -> Fifo.get cs.outq (!out + k)) in
       out := !out + nouts;
       let redo = List.filter (fun h -> s.Slab.valid.(h)) (List.rev !entries) in
       replayed := !replayed + List.length redo;
-      steps :=
-        P_commit { redo; slots = List.rev !slots; boundary; sp; outs }
-        :: !steps;
-      entries := [];
-      slots := []
+      steps := P_commit { redo; slots; boundary; sp; outs } :: !steps;
+      entries := []
     end
   in
   for i = 0 to cs.arrivals.Ring.len - 1 do
@@ -1345,7 +1338,6 @@ let apply_plan t cs ~cycle steps =
 let clear_core cs =
   Slab.reset cs.slab;
   Fifo.clear cs.front;
-  Fifo.clear cs.ckq;
   Fifo.clear cs.cmq;
   Fifo.clear cs.outq;
   Ring.clear cs.arrivals;
@@ -1353,7 +1345,6 @@ let clear_core cs =
   cs.fi_n <- 0;
   cs.out_open <- 0;
   cs.back_n <- 0;
-  cs.back_slots_n <- 0;
   cs.back_used <- 0
 
 let crash_recover ?(jobs = 1) t ~cycle =

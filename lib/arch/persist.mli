@@ -3,13 +3,15 @@
 
     Phase 1 creates an undo+redo entry per regular store in the per-core
     front-end proxy (beside the L1D), merging by line within the open
-    region. Entries, staged register-checkpoint flushes and the region's
-    commit marker travel in FIFO order down the dedicated per-core proxy
-    path into the back-end proxy at the memory controller. Phase 2 runs
-    when the commit marker arrives: redo data of valid entries is copied
-    to NVM through the (persistent-domain) write queue, checkpoint slots
-    and the resume record are updated, and the region's back-end space is
-    freed once the writes retire.
+    region. Entries and the region's commit marker travel in FIFO order
+    down the dedicated per-core proxy path into the back-end proxy at the
+    memory controller. The region's staged register-checkpoint flushes
+    travel with its commit marker, as one path item that occupies the
+    path as long as one marker per flush plus the commit would. Phase 2
+    runs when the commit marker arrives: redo data of valid entries is
+    copied to NVM through the (persistent-domain) write queue, checkpoint
+    slots and the resume record are updated, and the region's back-end
+    space is freed once the writes retire.
 
     Dirty cache writebacks are also allowed to reach NVM
     (indirect-read-free, Section 5.1.1); the stale-read machinery of

@@ -280,7 +280,7 @@ let close_dyn_region s (th : thread) ~next_id =
     bp.instances <- bp.instances + 1;
     bp.p_instrs <- bp.p_instrs + th.cur_region_instrs;
     bp.p_stores <- bp.p_stores + th.cur_region_stores;
-    bp.p_max_stores <- max bp.p_max_stores th.cur_region_stores
+    bp.p_max_stores <- Int.max bp.p_max_stores th.cur_region_stores
   end;
   th.cur_region_instrs <- 0;
   th.cur_region_stores <- 0;
@@ -802,7 +802,9 @@ let exec_one s (th : thread) =
 
 let finish s =
   Hierarchy.publish s.hier;
-  let cycles = Array.fold_left (fun acc th -> max acc th.cycle) 0 s.threads in
+  let cycles =
+    Array.fold_left (fun acc th -> Int.max acc th.cycle) 0 s.threads
+  in
   let outputs, acks =
     if s.journal_io && Persist.mode s.persist <> Persist.Volatile then begin
       (* The final regions' commits drain in the background; pull the

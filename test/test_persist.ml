@@ -259,6 +259,83 @@ let test_crash_undo_spans_back_path_front () =
   Alcotest.(check int) "five undo records replayed" 5
     image.Persist.replayed.(0)
 
+(* A region's checkpoint slots ride the proxy path with its commit
+   marker. The next three cases pin the timing of that marker — one
+   marker gap per slot ahead of the commit itself — at the three places
+   that can see it: the sync modes' drained check, the store path's
+   drain-time raise and the crash walk. *)
+let sim_one_core =
+  { Config.sim_default with Config.cores = 1; conflict_fence = false }
+
+let close_with_slots t ~cycle ~slots ~boundary =
+  for slot = 0 to slots - 1 do
+    Persist.on_ckpt t ~core:0 ~slot ~value:(100 + slot)
+  done;
+  Persist.on_boundary t ~core:0 ~cycle ~boundary ~sp:64
+
+(* A 20-slot region's commit leaves at cycle 20 and lands at 60, one
+   marker gap per slot after its first slot would have landed (40). A
+   region closed at 45, inside that window, is not drained until the
+   commit lands. *)
+let test_drained_window () =
+  let t = mk ~mode:Persist.Naive_sync ~cfg:sim_one_core () in
+  Alcotest.(check int) "20-slot region stalls until its commit leaves" 20
+    (close_with_slots t ~cycle:0 ~slots:20 ~boundary:1);
+  Alcotest.(check int) "1-slot region waits for the 20 slots to land" 15
+    (close_with_slots t ~cycle:45 ~slots:1 ~boundary:2);
+  Alcotest.(check int) "only the first region committed" 1
+    (Persist.stats t).Persist.commits
+
+(* One store, then a region with an output and 20 slots closed in the
+   same cycle, then a store of the next region while the slots are
+   still leaving the front queue. *)
+let guard_scenario () =
+  let t = mk ~cfg:sim_one_core () in
+  store t ~cycle:100 ~line:7 ~from:0 ~to_:1 ~version:1;
+  Persist.on_out t ~core:0 ~value:42;
+  ignore (close_with_slots t ~cycle:100 ~slots:20 ~boundary:1);
+  store t ~cycle:110 ~line:8 ~from:0 ~to_:2 ~version:2;
+  t
+
+(* The data entry drains at 101 and the commit 4 + 20 cycles later, at
+   125; the store at 110 must not push that departure back. *)
+let test_store_keeps_commit_departure () =
+  let t = guard_scenario () in
+  Persist.advance t ~cycle:10_000;
+  Alcotest.(check (list (pair int int))) "acked when the commit lands"
+    [ (42, 165) ]
+    (Persist.journal_entries t ~core:0)
+
+let image_key (img : Persist.image) =
+  let ints a = String.concat "," (List.map string_of_int a) in
+  let line l = ints (Array.to_list (Memory.line_snapshot img.Persist.nvm l)) in
+  let resume =
+    match img.Persist.resume.(0) with
+    | Persist.Resume { boundary; sp } -> Printf.sprintf "R%d/%d" boundary sp
+    | Persist.Done -> "D"
+    | Persist.Never_started -> "N"
+  in
+  Printf.sprintf "%s|%s|%s|%s|%s|%s|%d|%d" (line 7) (line 8) resume
+    (ints (Array.to_list img.Persist.slots.(0)))
+    (ints img.Persist.journal.(0))
+    (String.concat ","
+       (List.map (fun (v, c) -> Printf.sprintf "%d@%d" v c)
+          img.Persist.acked.(0)))
+    img.Persist.acked_base.(0) img.Persist.replayed.(0)
+
+(* The same scenario crashed at every cycle from 110 to 200: whether
+   the slots are in the front queue, on the path or landed, recovery
+   must group them with their commit. *)
+let test_crash_sweep_slots_with_commit () =
+  let keys =
+    List.init 91 (fun i ->
+        image_key (Persist.crash_recover (guard_scenario ()) ~cycle:(110 + i)))
+  in
+  Alcotest.(check int) "distinct images" 56
+    (List.length (List.sort_uniq compare keys));
+  Alcotest.(check string) "images digest" "6199ec54a4781073e02887d4b6fa1423"
+    (Digest.to_hex (Digest.string (String.concat "\n" keys)))
+
 let suite =
   [
     Alcotest.test_case "merge within region" `Quick test_merge_within_region;
@@ -288,4 +365,10 @@ let suite =
       test_halt_commits_in_background;
     Alcotest.test_case "crash: undo spans back, path and front" `Quick
       test_crash_undo_spans_back_path_front;
+    Alcotest.test_case "sync: undrained while slots land" `Quick
+      test_drained_window;
+    Alcotest.test_case "store keeps the commit's departure" `Quick
+      test_store_keeps_commit_departure;
+    Alcotest.test_case "crash sweep: slots ride their commit" `Quick
+      test_crash_sweep_slots_with_commit;
   ]
