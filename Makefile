@@ -30,10 +30,10 @@ slo:
 # each run; the table shows the restart bill growing with history when
 # journal compaction is off and staying flat when it is on. The smoke
 # assertions behind this table (compaction-on tail bounded by the
-# interval, --recovery-jobs 1 == 4 byte-identical) run in `make check`
+# interval, trial --jobs 1 == 4 byte-identical) run in `make check`
 # via bench/service_smoke.exe.
 recover:
-	dune exec bench/service.exe -- --recovery --shards 2 --keys 100000 --ops 20 --recovery-jobs 4
+	dune exec bench/service.exe -- --recovery --shards 2 --keys 100000 --ops 20
 
 # Work-stealing scheduler showcase: the noisy-neighbor table (one
 # zipfian-heavy tenant against uniform neighbors; stealing on vs off

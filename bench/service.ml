@@ -17,7 +17,6 @@ let () =
   let recovery = ref false in
   let keys = ref 1000 in
   let compact = ref 32 in
-  let recovery_jobs = ref 4 in
   let tenants = ref 3 in
   let cores = ref 2 in
   let quantum = ref 4 in
@@ -56,10 +55,6 @@ let () =
         Arg.Set_int compact,
         "N  journal compact interval for the --recovery compaction-on \
          rows (default 32)" );
-      ( "--recovery-jobs",
-        Arg.Set_int recovery_jobs,
-        "N  domain-pool width for recovery planning/replay in --recovery \
-         (default 4; results are byte-identical at any width)" );
       ( "--noisy",
         Arg.Set noisy,
         "  noisy-neighbor scenario: one zipfian-heavy tenant against \
@@ -104,15 +99,15 @@ let () =
   Arg.parse spec
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "usage: bench/service.exe [--shards N] [--ops N] [--crash N] [--txns N] \
-     [--rolling] [--recovery] [--keys N] [--compact N] [--recovery-jobs N] \
-     [--noisy] [--hot-key] [--tenants N] [--cores N] [--quantum N] [--skew S] \
-     [--hot-txns N] [--steal on|off|both] [--period N] [--jobs N]";
+     [--rolling] [--recovery] [--keys N] [--compact N] [--noisy] [--hot-key] \
+     [--tenants N] [--cores N] [--quantum N] [--skew S] [--hot-txns N] \
+     [--steal on|off|both] [--period N] [--jobs N]";
   let jobs = if !jobs > 0 then !jobs else Capri_util.Pool.default_jobs () in
   if !recovery then
     print_string
       (Capri_bench.Service_bench.recovery_table ~jobs ~shards:(max 1 !shards)
          ~keys:(max 1 !keys) ~ops:(max 1 !ops) ~factors:[ 1; 2; 5; 10 ]
-         ~interval:(max 1 !compact) ~recovery_jobs:(max 1 !recovery_jobs))
+         ~interval:(max 1 !compact))
   else if !rolling then
     print_string
       (Capri_bench.Service_bench.rolling_table ~jobs ~shards:(max 1 !shards)

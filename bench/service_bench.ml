@@ -200,10 +200,9 @@ let rolling_table ~jobs ~shards ~ops ~crashes ~period =
    recovery pays for. With journal compaction off the durable tail
    grows with the factor and the recovery bill with it; with compaction
    on the tail is bounded by the compact interval, so recovery cost
-   stays flat while the store serves 10x the history. Recovery planning
-   and block replay run through [recovery_jobs] domains; outcomes are
-   byte-identical at any width (service_smoke re-renders the table at
-   1 and 4 and compares bytes). *)
+   stays flat while the store serves 10x the history. Trials fan out
+   over [jobs] domains; the table is byte-identical at any width
+   (service_smoke re-renders it at 1 and 4 and compares bytes). *)
 
 type recovery_row = {
   v_compact : bool;
@@ -225,7 +224,7 @@ let store_preload ~shards ~keys =
           let key = i + 1 in
           (key, (key + (s * 17)) mod 251)))
 
-let recovery_cfg ~shards ~keys ~ops ~interval ~recovery_jobs ~compact ~factor =
+let recovery_cfg ~shards ~keys ~ops ~interval ~compact ~factor =
   let client =
     {
       Svc.Client.default with
@@ -247,15 +246,11 @@ let recovery_cfg ~shards ~keys ~ops ~interval ~recovery_jobs ~compact ~factor =
     client;
     mode = Arch.Persist.Capri;
     config;
-    recovery_jobs;
     preload = store_preload ~shards ~keys;
   }
 
-let recovery_trial ~shards ~keys ~ops ~interval ~recovery_jobs
-    (compact, factor) =
-  let cfg =
-    recovery_cfg ~shards ~keys ~ops ~interval ~recovery_jobs ~compact ~factor
-  in
+let recovery_trial ~shards ~keys ~ops ~interval (compact, factor) =
+  let cfg = recovery_cfg ~shards ~keys ~ops ~interval ~compact ~factor in
   let t = Svc.Server.plan cfg in
   let total =
     (Svc.Server.run t).Svc.Server.result.Capri_runtime.Executor.instrs
@@ -281,16 +276,14 @@ let recovery_trial ~shards ~keys ~ops ~interval ~recovery_jobs
     v_availability = s.Svc.Sla.availability;
   }
 
-let recovery_rows ~jobs ~shards ~keys ~ops ~factors ~interval ~recovery_jobs =
+let recovery_rows ~jobs ~shards ~keys ~ops ~factors ~interval =
   let cells =
     List.concat_map
       (fun compact -> List.map (fun f -> (compact, f)) factors)
       [ false; true ]
   in
   Pool.with_pool ~jobs (fun pool ->
-      Pool.map_list pool
-        (recovery_trial ~shards ~keys ~ops ~interval ~recovery_jobs)
-        cells)
+      Pool.map_list pool (recovery_trial ~shards ~keys ~ops ~interval) cells)
 
 let render_recovery ~keys ~interval rows =
   let t =
@@ -321,9 +314,9 @@ let render_recovery ~keys ~interval rows =
   Printf.sprintf "recovery at scale: %d preloaded keys per shard\n" keys
   ^ Table.render t
 
-let recovery_table ~jobs ~shards ~keys ~ops ~factors ~interval ~recovery_jobs =
+let recovery_table ~jobs ~shards ~keys ~ops ~factors ~interval =
   render_recovery ~keys ~interval
-    (recovery_rows ~jobs ~shards ~keys ~ops ~factors ~interval ~recovery_jobs)
+    (recovery_rows ~jobs ~shards ~keys ~ops ~factors ~interval)
 
 (* ------------------- noisy-neighbor multi-tenant scenario ------------------- *)
 

@@ -46,28 +46,20 @@ let () =
       assert (rep.Slo.availability < 1.0);
       assert (rep.Slo.in_recovery = 0 || rep.Slo.p99_in > 0.0))
     rows;
-  (* Recovery-at-scale scenario: byte-identical at any trial --jobs AND
-     at any --recovery-jobs width (parallel recovery planning/replay is
-     a pure scheduling change); with compaction on the durable journal
-     tail — and with it the restart bill — must stay bounded by the
-     compact interval while history grows 10x, where the
-     compaction-off rows grow without bound. *)
+  (* Recovery-at-scale scenario: byte-identical at any trial --jobs;
+     with compaction on the durable journal tail — and with it the
+     restart bill — must stay bounded by the compact interval while
+     history grows 10x, where the compaction-off rows grow without
+     bound. *)
   let module B = Capri_bench.Service_bench in
   let factors = [ 1; 2; 5; 10 ] in
   let interval = 16 in
-  let recovery ~jobs ~recovery_jobs =
+  let recovery ~jobs =
     B.recovery_table ~jobs ~shards:2 ~keys:200 ~ops:20 ~factors ~interval
-      ~recovery_jobs
   in
-  check_identical "recovery table"
-    (recovery ~jobs:1 ~recovery_jobs:1)
-    (recovery ~jobs:4 ~recovery_jobs:1);
-  check_identical "recovery table (recovery-jobs)"
-    (recovery ~jobs:1 ~recovery_jobs:1)
-    (recovery ~jobs:1 ~recovery_jobs:4);
+  check_identical "recovery table" (recovery ~jobs:1) (recovery ~jobs:4);
   let rrows =
     B.recovery_rows ~jobs:1 ~shards:2 ~keys:200 ~ops:20 ~factors ~interval
-      ~recovery_jobs:4
   in
   let off, on = List.partition (fun r -> not r.B.v_compact) rrows in
   assert (List.length off = 4 && List.length on = 4);

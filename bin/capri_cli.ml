@@ -305,8 +305,17 @@ let trace_cmd =
 let serve_cmd =
   let module Svc = Capri_service in
   let shards_arg =
-    let doc = "Shard cores serving the store." in
-    Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N" ~doc)
+    let doc = "Shard cores serving the store (at least 1)." in
+    let positive =
+      Arg.conv' ~docv:"N"
+        ( (fun s ->
+            match int_of_string_opt s with
+            | Some n when n > 0 -> Ok n
+            | Some _ | None ->
+              Error (Printf.sprintf "expected a positive integer, got %S" s)),
+          Format.pp_print_int )
+    in
+    Arg.(value & opt positive 2 & info [ "shards" ] ~docv:"N" ~doc)
   in
   let mix_arg =
     let doc = "YCSB-style request mix ($(docv))." in
@@ -441,16 +450,8 @@ let serve_cmd =
     in
     Arg.(value & opt int 0 & info [ "compact" ] ~docv:"N" ~doc)
   in
-  let rjobs_arg =
-    let doc =
-      "Plan per-core crash recovery over $(docv) domains (images and \
-       stats are byte-identical at any width)."
-    in
-    Arg.(value & opt int 1 & info [ "recovery-jobs" ] ~docv:"N" ~doc)
-  in
   let run shards mix ops crashes jobs txn_mix txn_items focus perfetto
-      timeline slo slo_p99 slo_avail window tenants cores steal keys compact
-      rjobs =
+      timeline slo slo_p99 slo_avail window tenants cores steal keys compact =
     let client =
       {
         Svc.Client.default with
@@ -465,7 +466,7 @@ let serve_cmd =
     let preload =
       if keys <= 0 then [||]
       else
-        Array.init (max 1 shards) (fun s ->
+        Array.init shards (fun s ->
             Array.init keys (fun i ->
                 let key = i + 1 in
                 (key, (key + (s * 17)) mod 251)))
@@ -491,7 +492,6 @@ let serve_cmd =
           tenants = tenant_cast;
           config =
             { Config.sim_default with Config.compact_interval = max 0 compact };
-          recovery_jobs = max 1 rjobs;
           preload;
         }
     in
@@ -601,7 +601,7 @@ let serve_cmd =
       const run $ shards_arg $ mix_arg $ ops_arg $ crash_arg $ jobs_arg
       $ txn_mix_arg $ txn_items_arg $ focus_arg $ perfetto_arg $ timeline_arg
       $ slo_arg $ slo_p99_arg $ slo_avail_arg $ window_arg $ tenants_arg
-      $ cores_arg $ steal_arg $ keys_arg $ compact_arg $ rjobs_arg)
+      $ cores_arg $ steal_arg $ keys_arg $ compact_arg)
 
 let show_config_cmd =
   let run () = Format.printf "%a@." Config.pp_table Config.table1 in

@@ -1226,112 +1226,84 @@ let writebacks_reach_nvm t =
    nothing in the library ever sets it. *)
 let fault_drop_undo = Atomic.make false
 
-(* Per-core recovery work, split plan/apply so the planning half can fan
-   out over a domain pool. A core's plan is a pure function of its own
-   proxy state — exactly the per-core log scan a parallel restart runs on
-   every core at once. Application — the actual NVM writes, stamp bumps,
-   journal appends and resume flips — stays in fixed core order: stamp
-   pages and counters are shared across cores, and a fixed order is what
-   makes the recovered image byte-identical at any [jobs] count (the
-   modeled restart time still charges the per-core maximum, not the sum
-   — see the serving layer). *)
-type rec_step =
-  | P_commit of {
-      redo : int list;  (* valid entries' handles, oldest first *)
-      slots : (int * int) list;  (* oldest first *)
-      boundary : int;
-      sp : int;
-      outs : int list;  (* emission order *)
-    }
-  | P_undo of int list  (* handles, newest first *)
-
-(* Battery drain, as a walk: everything on a core's proxy path reaches
-   the back end in stream order — the open back region, then the
-   in-flight ring (every in-flight item predates everything still in the
-   front), then the front queue. Walking in any other order would
-   interleave one region's entries out of order when it spans the
+(* Battery drain, as one walk per core: everything on a core's proxy
+   path reaches the back end in stream order — the open back region,
+   then the in-flight ring (every in-flight item predates everything
+   still in the front), then the front queue. Walking in any other order
+   would interleave one region's entries out of order when it spans the
    queues — rolled back, two stores to the same word would then restore
    the intermediate value instead of the oldest undo image (a lock word
    acquired and released inside one open region would revert to "held",
-   orphaning the lock across recovery). Each Commit closes a group of
-   items that is redone; the trailing group, the interrupted region, is
-   undone. *)
-let plan_core cs =
+   orphaning the lock across recovery). Each commit item closes a group
+   of entries, and the walk applies it as it goes: it redoes the group's
+   valid entries oldest first, installs the commit's slots, journals its
+   outputs at [cycle] and sets the resume record. The trailing group,
+   the interrupted region, is undone newest first. The walk reads only
+   this core's slab, queues and payload FIFOs, and writes NVM, the stamp
+   pages and this core's own records, so walking the cores one after
+   another is the whole restart. Returns the records re-applied. *)
+let drain_core t cs ~cycle =
   let s = cs.slab in
-  let drop_undo = Atomic.get fault_drop_undo in
-  let steps = ref [] and replayed = ref 0 in
-  let entries = ref [] in  (* the open group's handles, newest first *)
+  let nb = cs.back_n and na = cs.arrivals.Ring.len in
+  let item i =
+    if i < nb then cs.back.(i)
+    else if i < nb + na then Ring.get cs.arrivals (i - nb)
+    else Fifo.get cs.front (i - nb - na)
+  in
+  let n = nb + na + cs.front.Fifo.len in
+  let replayed = ref 0 and group = ref 0 in  (* open group's first item *)
   let cm = ref 0 and out = ref 0 in  (* payload cursors *)
-  for i = 0 to cs.back_n - 1 do
-    entries := cs.back.(i) :: !entries
-  done;
-  let item it =
-    if it >= 0 then entries := it :: !entries
-    else begin
+  for i = 0 to n - 1 do
+    let it = item i in
+    if it < 0 then begin
+      for j = !group to i - 1 do
+        let h = item j in
+        if s.Slab.valid.(h) then begin
+          ignore
+            (nvm_write t ~kind:`Redo ~line:s.Slab.line.(h) ~data:s.Slab.words
+               ~off:(Slab.redo_off h) ~mask:s.Slab.mask.(h)
+               ~version:s.Slab.version.(h));
+          incr replayed
+        end
+      done;
+      group := i + 1;
       let boundary = Fifo.get cs.cmq (!cm + 1)
       and sp = Fifo.get cs.cmq (!cm + 2)
       and nouts = Fifo.get cs.cmq (!cm + 3) in
-      let slots =
-        List.init (commit_slots it) (fun j ->
-            let p = !cm + 4 + (2 * j) in
-            (Fifo.get cs.cmq p, Fifo.get cs.cmq (p + 1)))
-      in
+      for j = 0 to commit_slots it - 1 do
+        let p = !cm + 4 + (2 * j) in
+        cs.slot_array.(Fifo.get cs.cmq p) <- Fifo.get cs.cmq (p + 1)
+      done;
       cm := !cm + 4 + (2 * commit_slots it);
-      let outs = List.init nouts (fun k -> Fifo.get cs.outq (!out + k)) in
+      (* Committed journaled outputs survive the crash too; their regions
+         reach phase 2 during recovery, at the crash cycle. (No
+         compaction here: compaction is a steady-state activity, not
+         something a restart interleaves with its own replay.) *)
+      for k = 0 to nouts - 1 do
+        cs.journal <- (Fifo.get cs.outq (!out + k), cycle) :: cs.journal
+      done;
       out := !out + nouts;
-      let redo = List.filter (fun h -> s.Slab.valid.(h)) (List.rev !entries) in
-      replayed := !replayed + List.length redo;
-      steps := P_commit { redo; slots; boundary; sp; outs } :: !steps;
-      entries := []
+      cs.journal_len <- cs.journal_len + nouts;
+      set_resume cs ~boundary ~sp
     end
-  in
-  for i = 0 to cs.arrivals.Ring.len - 1 do
-    item (Ring.get cs.arrivals i)
   done;
-  for i = 0 to cs.front.Fifo.len - 1 do
-    item (Fifo.get cs.front i)
-  done;
-  let undo = if drop_undo then [] else !entries in
-  replayed := !replayed + List.length undo;
-  (List.rev (P_undo undo :: !steps), !replayed)
-
-let apply_plan t cs ~cycle steps =
-  let s = cs.slab in
-  List.iter
-    (function
-      | P_commit { redo; slots; boundary; sp; outs } ->
-        List.iter
-          (fun h ->
-            ignore
-              (nvm_write t ~kind:`Redo ~line:s.Slab.line.(h) ~data:s.Slab.words
-                 ~off:(Slab.redo_off h) ~mask:s.Slab.mask.(h)
-                 ~version:s.Slab.version.(h)))
-          redo;
-        List.iter (fun (slot, value) -> cs.slot_array.(slot) <- value) slots;
-        (* Committed journaled outputs survive the crash too; their
-           regions reach phase 2 during recovery, at the crash cycle. (No
-           compaction here: compaction is a steady-state activity, not
-           something a restart interleaves with its own replay.) *)
-        List.iter (fun v -> cs.journal <- (v, cycle) :: cs.journal) outs;
-        cs.journal_len <- cs.journal_len + List.length outs;
-        set_resume cs ~boundary ~sp
-      | P_undo handles ->
-        (* Interrupted region: roll back with undo data, newest entry
-           first. Staged slots of this region are discarded. *)
-        List.iter
-          (fun h ->
-            let line = s.Slab.line.(h) and mask = s.Slab.mask.(h) in
-            Memory.write_line_masked_from t.nvm line s.Slab.words
-              (Slab.undo_off h) mask;
-            let stamps = Line_pages.page t.stamps line in
-            let base = Line_pages.offset t.stamps line in
-            for o = 0 to Config.line_words - 1 do
-              if mask land (1 lsl o) <> 0 then
-                stamps.(base + o) <-
-                  imax stamps.(base + o) (s.Slab.version.(h) + 1)
-            done)
-          handles)
-    steps
+  (* Interrupted region: roll back with undo data, newest entry first.
+     Staged slots of this region are discarded. *)
+  if not (Atomic.get fault_drop_undo) then
+    for j = n - 1 downto !group do
+      let h = item j in
+      let line = s.Slab.line.(h) and mask = s.Slab.mask.(h) in
+      Memory.write_line_masked_from t.nvm line s.Slab.words (Slab.undo_off h)
+        mask;
+      let stamps = Line_pages.page t.stamps line in
+      let base = Line_pages.offset t.stamps line in
+      for o = 0 to Config.line_words - 1 do
+        if mask land (1 lsl o) <> 0 then
+          stamps.(base + o) <- imax stamps.(base + o) (s.Slab.version.(h) + 1)
+      done;
+      incr replayed
+    done;
+  !replayed
 
 (* Volatile proxy state after the drain: every queue empty, every
    handle free. *)
@@ -1347,26 +1319,19 @@ let clear_core cs =
   cs.back_n <- 0;
   cs.back_used <- 0
 
-let crash_recover ?(jobs = 1) t ~cycle =
+let crash_recover t ~cycle =
   advance t ~cycle;
   Ring.clear t.frees;
   (* Section 5.4: redo committed regions in order, then undo the (at most
-     one per core) interrupted region. Planning fans out across cores —
-     every core scans its own surviving log independently — and the
-     plans are then applied in fixed core order (see [plan_core]). *)
-  let cores_list = Array.to_list t.cores in
-  let plans =
-    Array.of_list
-      (if jobs <= 1 then List.map plan_core cores_list
-       else
-         Capri_util.Pool.with_pool ~jobs (fun pool ->
-             Capri_util.Pool.map_list pool plan_core cores_list))
+     one per core) interrupted region, core by core in core order. *)
+  let replayed =
+    Array.map
+      (fun cs ->
+        let n = drain_core t cs ~cycle in
+        clear_core cs;
+        n)
+      t.cores
   in
-  Array.iteri
-    (fun i cs ->
-      apply_plan t cs ~cycle (fst plans.(i));
-      clear_core cs)
-    t.cores;
   Line_pages.reset t.pending;
   {
     nvm = Memory.copy t.nvm;
@@ -1375,5 +1340,5 @@ let crash_recover ?(jobs = 1) t ~cycle =
     journal = Array.map (fun cs -> List.rev_map fst cs.journal) t.cores;
     acked = Array.map (fun cs -> List.rev cs.journal) t.cores;
     acked_base = Array.map (fun cs -> cs.journal_base) t.cores;
-    replayed = Array.map snd plans;
+    replayed;
   }

@@ -230,14 +230,16 @@ val nvm_line_equal : t -> Memory.t -> int -> bool
 (** Whether a line's durable contents equal the given memory's, compared
     in place (the executor's stale-read oracle). *)
 
-val crash_recover : ?jobs:int -> t -> cycle:int -> image
+val crash_recover : t -> cycle:int -> image
 (** Power failure at [cycle]: volatile state dies, battery-backed proxy
     contents drain, and the Section 5.4 protocol rebuilds the durable
     image — committed regions redone in order, the interrupted region
     undone, slots and resume records as of the last committed boundary.
-    Per-core log scanning/planning fans out over a [jobs]-domain pool
-    (default 1); plan application runs in fixed core order, so the
-    recovered image is byte-identical at any [jobs] count. *)
+    Runs on the calling domain: one walk per core, in core order, applies
+    each core's surviving proxy contents as it finds them. A core holds
+    at most its front proxy and one store-threshold-sized back-end
+    region, so a restart drains a few items per core, far less than the
+    cost of spawning a domain. *)
 
 val fault_drop_undo : bool Atomic.t
 (** Test-only fault injection: while [true], {!crash_recover} skips the

@@ -146,11 +146,12 @@ let service_cfg cfg seed =
   in
   (* Half the trials arm journal compaction with a small seed-drawn
      interval, so checkpoint-cursor flips land between (and under) the
-     crash points; recovery planning/replay width is drawn too —
-     byte-identical by construction at any width, so a divergence
-     surfaces as an ordinary oracle violation. *)
+     crash points. *)
   let compact_interval = if Rng.bool rng then 2 + Rng.int rng 14 else 0 in
-  let recovery_jobs = 1 + Rng.int rng 2 in
+  (* This draw once picked the recovery pool width, which is gone. It
+     stays because, dropped, its value would go to the [batch] draw
+     below, and every later trial would change. *)
+  ignore (Rng.int rng 2 : int);
   {
     Svc.Server.default_cfg with
     Svc.Server.shards;
@@ -160,7 +161,6 @@ let service_cfg cfg seed =
     sched;
     tenants;
     hot_txns;
-    recovery_jobs;
   }
 
 let service_string (c : Svc.Server.cfg) =
@@ -179,16 +179,14 @@ let service_string (c : Svc.Server.cfg) =
         c.Svc.Server.hot_txns
   in
   Printf.sprintf
-    "shards=%d mix=%s ops=%d keys=%d skew=%.2f batch=%d txns=%d compact=%d \
-     rjobs=%d%s%s"
+    "shards=%d mix=%s ops=%d keys=%d skew=%.2f batch=%d txns=%d compact=%d%s%s"
     c.Svc.Server.shards
     (Svc.Client.mix_name c.Svc.Server.client.Svc.Client.mix)
     c.Svc.Server.client.Svc.Client.ops_per_shard
     c.Svc.Server.client.Svc.Client.key_space
     c.Svc.Server.client.Svc.Client.skew c.Svc.Server.batch
     c.Svc.Server.client.Svc.Client.txns
-    c.Svc.Server.config.Arch.Config.compact_interval c.Svc.Server.recovery_jobs
-    sched tenants
+    c.Svc.Server.config.Arch.Config.compact_interval sched tenants
 
 (* The command line that replays trial [seed] alone: every non-default
    flag that shapes the trial. The mode list is one of them — one RNG

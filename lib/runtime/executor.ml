@@ -112,10 +112,6 @@ let dummy_bp = { instances = 0; p_instrs = 0; p_stores = 0; p_max_stores = 0 }
 
 type session = {
   journal_io : bool;
-  recovery_jobs : int;
-      (* domain-pool width for the per-core planning half of
-         {!Persist.crash_recover}; the recovered image is byte-identical
-         at any value (the repo's determinism contract) *)
   code : Code.t;
       (* per-session resolved code: sessions over distinct programs (even
          ones sharing function and label names) are fully isolated, and
@@ -652,8 +648,8 @@ let lower_block s (b : Code.block) =
    spec at its function's entry, and every block lowered. A writeback
    hands the persist engine the line's current words through one
    per-session buffer. *)
-let create ~config ~mode ~journal_io ~recovery_jobs ~obs ~check_threshold
-    ~program ~memory specs =
+let create ~config ~mode ~journal_io ~obs ~check_threshold ~program ~memory
+    specs =
   let config = { config with Config.cores = max 1 (List.length specs) } in
   let persist = Persist.create ~obs config ~mode in
   let wb_data = Array.make Config.line_words 0 in
@@ -670,7 +666,6 @@ let create ~config ~mode ~journal_io ~recovery_jobs ~obs ~check_threshold
   let s =
     {
       journal_io;
-      recovery_jobs;
       code;
       memory;
       hier;
@@ -723,27 +718,27 @@ let init_slots s (th : thread) =
     ~sp:th.regs.(sp_idx)
 
 let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
-    ?(journal_io = false) ?(recovery_jobs = 1) ?(obs = Obs.null)
-    ?check_threshold ~program ~threads () =
+    ?(journal_io = false) ?(obs = Obs.null) ?check_threshold ~program
+    ~threads () =
   (* The data segment is durable before execution starts: the loader
      wrote it. *)
   let memory = Memory.create () in
   load_data program memory;
   let s =
-    create ~config ~mode ~journal_io ~recovery_jobs ~obs ~check_threshold
-      ~program ~memory threads
+    create ~config ~mode ~journal_io ~obs ~check_threshold ~program ~memory
+      threads
   in
   Array.iter (init_slots s) s.threads;
   s
 
 let resume ?(config = Config.sim_default) ?(mode = Persist.Capri)
-    ?(journal_io = false) ?(recovery_jobs = 1) ?(obs = Obs.null)
-    ?check_threshold ~(compiled : Capri_compiler.Compiled.t)
-    ~(image : Persist.image) ~threads () =
+    ?(journal_io = false) ?(obs = Obs.null) ?check_threshold
+    ~(compiled : Capri_compiler.Compiled.t) ~(image : Persist.image) ~threads
+    () =
   let program = compiled.Capri_compiler.Compiled.program in
   let s =
-    create ~config ~mode ~journal_io ~recovery_jobs ~obs ~check_threshold
-      ~program ~memory:(Memory.copy image.Persist.nvm) threads
+    create ~config ~mode ~journal_io ~obs ~check_threshold ~program
+      ~memory:(Memory.copy image.Persist.nvm) threads
   in
   (* Position each thread and seed its durable per-core records from the
      image (from scratch for threads that never reached their first
@@ -859,9 +854,7 @@ let fire_crash s crashed (th : thread) =
        so the trace stays balanced across the boundary. *)
     Tracer.close_open s.obs.Obs.tracer ~ts:th.cycle
   end;
-  let image =
-    Persist.crash_recover ~jobs:s.recovery_jobs s.persist ~cycle:th.cycle
-  in
+  let image = Persist.crash_recover s.persist ~cycle:th.cycle in
   Hierarchy.drop_all s.hier;
   crashed :=
     Some

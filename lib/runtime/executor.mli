@@ -85,8 +85,7 @@ type session
 
 val start :
   ?config:Arch.Config.t -> ?mode:Arch.Persist.mode -> ?journal_io:bool ->
-  ?recovery_jobs:int -> ?obs:Capri_obs.Obs.t ->
-  ?check_threshold:int -> program:Program.t ->
+  ?obs:Capri_obs.Obs.t -> ?check_threshold:int -> program:Program.t ->
   threads:thread_spec list -> unit -> session
 (** Fresh machine: zeroed memory (plus the program's data image), cold
     caches, empty proxies. [check_threshold] makes the executor assert
@@ -110,8 +109,7 @@ val start :
 
 val resume :
   ?config:Arch.Config.t -> ?mode:Arch.Persist.mode -> ?journal_io:bool ->
-  ?recovery_jobs:int -> ?obs:Capri_obs.Obs.t ->
-  ?check_threshold:int ->
+  ?obs:Capri_obs.Obs.t -> ?check_threshold:int ->
   compiled:Capri_compiler.Compiled.t -> image:Arch.Persist.image ->
   threads:thread_spec list -> unit -> session
 (** Machine rebuilt from a recovered durable image: memory = NVM contents,
@@ -119,9 +117,9 @@ val resume :
     resume boundaries ({!Recovery} must have applied recovery blocks to the
     image's slots first). The journal (and its compaction cursor,
     [image.acked_base]) is carried into the fresh persist engine when
-    [journal_io] is set. [recovery_jobs] (default 1) is the domain-pool
-    width {!Arch.Persist.crash_recover} plans with on a later crash of
-    this session. *)
+    [journal_io] is set. A later crash of this session recovers through
+    {!Arch.Persist.crash_recover} on the calling domain, like a crash of
+    a {!start}ed one. *)
 
 val run : ?crash_at_instr:int -> ?max_steps:int -> session -> outcome
 (** Executes until every thread halts, the optional crash point fires, or

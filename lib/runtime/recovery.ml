@@ -42,34 +42,22 @@ let run_recovery_block (slots : int array) (recovery : Prune.recovery) =
   slots.(Reg.to_int recovery.Prune.target) <-
     regs.(Reg.to_int recovery.Prune.target)
 
-(* Recovery-block replay is embarrassingly parallel across cores: a
-   core's blocks read and write only that core's slot array. Fanning the
-   per-core replays over the pool with in-order result collection keeps
-   the mutated image and the returned counts byte-identical at any
-   [jobs] count. *)
-let apply_recovery_blocks_per_core ?(jobs = 1) (compiled : Compiled.t)
+(* A core's recovery blocks read and write only that core's slot array;
+   the per-core counts feed the restart bill, which charges the slowest
+   core (see the serving layer's [recovery_penalty]). *)
+let apply_recovery_blocks_per_core (compiled : Compiled.t)
     (image : Arch.Persist.image) =
-  let replay core =
-    match (image.Arch.Persist.resume.(core) : Arch.Persist.resume) with
-    | Arch.Persist.Resume { boundary; _ } ->
-      let ran = ref 0 in
-      List.iter
-        (fun recovery ->
-          run_recovery_block image.Arch.Persist.slots.(core) recovery;
-          incr ran)
-        (Compiled.find_recovery compiled ~boundary);
-      !ran
-    | Arch.Persist.Done | Arch.Persist.Never_started -> 0
-  in
-  let cores = List.init (Array.length image.Arch.Persist.resume) Fun.id in
-  let counts =
-    if jobs <= 1 then List.map replay cores
-    else
-      Capri_util.Pool.with_pool ~jobs (fun pool ->
-          Capri_util.Pool.map_list pool replay cores)
-  in
-  Array.of_list counts
+  Array.mapi
+    (fun core (resume : Arch.Persist.resume) ->
+      match resume with
+      | Arch.Persist.Resume { boundary; _ } ->
+        let recoveries = Compiled.find_recovery compiled ~boundary in
+        List.iter
+          (run_recovery_block image.Arch.Persist.slots.(core))
+          recoveries;
+        List.length recoveries
+      | Arch.Persist.Done | Arch.Persist.Never_started -> 0)
+    image.Arch.Persist.resume
 
-let apply_recovery_blocks ?jobs (compiled : Compiled.t)
-    (image : Arch.Persist.image) =
-  Array.fold_left ( + ) 0 (apply_recovery_blocks_per_core ?jobs compiled image)
+let apply_recovery_blocks compiled image =
+  Array.fold_left ( + ) 0 (apply_recovery_blocks_per_core compiled image)

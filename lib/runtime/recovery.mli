@@ -15,15 +15,13 @@
 module Arch = Capri_arch
 
 val apply_recovery_blocks_per_core :
-  ?jobs:int -> Capri_compiler.Compiled.t -> Arch.Persist.image -> int array
+  Capri_compiler.Compiled.t -> Arch.Persist.image -> int array
 (** Mutates the image's slot arrays in place; returns how many recovery
-    blocks ran on each core. Per-core replay is independent (a core's
-    blocks touch only its own slot array), so with [jobs > 1] the cores
-    fan out over a domain pool; results are collected in core order and
-    the image is byte-identical at any [jobs] count. The per-core counts
+    blocks ran on each core. Runs on the calling domain, core by core (a
+    core's blocks touch only its own slot array). The per-core counts
     feed the restart-time model, which charges the {e maximum} over
-    cores — the parallel restart finishes with its slowest core. *)
+    cores — the simulated restart finishes with its slowest core. *)
 
 val apply_recovery_blocks :
-  ?jobs:int -> Capri_compiler.Compiled.t -> Arch.Persist.image -> int
+  Capri_compiler.Compiled.t -> Arch.Persist.image -> int
 (** Total over {!apply_recovery_blocks_per_core}. *)

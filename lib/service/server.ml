@@ -18,8 +18,8 @@ type cfg = {
   tenants : Client.tenant array option;
   hot_txns : int;
   recovery_jobs : int;
-      (* domain-pool width for per-core recovery planning and
-         recovery-block replay; results are byte-identical at any value *)
+      (* no effect: recovery runs on the calling domain (kept while the
+         repository benchmark still sets it) *)
   preload : (int * int) array array;
       (* per-shard (key, value) pairs bulk-loaded into the store's
          tables as already-committed durable state; [||] = empty store *)
@@ -510,8 +510,7 @@ let run ?(obs = Obs.null) ?(crash_at = []) t =
         images := image :: !images;
         incr recoveries;
         let per_core_blocks =
-          Runtime.Recovery.apply_recovery_blocks_per_core
-            ~jobs:cfg.recovery_jobs t.compiled image
+          Runtime.Recovery.apply_recovery_blocks_per_core t.compiled image
         in
         let blocks = Array.fold_left ( + ) 0 per_core_blocks in
         blocks_total := !blocks_total + blocks;
@@ -543,15 +542,15 @@ let run ?(obs = Obs.null) ?(crash_at = []) t =
           (max !base (Tracer.max_ts obs.Obs.tracer));
         let session =
           Executor.resume ~config:cfg.config ~mode:cfg.mode ~journal_io:true
-            ~recovery_jobs:cfg.recovery_jobs ~obs
-            ~check_threshold:threshold ~compiled:t.compiled ~image ~threads ()
+            ~obs ~check_threshold:threshold ~compiled:t.compiled ~image
+            ~threads ()
         in
         go session rest)
   in
   let session =
-    Executor.start ~config:cfg.config ~mode:cfg.mode ~journal_io:true
-      ~recovery_jobs:cfg.recovery_jobs ~obs ~check_threshold:threshold
-      ~program:t.compiled.Comp.Compiled.program ~threads ()
+    Executor.start ~config:cfg.config ~mode:cfg.mode ~journal_io:true ~obs
+      ~check_threshold:threshold ~program:t.compiled.Comp.Compiled.program
+      ~threads ()
   in
   let result = go session crash_at in
   let outcome =

@@ -31,10 +31,13 @@ type cfg = {
           accounting *)
   hot_txns : int;  (** hot-key transactions (multi-tenant only) *)
   recovery_jobs : int;
-      (** domain-pool width for per-core recovery planning
+      (** Has no effect: crash recovery
           ({!Capri_arch.Persist.crash_recover}) and recovery-block replay
-          ({!Capri_runtime.Recovery.apply_recovery_blocks_per_core});
-          images, acks and stats are byte-identical at any value *)
+          ({!Capri_runtime.Recovery.apply_recovery_blocks_per_core}) run
+          on the calling domain. The field stays only because the
+          repository benchmark's KV configs set it; ROADMAP.md's "For the
+          next benchmark change" list drops those settings and then the
+          field. *)
   preload : (int * int) array array;
       (** per-shard [(key, value)] pairs bulk-loaded into the store's
           tables as already-committed durable state before the run

@@ -131,6 +131,25 @@ let test_trial_deterministic () =
   in
   Alcotest.(check bool) "seed-shift reproduces" true (a = shifted)
 
+(* Every service-fuzz trial serves the store shape its seed drew before
+   the recovery pool width was removed: the 128 shape lines of seeds
+   0..63, stealing off then on, digest to the value recorded from the
+   earlier code's lines with their " rjobs=N" token cut out. Dropping
+   the retired width draw would shift every later draw and fail this. *)
+let test_service_trial_shapes_pinned () =
+  let lines =
+    List.concat_map
+      (fun steal ->
+        List.init 64 (fun seed ->
+            Fz.Service_fuzz.service_string
+              (Fz.Service_fuzz.service_cfg
+                 { Fz.Service_fuzz.default_cfg with Fz.Service_fuzz.steal }
+                 seed)))
+      [ false; true ]
+  in
+  Alcotest.(check string) "trial shapes" "c0daefb27cc7a6d463481c02b16628fc"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
 let test_campaign_clean_and_parallel () =
   let report = Fz.Campaign.run { small_cfg with Fz.Campaign.jobs = 1 } in
   Alcotest.(check int) "no failures" 0 (List.length report.Fz.Campaign.failures);
@@ -461,4 +480,6 @@ let suite =
     Alcotest.test_case "oracle catches torn compaction" `Quick
       test_oracle_catches_torn_compaction;
     Alcotest.test_case "gen: seed 1970 halts" `Quick test_gen_seed_1970_halts;
+    Alcotest.test_case "service campaign: trial shapes pinned" `Quick
+      test_service_trial_shapes_pinned;
   ]

@@ -693,8 +693,8 @@ let test_tenant_fair_share_admission () =
   Alcotest.(check int) "served + rejected = offered" (30 * 4)
     (served_total + t.Server.rejected)
 
-(* --- production-scale recovery: bulk loading, compaction, parallel
-   recovery --- *)
+(* --- production-scale recovery: bulk loading, compaction, the restart
+   bill --- *)
 
 let compile kv =
   Capri_compiler.Pipeline.compile Capri_compiler.Options.default
@@ -868,7 +868,6 @@ let prop_compacted_equiv_full_history =
               Arch.Config.sim_default with
               Arch.Config.compact_interval = interval;
             };
-          recovery_jobs = 1 + (seed mod 2);
         }
       in
       let serve interval =
@@ -893,17 +892,16 @@ let prop_compacted_equiv_full_history =
       in
       serve (2 + (seed mod 6)) = serve 0)
 
-(* Parallel recovery is a pure scheduling change: the same plan and
-   crash schedule recovered at jobs 1 and jobs 4 produce byte-identical
-   images, acks, stats and durable state. *)
-let test_parallel_recovery_identical () =
-  let serve recovery_jobs =
+(* Recovery is repeatable: the same cfg and crash schedule served twice
+   produce byte-identical images, acks, stats and durable state, so
+   nothing [Server.run] leaves behind reaches the next run. *)
+let test_recovery_repeatable () =
+  let serve () =
     let cfg =
       {
         (mk ~ops:40 ~txns:2 ()) with
         Server.config =
           { Arch.Config.sim_default with Arch.Config.compact_interval = 8 };
-        recovery_jobs;
       }
     in
     let t = Server.plan cfg in
@@ -914,11 +912,11 @@ let test_parallel_recovery_identical () =
     check_ok t outcome;
     (t, outcome)
   in
-  let _, o1 = serve 1 in
-  let t4, o4 = serve 4 in
-  Alcotest.(check bool) "acks identical" true (o1.Server.acks = o4.Server.acks);
+  let _, o1 = serve () in
+  let t2, o2 = serve () in
+  Alcotest.(check bool) "acks identical" true (o1.Server.acks = o2.Server.acks);
   Alcotest.(check bool) "finals identical" true
-    (o1.Server.final = o4.Server.final);
+    (o1.Server.final = o2.Server.final);
   Alcotest.(check bool) "image journals/cursors/replay counts identical" true
     (List.map
        (fun (i : Arch.Persist.image) ->
@@ -929,19 +927,19 @@ let test_parallel_recovery_identical () =
         (fun (i : Arch.Persist.image) ->
           (i.Arch.Persist.journal, i.Arch.Persist.acked,
            i.Arch.Persist.acked_base, i.Arch.Persist.replayed))
-        o4.Server.images);
+        o2.Server.images);
   Alcotest.(check bool) "stats identical" true
-    (Server.stats t4 o1 = Server.stats t4 o4);
+    (Server.stats t2 o1 = Server.stats t2 o2);
   List.iter2
-    (fun (i1 : Arch.Persist.image) (i4 : Arch.Persist.image) ->
-      for s = 0 to t4.Server.kv.Kvstore.shards - 1 do
+    (fun (i1 : Arch.Persist.image) (i2 : Arch.Persist.image) ->
+      for s = 0 to t2.Server.kv.Kvstore.shards - 1 do
         for key = 1 to 24 do
           Alcotest.(check bool) "recovered tables identical" true
-            (Kvstore.lookup t4.Server.kv i1.Arch.Persist.nvm ~shard:s ~key
-            = Kvstore.lookup t4.Server.kv i4.Arch.Persist.nvm ~shard:s ~key)
+            (Kvstore.lookup t2.Server.kv i1.Arch.Persist.nvm ~shard:s ~key
+            = Kvstore.lookup t2.Server.kv i2.Arch.Persist.nvm ~shard:s ~key)
         done
       done)
-    o1.Server.images o4.Server.images
+    o1.Server.images o2.Server.images
 
 (* The modeled restart bill charges the slowest core, not the serial
    sum: every core replays its own blocks, journal tail and log records
@@ -988,7 +986,6 @@ let test_preloaded_store_recovers () =
       client;
       config =
         { Arch.Config.sim_default with Arch.Config.compact_interval = 8 };
-      recovery_jobs = 2;
       preload;
     }
   in
@@ -1090,8 +1087,8 @@ let suite =
     Alcotest.test_case "preload validation" `Quick test_preload_validation;
     Alcotest.test_case "compaction bounds the journal tail" `Quick
       test_compaction_bounds_journal_tail;
-    Alcotest.test_case "parallel recovery jobs identical" `Quick
-      test_parallel_recovery_identical;
+    Alcotest.test_case "recovery is repeatable" `Quick
+      test_recovery_repeatable;
     Alcotest.test_case "recovery penalty: max over cores" `Quick
       test_recovery_penalty_max_over_cores;
     Alcotest.test_case "preloaded store recovers" `Quick
