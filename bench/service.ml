@@ -103,15 +103,22 @@ let () =
      [--tenants N] [--cores N] [--quantum N] [--skew S] [--hot-txns N] \
      [--steal on|off|both] [--period N] [--jobs N]";
   let jobs = if !jobs > 0 then !jobs else Capri_util.Pool.default_jobs () in
-  if !recovery then
-    print_string
-      (Capri_bench.Service_bench.recovery_table ~jobs ~shards:(max 1 !shards)
-         ~keys:(max 1 !keys) ~ops:(max 1 !ops) ~factors:[ 1; 2; 5; 10 ]
-         ~interval:(max 1 !compact))
+  let module B = Capri_bench.Service_bench in
+  let print sc = print_string (snd (B.table ~jobs sc)) in
+  let shards = max 1 !shards and ops = max 1 !ops in
+  if !recovery then begin
+    match
+      B.recovery ~shards ~keys:(max 1 !keys) ~ops ~factors:[ 1; 2; 5; 10 ]
+        ~interval:(max 1 !compact)
+    with
+    | sc -> print sc
+    | exception Invalid_argument msg ->
+      Printf.eprintf "%s: option '--keys': %s\n" Sys.argv.(0) msg;
+      exit 2
+  end
   else if !rolling then
-    print_string
-      (Capri_bench.Service_bench.rolling_table ~jobs ~shards:(max 1 !shards)
-         ~ops:(max 1 !ops) ~crashes:(max 0 !crashes) ~period:(max 1 !period))
+    print
+      (B.rolling ~shards ~ops ~crashes:(max 0 !crashes) ~period:(max 1 !period))
   else if !noisy then begin
     let variants =
       match !steal with
@@ -119,18 +126,14 @@ let () =
       | "off" -> [ false ]
       | _ -> [ false; true ]
     in
-    print_string
-      (Capri_bench.Service_bench.noisy_table ~jobs ~shards:(max 1 !shards)
-         ~ops:(max 1 !ops) ~cores:(max 1 !cores) ~quantum:(max 1 !quantum)
+    print
+      (B.noisy ~shards ~ops ~cores:(max 1 !cores) ~quantum:(max 1 !quantum)
          ~tenants:(max 2 !tenants) ~skew:!skew ~period:(max 1 !period)
          ~variants)
   end
   else if !hot_key then
-    print_string
-      (Capri_bench.Service_bench.hot_table ~jobs ~shards:(max 1 !shards)
-         ~ops:(max 1 !ops) ~cores:(max 1 !cores) ~quantum:(max 1 !quantum)
+    print
+      (B.hot_key ~shards ~ops ~cores:(max 1 !cores) ~quantum:(max 1 !quantum)
          ~tenants:(max 2 !tenants) ~skew:!skew ~hot_txns:(max 1 !hot_txns))
   else
-    print_string
-      (Capri_bench.Service_bench.table ~jobs ~shards:(max 1 !shards)
-         ~ops:(max 1 !ops) ~crashes:(max 0 !crashes) ~txns:(max 0 !txns))
+    print (B.modes ~shards ~ops ~crashes:(max 0 !crashes) ~txns:(max 0 !txns))

@@ -450,8 +450,20 @@ let serve_cmd =
     in
     Arg.(value & opt int 0 & info [ "compact" ] ~docv:"N" ~doc)
   in
+  (* the preload is validated before anything is built: a key count whose
+     shard tables cannot fit the heap is a usage error *)
+  let preload_term =
+    let preload shards keys =
+      match Svc.Kvstore.synthetic_preload ~shards ~keys with
+      | preload -> `Ok preload
+      | exception Invalid_argument msg ->
+        `Error (true, "option '--keys': " ^ msg)
+    in
+    Term.(ret (const preload $ shards_arg $ keys_arg))
+  in
   let run shards mix ops crashes jobs txn_mix txn_items focus perfetto
-      timeline slo slo_p99 slo_avail window tenants cores steal keys compact =
+      timeline slo slo_p99 slo_avail window tenants cores steal keys compact
+      preload =
     let client =
       {
         Svc.Client.default with
@@ -462,14 +474,6 @@ let serve_cmd =
         txns = int_of_float (max 0.0 txn_mix *. float_of_int ops);
         txn_items = max 1 txn_items;
       }
-    in
-    let preload =
-      if keys <= 0 then [||]
-      else
-        Array.init shards (fun s ->
-            Array.init keys (fun i ->
-                let key = i + 1 in
-                (key, (key + (s * 17)) mod 251)))
     in
     let sched =
       if cores > 0 then
@@ -495,21 +499,16 @@ let serve_cmd =
           preload;
         }
     in
-    let schedule_for t mode =
-      if crashes <= 0 || mode = Persist.Volatile then []
-      else begin
-        let total = (Svc.Server.run t).Svc.Server.result.Executor.instrs in
-        List.init crashes (fun _ -> max 1 (total / (crashes + 1)))
-      end
-    in
     let serve mode =
       let t = plan_for mode in
-      let outcome = Svc.Server.run ~crash_at:(schedule_for t mode) t in
+      let outcome =
+        Svc.Server.run ~crash_at:(Svc.Server.crash_schedule ~crashes t) t
+      in
       ( mode,
         Svc.Server.check t outcome,
         Svc.Server.stats t outcome,
         Svc.Server.steals t outcome,
-        Svc.Server.tenant_stats t outcome )
+        Svc.Slo.tenant_rows ~t outcome )
     in
     let results =
       Capri_util.Pool.with_pool ~jobs:(max 1 jobs) (fun pool ->
@@ -522,10 +521,11 @@ let serve_cmd =
           stats;
         if sched <> None then
           Format.printf "%-12s   steals %d@." (Persist.mode_name mode) steals;
-        Array.iteri
-          (fun tn (served, p99) ->
+        List.iter
+          (fun (r : Svc.Slo.tenant_row) ->
             Format.printf "%-12s   tenant %d: %d served, p99 %.0f@."
-              (Persist.mode_name mode) tn served p99)
+              (Persist.mode_name mode) r.Svc.Slo.tenant r.Svc.Slo.t_served
+              r.Svc.Slo.t_p99)
           per_tenant;
         match checked with
         | Ok () -> ()
@@ -540,7 +540,9 @@ let serve_cmd =
     if perfetto <> None || timeline || want_report then begin
       let t = plan_for focus in
       let obs = Capri_obs.Obs.create () in
-      let outcome = Svc.Server.run ~obs ~crash_at:(schedule_for t focus) t in
+      let outcome =
+        Svc.Server.run ~obs ~crash_at:(Svc.Server.crash_schedule ~crashes t) t
+      in
       (match Svc.Server.check t outcome with
       | Ok () -> ()
       | Error v ->
@@ -601,18 +603,31 @@ let serve_cmd =
       const run $ shards_arg $ mix_arg $ ops_arg $ crash_arg $ jobs_arg
       $ txn_mix_arg $ txn_items_arg $ focus_arg $ perfetto_arg $ timeline_arg
       $ slo_arg $ slo_p99_arg $ slo_avail_arg $ window_arg $ tenants_arg
-      $ cores_arg $ steal_arg $ keys_arg $ compact_arg)
+      $ cores_arg $ steal_arg $ keys_arg $ compact_arg $ preload_term)
 
 let show_config_cmd =
   let run () = Format.printf "%a@." Config.pp_table Config.table1 in
   Cmd.v (Cmd.info "show-config" ~doc:"Print the Table 1 configuration")
     Term.(const run $ const ())
 
+(* A program that never halts is bad input, reported in one line like a
+   parse error; any other exception escaping a command is a bug, reported
+   as cmdliner reports one. *)
 let () =
   let doc = "Capri: whole-system persistence, compiler + architecture" in
   let info = Cmd.info "capri" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [ list_cmd; compile_cmd; run_cmd; crash_cmd; exec_cmd; profile_cmd;
+        serve_cmd; trace_cmd; show_config_cmd ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ list_cmd; compile_cmd; run_cmd; crash_cmd; exec_cmd; profile_cmd;
-            serve_cmd; trace_cmd; show_config_cmd ]))
+    (match Cmd.eval ~catch:false cmd with
+     | code -> code
+     | exception (Executor.Livelock _ as e) ->
+       Printf.eprintf "capri: %s\n" (Printexc.to_string e);
+       1
+     | exception e ->
+       Printf.eprintf "capri: internal error, uncaught exception:\n%s\n"
+         (Printexc.to_string e);
+       Cmd.Exit.internal_error)

@@ -1212,11 +1212,6 @@ let load_extra_latency t (level : Hierarchy.level) =
   | Redo_nowb, (Hierarchy.L1 | Hierarchy.L2) -> 0
   | (Capri | Naive_sync | Undo_sync | Volatile), _ -> 0
 
-let writebacks_reach_nvm t =
-  match t.mode with
-  | Redo_nowb -> false
-  | Capri | Naive_sync | Undo_sync | Volatile -> true
-
 (* ---------------- crash and recovery ---------------- *)
 
 (* Oracle-sensitivity fault injection: when armed, recovery silently

@@ -217,9 +217,6 @@ val on_halt : t -> core:int -> cycle:int -> int
 val load_extra_latency : t -> Hierarchy.level -> int
 (** Indirect-read penalty ([Redo_nowb] mode only). *)
 
-val writebacks_reach_nvm : t -> bool
-(** False in [Redo_nowb] mode: dirty lines are dropped on eviction. *)
-
 val advance : t -> cycle:int -> unit
 (** Process internal events up to the given time. *)
 

@@ -80,11 +80,6 @@ let compute f =
 
 let loops t = t.loops
 let headers t = t.headers
-let is_header t l = Label.Set.mem l t.headers
-
-let innermost_containing t l =
-  List.find_opt (fun loop -> Label.Set.mem l loop.body) t.loops
-
 let is_simple _t loop =
   Label.Set.cardinal loop.latches = 1
 

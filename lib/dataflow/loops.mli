@@ -24,10 +24,6 @@ val loops : t -> loop list
     are merged into one [loop] with several latches. *)
 
 val headers : t -> Label.Set.t
-val is_header : t -> Label.t -> bool
-
-val innermost_containing : t -> Label.t -> loop option
-(** The innermost loop whose body contains the block. *)
 
 val is_simple : t -> loop -> bool
 (** Exactly one latch (one back edge). *)

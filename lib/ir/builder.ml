@@ -142,14 +142,6 @@ let call_cont fb callee =
   call fb callee ~ret_to;
   switch fb ret_to
 
-let call_saving fb callee ~saves =
-  let n = List.length saves in
-  if n > 0 then sub fb Reg.sp (reg Reg.sp) (imm n);
-  List.iteri (fun i r -> store fb ~base:Reg.sp ~off:i (reg r)) saves;
-  call_cont fb callee;
-  List.iteri (fun i r -> load fb r ~base:Reg.sp ~off:i ()) saves;
-  if n > 0 then add fb Reg.sp (reg Reg.sp) (imm n)
-
 let ret fb = close fb Instr.Ret
 let halt fb = close fb Instr.Halt
 

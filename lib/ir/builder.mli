@@ -100,12 +100,5 @@ val call_cont : fb -> string -> unit
 (** [call_cont f callee] calls and continues in a fresh fall-through block,
     switching the insertion point to it. *)
 
-val call_saving : fb -> string -> saves:Reg.t list -> unit
-(** Caller-save calling sequence: allocates stack slots, spills [saves]
-    with explicit stores, calls, then reloads them with explicit loads and
-    releases the slots. Continues in a fresh fall-through block. The
-    explicit reload defs are what make the checkpoint analysis sound across
-    calls. *)
-
 val ret : fb -> unit
 val halt : fb -> unit

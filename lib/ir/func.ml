@@ -77,8 +77,6 @@ let split_block t (b : Block.t) ~at =
   insert_after t b.label succ;
   new_label
 
-let successors _t (b : Block.t) = Instr.term_succs b.term
-
 let preds_map t =
   let init =
     List.fold_left (fun m l -> Label.Map.add l Label.Set.empty m)

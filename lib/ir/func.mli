@@ -34,8 +34,6 @@ val split_block : t -> Block.t -> at:int -> Label.t
     [b] then jumps to it. Returns the new block's label. [at] may equal the
     instruction count (splitting just before the terminator). *)
 
-val successors : t -> Block.t -> Label.t list
-
 val preds_map : t -> Label.Set.t Label.Map.t
 (** Map from each block label to the labels of its predecessors. Blocks
     with no predecessors map to the empty set. *)

@@ -46,9 +46,8 @@ type terminator =
       (** Decrements the stack pointer and pushes the return code-address to
           the in-memory stack (one regular store through the persistence
           machinery), then enters [callee]. [Ret] pops it back. Register
-          spills around calls are explicit [Store]/[Load] instructions (see
-          {!Builder.call_saving}) so that the checkpoint analysis sees the
-          reload defs. *)
+          spills around calls are explicit [Store]/[Load] instructions so
+          that the checkpoint analysis sees the reload defs. *)
   | Ret
   | Halt
 

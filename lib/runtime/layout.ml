@@ -19,8 +19,6 @@ let heap_base = Capri_ir.Builder.data_base
    mailboxes and control blocks. *)
 let heap_words = 1 lsl 26
 
-let heap_limit = heap_base + heap_words
-
 let max_cores = heap_base / stack_words_per_core
 
 let check_cores cores =

@@ -27,9 +27,6 @@ val heap_words : int
     costs only its occupancy; this bound is what the layout guarantees
     free of stacks and per-core structures. *)
 
-val heap_limit : int
-(** One past the last heap address ([heap_base + heap_words]). *)
-
 val max_cores : int
 (** Cores whose stacks fit between address 0 and {!heap_base}. *)
 

@@ -4,12 +4,6 @@ type mix = A | B | C
 
 let mix_name = function A -> "A" | B -> "B" | C -> "C"
 
-let mix_of_string = function
-  | "A" | "a" -> Some A
-  | "B" | "b" -> Some B
-  | "C" | "c" -> Some C
-  | _ -> None
-
 (* YCSB-inspired op fractions (get, put, delete, cas). Updates in the A/B
    mixes are mostly puts with a sliver of deletes and compare-and-swaps so
    every handler path sees traffic. *)

@@ -13,7 +13,6 @@ type mix = A | B | C
 (** A = 50% reads / 50% updates; B = 95/5; C = read-only. *)
 
 val mix_name : mix -> string
-val mix_of_string : string -> mix option
 
 type loop = Closed | Open of { period : int (** cycles between arrivals *) }
 

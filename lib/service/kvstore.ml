@@ -731,6 +731,23 @@ let emit_coord b ~shards ~stride =
 
 let capacity_for key_space = max 8 (2 * key_space)
 
+(* Every shard's table must fit the heap beside the others; checking
+   that first keeps an oversized request from allocating gigabytes of
+   pairs that [build]'s own heap check would only reject afterwards. *)
+let synthetic_preload ~shards ~keys =
+  let heap = Capri_runtime.Layout.heap_words in
+  if shards < 1 then invalid_arg "Kvstore.synthetic_preload: no shards";
+  if keys <= 0 then [||]
+  else if 2 * capacity_for (min keys heap) > heap / shards then
+    invalid_arg
+      (Printf.sprintf "%d keys per shard over %d shards exceed the %d-word heap"
+         keys shards heap)
+  else
+    Array.init shards (fun s ->
+        Array.init keys (fun i ->
+            let key = i + 1 in
+            (key, (key + (s * 17)) mod 251)))
+
 let check_preload ~shards ~key_space preload =
   let n = Array.length preload in
   if n <> 0 && n <> shards then

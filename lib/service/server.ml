@@ -104,47 +104,19 @@ let calibrate cfg =
   | Executor.Finished r -> max 1 (r.Executor.cycles / 32)
   | Executor.Crashed _ -> assert false
 
-let admit ~period ~depth ~svc requests =
-  let rejected = ref [] in  (* arrival cycles, reversed *)
-  let admitted =
-    Array.map
-      (fun shard_reqs ->
-        (* estimated finish times of admitted requests, newest first
-           (decreasing), so counting the in-flight set is a prefix walk *)
-        let finishes = ref [] in
-        let last_finish = ref 0 in
-        let kept = ref [] in
-        Array.iteri
-          (fun i r ->
-            let arrival = i * period in
-            let rec in_flight n = function
-              | f :: rest when f > arrival -> in_flight (n + 1) rest
-              | _ -> n
-            in
-            if in_flight 0 !finishes >= depth then
-              rejected := arrival :: !rejected
-            else begin
-              let f = max arrival !last_finish + svc in
-              last_finish := f;
-              finishes := f :: !finishes;
-              kept := r :: !kept
-            end)
-          shard_reqs;
-        Array.of_list (List.rev !kept))
-      requests
-  in
-  (admitted, List.sort Int.compare !rejected)
-
-(* Weighted fair-share admission, the multi-tenant replacement for the
-   global [admit] gate: each tenant owns a slice of the in-flight depth
-   proportional to its weight (at least 1), counted per shard over the
-   same service-time estimate. A noisy tenant exhausts its own slice
+(* Weighted fair-share admission: each tenant owns a slice of the
+   in-flight depth proportional to its weight, counted per shard over
+   the same service-time estimate. A noisy tenant exhausts its own slice
    and is rejected while its neighbors' slices stay open — rejection
-   isolates tenants instead of the loudest one starving the gate. *)
-let admit_fair ~period ~depth ~svc ~space ~weights requests =
+   isolates tenants instead of the loudest one starving the gate. With
+   several tenants every slice holds at least 1; a single tenant owns
+   the whole depth, so depth 0 rejects every arrival. *)
+let admit ~period ~depth ~svc ~space ~weights requests =
   let nt = Array.length weights in
   let total_w = max 1 (Array.fold_left ( + ) 0 weights) in
-  let share t = max 1 (depth * weights.(t) / total_w) in
+  let share t =
+    if nt = 1 then depth else max 1 (depth * weights.(t) / total_w)
+  in
   let tenant_of (r : Wire.request) =
     if r.Wire.key >= 1 && r.Wire.key <= nt * space then
       Wire.tenant_of_key ~space r.Wire.key
@@ -181,23 +153,41 @@ let admit_fair ~period ~depth ~svc ~space ~weights requests =
   in
   (admitted, List.sort Int.compare !rejected)
 
-let plan_workload cfg (tw : Client.tenant_workload) =
+let plan cfg =
   if cfg.shards < 1 then invalid_arg "Server.plan: shards must be positive";
-  let requests = tw.Client.base.Client.requests in
+  let workload =
+    match cfg.tenants with
+    | None -> None
+    | Some tenants ->
+      Some
+        (Client.generate_tenants ~hot_txns:cfg.hot_txns cfg.client ~tenants
+           ~shards:cfg.shards)
+  in
+  let base, key_space =
+    match workload with
+    | Some tw -> (tw.Client.base, tw.Client.key_space)
+    | None ->
+      ( Client.generate cfg.client ~shards:cfg.shards,
+        cfg.client.Client.key_space )
+  in
   (* admission control would have to drop whole transactions to stay
      protocol-consistent; with txns present it is disabled *)
   let requests, rejected_at =
     match (cfg.client.Client.loop, cfg.admit_depth) with
     | Client.Open { period }, Some depth
-      when depth >= 0 && Array.length tw.Client.base.Client.txns = 0 ->
-      admit_fair ~period ~depth ~svc:(calibrate cfg) ~space:tw.Client.space
-        ~weights:tw.Client.weights requests
-    | _ -> (requests, [])
+      when depth >= 0 && Array.length base.Client.txns = 0 ->
+      let space, weights =
+        match workload with
+        | Some tw -> (tw.Client.space, tw.Client.weights)
+        | None -> (key_space, [| 1 |])
+      in
+      admit ~period ~depth ~svc:(calibrate cfg) ~space ~weights
+        base.Client.requests
+    | _ -> (base.Client.requests, [])
   in
   let kv =
-    Kvstore.build ~batch:cfg.batch ~txns:tw.Client.base.Client.txns
-      ~key_space:tw.Client.key_space ~requests ?sched:cfg.sched
-      ~preload:cfg.preload ()
+    Kvstore.build ~batch:cfg.batch ~txns:base.Client.txns ~key_space ~requests
+      ?sched:cfg.sched ~preload:cfg.preload ()
   in
   let compiled = Comp.Pipeline.compile cfg.options kv.Kvstore.program in
   {
@@ -206,44 +196,8 @@ let plan_workload cfg (tw : Client.tenant_workload) =
     compiled;
     rejected = List.length rejected_at;
     rejected_at;
-    workload = Some tw;
+    workload;
   }
-
-let plan cfg =
-  if cfg.shards < 1 then invalid_arg "Server.plan: shards must be positive";
-  match cfg.tenants with
-  | Some tenants ->
-    let tw =
-      Client.generate_tenants ~hot_txns:cfg.hot_txns cfg.client ~tenants
-        ~shards:cfg.shards
-    in
-    plan_workload cfg tw
-  | None ->
-    let workload = Client.generate cfg.client ~shards:cfg.shards in
-    let requests = workload.Client.requests in
-    (* admission control would have to drop whole transactions to stay
-       protocol-consistent; with txns present it is disabled *)
-    let requests, rejected_at =
-      match (cfg.client.Client.loop, cfg.admit_depth) with
-      | Client.Open { period }, Some depth
-        when depth >= 0 && Array.length workload.Client.txns = 0 ->
-        admit ~period ~depth ~svc:(calibrate cfg) requests
-      | _ -> (requests, [])
-    in
-    let kv =
-      Kvstore.build ~batch:cfg.batch ~txns:workload.Client.txns
-        ~key_space:cfg.client.Client.key_space ~requests ?sched:cfg.sched
-        ~preload:cfg.preload ()
-    in
-    let compiled = Comp.Pipeline.compile cfg.options kv.Kvstore.program in
-    {
-      cfg;
-      kv;
-      compiled;
-      rejected = List.length rejected_at;
-      rejected_at;
-      workload = None;
-    }
 
 type outcome = {
   acks : (int * int) list array;
@@ -266,18 +220,62 @@ type outcome = {
   result : Executor.result;
 }
 
+let views t outcome = Sla.normalize ~kv:t.kv ~word:fst outcome.acks
+
+type served = {
+  start : int;
+  ack : int;
+  latency : int;
+  response : int;
+  meta : Sla.resp_meta;
+  tenant : int;
+}
+
+(* Every served request of a run, derived once. Accounting runs over the
+   logical per-shard views (identical to the physical streams for a
+   pinned store, reassembled from the slice headers for a scheduled one)
+   so a shard's numbers mean the same thing at any core count. Protocol
+   replay gives each expected response an op kind and owning
+   transaction; a run that passed [check] acked a prefix of exactly that
+   stream, so index i of a stream's acks classifies by index i of its
+   replayed metadata. *)
+let derive t outcome protocol =
+  let logical, _demux_errs = views t outcome in
+  let meta = Sla.response_meta protocol in
+  let unknown = { Sla.kind = "unknown"; tid = -1; key = -1 } in
+  let tenant_of =
+    match t.workload with
+    | None -> fun _ -> 0
+    | Some tw ->
+      Sla.tenant_of ~tenants:tw.Client.tenants ~space:tw.Client.space
+        ~txn_tenant:tw.Client.txn_tenant
+  in
+  let loop = t.cfg.client.Client.loop in
+  Array.mapi
+    (fun stream stream_acks ->
+      let known = if stream < Array.length meta then meta.(stream) else [||] in
+      List.mapi
+        (fun i ((start, ack, latency), (response, _)) ->
+          let meta = if i < Array.length known then known.(i) else unknown in
+          { start; ack; latency; response; meta; tenant = tenant_of meta })
+        (List.combine (Sla.request_intervals ~loop stream_acks) stream_acks))
+    logical
+
+let served t outcome = derive t outcome (Sla.replay t.kv)
+
 let instrument obs t outcome =
   if Obs.enabled obs then begin
     let m = obs.Obs.metrics in
     let shards = t.kv.Kvstore.shards in
     let workers = Kvstore.workers t.kv in
+    let protocol = Sla.replay t.kv in
     Metrics.Counter.add
       (Metrics.counter m "service_rejected")
       t.rejected;
     Metrics.Counter.add (Metrics.counter m "service_recoveries")
       outcome.recoveries;
     if Array.length t.kv.Kvstore.txns > 0 then begin
-      let commits, aborts = Sla.txn_outcomes t.kv in
+      let commits, aborts = Sla.txn_outcomes protocol in
       (* prepares = votes cast = participants summed over transactions *)
       let prepares =
         Array.fold_left
@@ -292,7 +290,6 @@ let instrument obs t outcome =
       Metrics.Counter.add (Metrics.counter m "service_txn_aborted") aborts
     end;
     let tr = obs.Obs.tracer in
-    let loop = t.cfg.client.Client.loop in
     (* Scheduler accounting: total steals from the per-core NVM
        counters, migrations from the slice headers in the acked
        streams — one trace instant on the thief's core track per
@@ -366,56 +363,32 @@ let instrument obs t outcome =
                 ])
           core_acks)
       outcome.acks;
-    (* Logical view: per-shard streams (identical to the physical ones
-       for a pinned store, reassembled from the slice headers for a
-       scheduled one), where replay metadata lines up index-for-index.
-       Latency histograms and request-lifecycle spans live here so a
-       shard's numbers mean the same thing at any core count. *)
-    let logical, _demux_errs = Sla.normalize ~kv:t.kv ~word:fst outcome.acks in
-    (* Protocol replay gives each expected response an op kind and
-       owning transaction; a run that passed [check] acked a prefix of
-       exactly that stream, so index i of a stream's acks classifies by
-       index i of its replayed metadata. *)
-    let meta = Sla.response_meta (Sla.replay t.kv) in
-    let meta_of stream i =
-      if stream < Array.length meta && i < Array.length meta.(stream) then
-        meta.(stream).(i)
-      else { Sla.kind = "unknown"; tid = -1; key = -1 }
-    in
-    let tenant_label md =
+    let tenant_label r =
       match t.workload with
       | None -> []
-      | Some tw ->
-        [
-          ( "tenant",
-            string_of_int
-              (Sla.tenant_of ~tenants:tw.Client.tenants ~space:tw.Client.space
-                 ~txn_tenant:tw.Client.txn_tenant md) );
-        ]
+      | Some _ -> [ ("tenant", string_of_int r.tenant) ]
     in
     Array.iteri
-      (fun stream stream_acks ->
-        let intervals = Sla.request_intervals ~loop stream_acks in
+      (fun stream reqs ->
         (* Latency histograms split by op kind (and tenant, when the
            store is multi-tenant): txn tail latency must not hide
            inside (or inflate) the point-op distribution, and one
            tenant's tail must not hide inside another's. *)
-        List.iteri
-          (fun i (_, _, lat) ->
-            let md = meta_of stream i in
+        List.iter
+          (fun r ->
             let h =
               Metrics.log2_histogram m "service_latency_cycles"
-                ~labels:(("op", md.Sla.kind) :: tenant_label md)
+                ~labels:(("op", r.meta.Sla.kind) :: tenant_label r)
                 ~buckets:24
             in
-            Metrics.Histogram.observe h lat;
-            match tenant_label md with
+            Metrics.Histogram.observe h r.latency;
+            match tenant_label r with
             | [] -> ()
             | labels ->
               Metrics.Counter.add
                 (Metrics.counter ~labels m "service_tenant_served")
                 1)
-          intervals;
+          reqs;
         (* Request-lifecycle spans, one per served request on the
            shard's [Request] track: admission -> batch enqueue -> shard
            execution -> proxy commit -> ack. Span begin is clamped into
@@ -426,20 +399,20 @@ let instrument obs t outcome =
         if Tracer.enabled tr then begin
           let prev_ack = ref 0 in
           List.iteri
-            (fun i ((start, ack, _), (resp, _)) ->
-              let md = meta_of stream i in
-              let b_ts = min ack (max start !prev_ack) in
+            (fun i r ->
+              let ack = r.ack in
+              let b_ts = min ack (max r.start !prev_ack) in
               let tid_args =
-                if md.Sla.tid >= 0 then
-                  [ ("tid", string_of_int md.Sla.tid) ]
+                if r.meta.Sla.tid >= 0 then
+                  [ ("tid", string_of_int r.meta.Sla.tid) ]
                 else []
               in
-              let tid_args = tid_args @ tenant_label md in
+              let tid_args = tid_args @ tenant_label r in
               let track = Tracer.Request stream in
-              Tracer.begin_span tr ~track ~name:md.Sla.kind ~ts:b_ts
+              Tracer.begin_span tr ~track ~name:r.meta.Sla.kind ~ts:b_ts
                 ~args:
                   (( "request", string_of_int i )
-                   :: ("arrival", string_of_int start)
+                   :: ("arrival", string_of_int r.start)
                    :: tid_args);
               Tracer.instant tr ~track ~name:"admitted" ~ts:b_ts ~args:tid_args;
               Tracer.instant tr ~track ~name:"enqueued" ~ts:b_ts
@@ -451,7 +424,7 @@ let instrument obs t outcome =
                 Tracer.instant tr ~track ~name:"decision" ~ts:ack
                   ~args:
                     (( "committed",
-                       match Wire.decode_response resp with
+                       match Wire.decode_response r.response with
                        | Wire.Committed, _ -> "true"
                        | _ -> "false" )
                      :: tid_args)
@@ -460,9 +433,9 @@ let instrument obs t outcome =
                 ~args:tid_args;
               Tracer.end_span tr ~track ~ts:ack;
               prev_ack := ack)
-            (List.combine intervals stream_acks)
+            reqs
         end)
-      logical
+      (derive t outcome protocol)
   end
 
 let run ?(obs = Obs.null) ?(crash_at = []) t =
@@ -573,10 +546,16 @@ let run ?(obs = Obs.null) ?(crash_at = []) t =
   instrument obs t outcome;
   outcome
 
+(* Crash points are phrased in per-segment instruction counts, so they
+   come from a crash-free reference run of the same plan. *)
+let crash_schedule ~crashes t =
+  if crashes <= 0 || t.cfg.mode = Arch.Persist.Volatile then []
+  else
+    let total = (run t).result.Executor.instrs in
+    List.init crashes (fun _ -> max 1 (total / (crashes + 1)))
+
 let check t outcome =
   Sla.check ~kv:t.kv ~images:outcome.images ~final:outcome.final
-
-let views t outcome = Sla.normalize ~kv:t.kv ~word:fst outcome.acks
 
 let steals t outcome =
   Kvstore.steal_total t.kv outcome.result.Executor.memory
@@ -591,7 +570,7 @@ let migrations t outcome =
 let stats t outcome =
   let txns =
     if Array.length t.kv.Kvstore.txns = 0 then (0, 0)
-    else Sla.txn_outcomes t.kv
+    else Sla.txn_outcomes (Sla.replay t.kv)
   in
   (* per-shard logical streams: slice headers are framing, not served
      requests, so a scheduled store's throughput and latency count the
@@ -600,35 +579,3 @@ let stats t outcome =
   Sla.stats ~txns ~loop:t.cfg.client.Client.loop ~acks
     ~cycles:outcome.cycles ~rejected:t.rejected ~recoveries:outcome.recoveries
     ~recovery_cycles:outcome.recovery_cycles ()
-
-let tenant_stats t outcome =
-  match t.workload with
-  | None -> [||]
-  | Some tw ->
-    let logical, _ = views t outcome in
-    let meta = Sla.response_meta (Sla.replay t.kv) in
-    let loop = t.cfg.client.Client.loop in
-    let served = Array.make tw.Client.tenants 0 in
-    let lats = Array.make tw.Client.tenants [] in
-    Array.iteri
-      (fun stream stream_acks ->
-        let intervals = Sla.request_intervals ~loop stream_acks in
-        List.iteri
-          (fun i (_, _, lat) ->
-            let md =
-              if stream < Array.length meta && i < Array.length meta.(stream)
-              then meta.(stream).(i)
-              else { Sla.kind = "unknown"; tid = -1; key = -1 }
-            in
-            let tn =
-              Sla.tenant_of ~tenants:tw.Client.tenants ~space:tw.Client.space
-                ~txn_tenant:tw.Client.txn_tenant md
-            in
-            served.(tn) <- served.(tn) + 1;
-            lats.(tn) <- float_of_int lat :: lats.(tn))
-          intervals)
-      logical;
-    Array.init tw.Client.tenants (fun tn ->
-        ( served.(tn),
-          if lats.(tn) = [] then 0.0
-          else Capri_util.Stat.percentile 99.0 lats.(tn) ))

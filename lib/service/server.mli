@@ -80,13 +80,9 @@ val plan : cfg -> t
     loop, no txns) is weighted fair-share: each tenant owns
     [admit_depth * weight / total_weight] (at least 1) of the in-flight
     depth per shard, so a noisy tenant is rejected against its own
-    slice while its neighbors' slices stay open. *)
-
-val plan_workload : cfg -> Client.tenant_workload -> t
-(** Like {!plan} but serving a caller-built tenant workload (the bench
-    scenarios build theirs with explicit tenant casts and hot-key
-    transaction counts). [cfg.client] still supplies the loop and
-    admission inputs; [cfg.tenants]/[cfg.hot_txns] are ignored. *)
+    slice while its neighbors' slices stay open. A single-tenant plan
+    admits against the whole [admit_depth], so [Some 0] rejects every
+    arrival. *)
 
 type outcome = {
   acks : (int * int) list array;
@@ -133,13 +129,21 @@ val run :
     gains [service_acked]/[service_rejected]/[service_recoveries]
     counters — plus [service_txn_prepared]/[service_txn_committed]/
     [service_txn_aborted] when the store carries transactions — and a
-    latency histogram labeled by op kind. Crash segments are stitched
-    into one monotone trace timeline (the tracer origin shifts at each
-    resume; spans open at a crash close at the crash cycle), so
+    latency histogram labeled by op kind. Histograms, tenant counters and
+    request spans all read the {!served} records. Crash segments are
+    stitched into one monotone trace timeline (the tracer origin shifts at
+    each resume; spans open at a crash close at the crash cycle), so
     {!Capri_obs.Tracer.validate} holds across any crash schedule.
 
     Raises [Invalid_argument] for a non-empty schedule in [Volatile]
     mode — a volatile store cannot recover. *)
+
+val crash_schedule : crashes:int -> t -> int list
+(** [crashes] evenly spaced crash points for {!run}: each segment runs
+    [max 1 (instrs / (crashes + 1))] instructions before its crash,
+    where [instrs] counts a crash-free reference run of [t]. Empty,
+    without running anything, when [crashes <= 0] or the store is
+    volatile. *)
 
 val check : t -> outcome -> (unit, Sla.violation) result
 
@@ -162,6 +166,23 @@ val stats : t -> outcome -> Sla.stats
     latency count the same served-response population as a pinned
     store's. *)
 
-val tenant_stats : t -> outcome -> (int * float) array
-(** Per tenant: [(served responses, p99 latency)], attributed via
-    {!Sla.tenant_of} over {!views}. Empty for single-tenant plans. *)
+type served = {
+  start : int;
+      (** service start: the previous ack (closed loop) or the nominal
+          arrival (open loop), clamped to [ack] *)
+  ack : int;  (** absolute ack cycle *)
+  latency : int;  (** as {!Sla.request_intervals} computes it *)
+  response : int;  (** the acked response word *)
+  meta : Sla.resp_meta;
+      (** op kind, owning tid and key from the protocol replay;
+          [{kind = "unknown"; tid = -1; key = -1}] past its end *)
+  tenant : int;  (** {!Sla.tenant_of}; 0 for single-tenant plans *)
+}
+(** One acknowledged request of a run. *)
+
+val served : t -> outcome -> served list array
+(** Every served request, derived once from {!views}, one
+    {!Sla.replay} and {!Sla.request_intervals}: per logical stream
+    (coordinator last), in ack order. Request spans and latency
+    histograms ({!run}), the SLO report, timeline and per-tenant rows
+    ({!Slo}) all read these records. *)

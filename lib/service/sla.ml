@@ -254,8 +254,7 @@ let tenant_of ~tenants ~space ~txn_tenant meta =
     Wire.tenant_of_key ~space meta.key
   else 0
 
-let txn_outcomes kv =
-  let p = replay kv in
+let txn_outcomes p =
   Array.fold_left
     (fun (c, a) d -> if d then (c + 1, a) else (c, a + 1))
     (0, 0) p.decisions

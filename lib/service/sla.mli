@@ -83,8 +83,8 @@ val tenant_of :
 
 val decisions : protocol -> bool array
 
-val txn_outcomes : Kvstore.t -> int * int
-(** [(commits, aborts)] of the store's transactions under the replay. *)
+val txn_outcomes : protocol -> int * int
+(** [(commits, aborts)] of the replayed transactions. *)
 
 val durable_slack : int
 (** Micro-ops the durable table may run ahead of the acked count (a

@@ -56,76 +56,55 @@ let windows_of (outcome : Server.outcome) =
 let overlaps windows ~start ~ack =
   List.exists (fun w -> start < w.finish && ack > w.start) windows
 
-(* Accounting runs over the logical per-shard views: identical to the
-   physical streams for a pinned store, and for a scheduled one it
-   strips the slice headers (framing, not service) and regroups acks by
-   shard so the numbers are core-count-independent. *)
-let intervals (t : Server.t) (outcome : Server.outcome) =
-  let loop = t.Server.cfg.Server.client.Client.loop in
-  let logical, _ = Server.views t outcome in
-  Array.fold_left
-    (fun acc stream_acks ->
-      List.rev_append (Sla.request_intervals ~loop stream_acks) acc)
-    [] logical
+let pct l = if l = [] then 0.0 else Stat.percentile 99.0 l
 
-(* Per-tenant rows of the report: each served response attributes to
-   its tenant through the replay metadata, and splits in/out of the
-   recovery windows exactly like the global tallies — so a noisy
-   neighbor's tail is visible next to its victims', not averaged away. *)
-let tenant_rows (t : Server.t) (outcome : Server.outcome) windows =
+(* Every served request of the run, one list over all logical streams. *)
+let requests t outcome = List.concat (Array.to_list (Server.served t outcome))
+
+(* Latencies of [reqs] overlapping an outage, and of the rest. *)
+let split windows reqs =
+  List.fold_left
+    (fun (ins, outs) (r : Server.served) ->
+      let l = float_of_int r.Server.latency in
+      if overlaps windows ~start:r.Server.start ~ack:r.Server.ack then
+        (l :: ins, outs)
+      else (ins, l :: outs))
+    ([], []) reqs
+
+(* The per-tenant tally: each served request attributes to its tenant
+   and splits in/out of the recovery windows exactly like the global
+   tallies — so a noisy neighbor's tail is visible next to its victims',
+   not averaged away. *)
+let tally (t : Server.t) windows reqs =
   match t.Server.workload with
   | None -> []
   | Some tw ->
-    let loop = t.Server.cfg.Server.client.Client.loop in
-    let logical, _ = Server.views t outcome in
-    let meta = Sla.response_meta (Sla.replay t.Server.kv) in
-    let acc = Array.init tw.Client.tenants (fun _ -> ref ([], [])) in
-    Array.iteri
-      (fun stream stream_acks ->
-        List.iteri
-          (fun i (start, ack, lat) ->
-            let md =
-              if stream < Array.length meta && i < Array.length meta.(stream)
-              then meta.(stream).(i)
-              else { Sla.kind = "unknown"; tid = -1; key = -1 }
-            in
-            let tn =
-              Sla.tenant_of ~tenants:tw.Client.tenants ~space:tw.Client.space
-                ~txn_tenant:tw.Client.txn_tenant md
-            in
-            let l = float_of_int lat in
-            let ins, outs = !(acc.(tn)) in
-            if overlaps windows ~start ~ack then acc.(tn) := (l :: ins, outs)
-            else acc.(tn) := (ins, l :: outs))
-          (Sla.request_intervals ~loop stream_acks))
-      logical;
-    let pct l = if l = [] then 0.0 else Stat.percentile 99.0 l in
+    let by_tenant = Array.make tw.Client.tenants [] in
+    List.iter
+      (fun (r : Server.served) ->
+        by_tenant.(r.Server.tenant) <- r :: by_tenant.(r.Server.tenant))
+      reqs;
     Array.to_list
       (Array.mapi
-         (fun tn r ->
-           let ins, outs = !r in
+         (fun tenant rs ->
+           let ins, outs = split windows rs in
            {
-             tenant = tn;
-             t_served = List.length ins + List.length outs;
+             tenant;
+             t_served = List.length rs;
              t_in_recovery = List.length ins;
              t_p99 = pct (ins @ outs);
              t_p99_in = pct ins;
              t_p99_out = pct outs;
            })
-         acc)
+         by_tenant)
+
+let tenant_rows ~t outcome =
+  tally t (windows_of outcome) (requests t outcome)
 
 let report ?slo_p99 ?slo_avail ~(t : Server.t) (outcome : Server.outcome) =
   let windows = windows_of outcome in
-  let reqs = intervals t outcome in
-  let served = List.length reqs in
-  let lat_in, lat_out =
-    List.partition_map
-      (fun (start, ack, lat) ->
-        if overlaps windows ~start ~ack then Left (float_of_int lat)
-        else Right (float_of_int lat))
-      reqs
-  in
-  let pct l = if l = [] then 0.0 else Stat.percentile 99.0 l in
+  let reqs = requests t outcome in
+  let lat_in, lat_out = split windows reqs in
   let down_cycles =
     List.fold_left (fun acc w -> acc + (w.finish - w.start)) 0 windows
   in
@@ -138,7 +117,7 @@ let report ?slo_p99 ?slo_avail ~(t : Server.t) (outcome : Server.outcome) =
   let p99 = pct (lat_in @ lat_out) in
   {
     cycles;
-    served;
+    served = List.length reqs;
     down_cycles;
     availability;
     windows;
@@ -167,7 +146,7 @@ let report ?slo_p99 ?slo_avail ~(t : Server.t) (outcome : Server.outcome) =
           if budget <= 0.0 then if burnt <= 0.0 then 0.0 else infinity
           else burnt /. budget)
         slo_avail;
-    tenants = tenant_rows t outcome windows;
+    tenants = tally t windows reqs;
   }
 
 (* ------------------- timeline ------------------- *)
@@ -186,17 +165,18 @@ let timeline ?width ~(t : Server.t) (outcome : Server.outcome) =
   in
   let s = Series.create ~width () in
   List.iter
-    (fun (start, ack, lat) ->
+    (fun (r : Server.served) ->
+      let ack = r.Server.ack in
       Series.inc s ~ts:ack "ops";
-      Series.observe s ~ts:ack "latency_cycles" lat;
+      Series.observe s ~ts:ack "latency_cycles" r.Server.latency;
       (* every window the service interval touches counts one in-flight
          request — a windowed queue-depth proxy *)
-      let w0 = Series.window_of s ~ts:start in
+      let w0 = Series.window_of s ~ts:r.Server.start in
       let w1 = Series.window_of s ~ts:ack in
       for w = w0 to w1 do
         Series.add s ~ts:(w * width) "inflight" 1
       done)
-    (intervals t outcome);
+    (requests t outcome);
   List.iter (fun ts -> Series.inc s ~ts "rejected") t.Server.rejected_at;
   List.iter
     (fun w ->

@@ -7,8 +7,9 @@
     windowed {!Capri_obs.Series} timeline of throughput, latency
     percentiles, in-flight depth, rejects and downtime per window.
 
-    Pure functions of the outcome: reports and timelines of a
-    deterministic run render byte-identically under any [--jobs]. *)
+    Pure functions of the outcome, read from its {!Server.served}
+    records: reports and timelines of a deterministic run render
+    byte-identically under any [--jobs]. *)
 
 type window = { start : int; finish : int; blocks : int }
 (** One unavailability window in absolute cycles: service stops at the
@@ -23,8 +24,8 @@ type tenant_row = {
   t_p99_in : float;  (** p99 of this tenant's requests overlapping an outage *)
   t_p99_out : float;
 }
-(** One tenant's share of the report, attributed via {!Sla.tenant_of}
-    over the logical per-shard views. *)
+(** One tenant's share of the served requests ({!Server.served}, each
+    attributed via {!Sla.tenant_of}). *)
 
 type report = {
   cycles : int;  (** total run length, recovery time included *)
@@ -48,6 +49,10 @@ type report = {
       (** per-tenant rows in tenant order; empty for single-tenant
           plans *)
 }
+
+val tenant_rows : t:Server.t -> Server.outcome -> tenant_row list
+(** The per-tenant tally, in tenant order (the {!report}'s [tenants]);
+    empty for single-tenant plans. *)
 
 val report :
   ?slo_p99:int -> ?slo_avail:float -> t:Server.t -> Server.outcome -> report

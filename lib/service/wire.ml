@@ -4,13 +4,6 @@ type request = { op : op; key : int; value : int; expected : int }
 
 let op_code = function Get -> 0 | Put -> 1 | Delete -> 2 | Cas -> 3 | Txn -> 4
 
-let op_name = function
-  | Get -> "get"
-  | Put -> "put"
-  | Delete -> "del"
-  | Cas -> "cas"
-  | Txn -> "txn"
-
 let words_per_request = 4
 
 let payload_bits = 20
@@ -59,13 +52,6 @@ let status_code = function
   | Cas_fail -> 2
   | Committed -> 3
   | Aborted -> 4
-
-let status_name = function
-  | Ok -> "ok"
-  | Miss -> "miss"
-  | Cas_fail -> "casfail"
-  | Committed -> "committed"
-  | Aborted -> "aborted"
 
 let response ~status ~payload = (status_code status * payload_limit) + payload
 let response_miss = response ~status:Miss ~payload:0
@@ -122,33 +108,3 @@ let tenant_key ~space ~tenant key =
 let tenant_of_key ~space key =
   if space < 1 then invalid_arg "Wire.tenant_of_key: non-positive space";
   (key - 1) / space
-
-let pp_request ppf r =
-  match r.op with
-  | Get -> Format.fprintf ppf "get k%d" r.key
-  | Put -> Format.fprintf ppf "put k%d=%d" r.key r.value
-  | Delete -> Format.fprintf ppf "del k%d" r.key
-  | Cas -> Format.fprintf ppf "cas k%d %d->%d" r.key r.expected r.value
-  | Txn -> Format.fprintf ppf "txn t%d (%d items)" r.key r.value
-
-let pp_txn ppf t =
-  Format.fprintf ppf "t%d:[%s]" t.tid
-    (String.concat "; "
-       (Array.to_list
-          (Array.map
-             (fun (shard, r) ->
-               Format.asprintf "s%d %a" shard
-                 (fun ppf r ->
-                   match r.op with
-                   | Get -> Format.fprintf ppf "get k%d" r.key
-                   | Put -> Format.fprintf ppf "put k%d=%d" r.key r.value
-                   | Cas ->
-                     Format.fprintf ppf "cas k%d %d->%d" r.key r.expected
-                       r.value
-                   | _ -> Format.fprintf ppf "?")
-                 r)
-             t.items)))
-
-let pp_response ppf w =
-  let status, payload = decode_response w in
-  Format.fprintf ppf "%s:%d" (status_name status) payload

@@ -27,7 +27,6 @@ type request = { op : op; key : int; value : int; expected : int }
     be 0. *)
 
 val op_code : op -> int
-val op_name : op -> string
 
 val words_per_request : int
 
@@ -53,7 +52,6 @@ val check_txn : shards:int -> txn -> unit
 
 type status = Ok | Miss | Cas_fail | Committed | Aborted
 
-val status_name : status -> string
 val response : status:status -> payload:int -> int
 val response_miss : int
 val decode_response : int -> status * int
@@ -89,6 +87,3 @@ val tenant_key : space:int -> tenant:int -> int -> int
 val tenant_of_key : space:int -> int -> int
 (** Owning tenant of a global key. *)
 
-val pp_request : Format.formatter -> request -> unit
-val pp_txn : Format.formatter -> txn -> unit
-val pp_response : Format.formatter -> int -> unit

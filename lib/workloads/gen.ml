@@ -310,17 +310,6 @@ let lower (p : prog) =
 
 let program_of_seed seed = fst (lower (generate seed))
 
-let kernel_of_seed ?(cores = 1) seed =
-  let p = generate ~cores seed in
-  let program, threads = lower p in
-  {
-    Kernel.name = Printf.sprintf "gen:%d@%d" seed cores;
-    suite = Kernel.Spec;
-    description = "randomly generated structured program (fuzzer input)";
-    program;
-    threads;
-  }
-
 (* ---------------- pretty-printing (shrunk reproducers) ---------------- *)
 
 let rec pp_stmt fmt = function

@@ -149,7 +149,7 @@ let test_txn_commit_and_abort () =
   let p = Sla.replay kv in
   Alcotest.(check (list bool)) "decisions" [ true; false ]
     (Array.to_list (Sla.decisions p));
-  let commits, aborts = Sla.txn_outcomes kv in
+  let commits, aborts = Sla.txn_outcomes p in
   Alcotest.(check int) "commits" 1 commits;
   Alcotest.(check int) "aborts" 1 aborts;
   (* response streams: shard 0 = single-put ack, txn-1 cas ack, then
@@ -279,7 +279,12 @@ let test_admission_control () =
     Server.plan
       (mk ~ops:20 ~loop:(Client.Open { period = 5 }) ~admit:1000 ())
   in
-  Alcotest.(check int) "no rejection" 0 t'.Server.rejected
+  Alcotest.(check int) "no rejection" 0 t'.Server.rejected;
+  (* A single tenant owns the whole depth: depth 0 sheds every arrival. *)
+  let t0 =
+    Server.plan (mk ~ops:20 ~loop:(Client.Open { period = 5 }) ~admit:0 ())
+  in
+  Alcotest.(check int) "depth 0 rejects all" (2 * 20) t0.Server.rejected
 
 let test_deterministic () =
   let run_once () =
@@ -680,15 +685,16 @@ let test_tenant_fair_share_admission () =
     (List.length t.Server.rejected_at);
   let outcome = Server.run t in
   check_ok t outcome;
-  let per_tenant = Server.tenant_stats t outcome in
-  Alcotest.(check int) "one row per tenant" 3 (Array.length per_tenant);
-  Array.iter
-    (fun (served, p99) ->
-      Alcotest.(check bool) "every tenant served" true (served > 0);
-      Alcotest.(check bool) "p99 positive" true (p99 > 0.0))
+  let per_tenant = Slo.tenant_rows ~t outcome in
+  Alcotest.(check int) "one row per tenant" 3 (List.length per_tenant);
+  List.iter
+    (fun (r : Slo.tenant_row) ->
+      Alcotest.(check bool) "every tenant served" true (r.Slo.t_served > 0);
+      Alcotest.(check bool) "p99 positive" true (r.Slo.t_p99 > 0.0))
     per_tenant;
   let served_total =
-    Array.fold_left (fun a (s, _) -> a + s) 0 per_tenant
+    List.fold_left (fun a (r : Slo.tenant_row) -> a + r.Slo.t_served) 0
+      per_tenant
   in
   Alcotest.(check int) "served + rejected = offered" (30 * 4)
     (served_total + t.Server.rejected)
@@ -789,7 +795,24 @@ let test_preload_validation () =
          ~words:(Capri_runtime.Layout.heap_words + 1)
      with
     | () -> false
-    | exception Invalid_argument _ -> true)
+    | exception Invalid_argument _ -> true);
+  (* a synthetic preload whose tables cannot fit is refused before any
+     pair is built: 2 shards x 8.5M keys need 68M table words *)
+  List.iter
+    (fun keys ->
+      let before = Gc.allocated_bytes () in
+      Alcotest.check_raises
+        (Printf.sprintf "%d keys rejected" keys)
+        (Invalid_argument
+           (Printf.sprintf
+              "%d keys per shard over 2 shards exceed the 67108864-word heap"
+              keys))
+        (fun () -> ignore (Kvstore.synthetic_preload ~shards:2 ~keys));
+      Alcotest.(check bool)
+        (Printf.sprintf "%d keys: nothing built" keys)
+        true
+        (Gc.allocated_bytes () -. before < 65536.))
+    [ 8_500_000; 100_000_000 ]
 
 (* Compaction on vs off over the identical run: the checkpoint cursor
    advances, the journal tail a restart re-serves is bounded by the
