@@ -27,21 +27,7 @@ module Verify = Capri_runtime.Verify
 let compile ?(options = Options.default) program =
   Pipeline.compile options program
 
-let run ?(config = Config.sim_default) ?(mode = Persist.Capri) ?obs ?threads
-    (compiled : Compiled.t) =
-  let threads =
-    match threads with
-    | Some t -> t
-    | None -> [ Executor.main_thread compiled.Compiled.program ]
-  in
-  let session =
-    Executor.start ~config ~mode ?obs
-      ~check_threshold:compiled.Compiled.options.Options.threshold
-      ~program:compiled.Compiled.program ~threads ()
-  in
-  match Executor.run session with
-  | Executor.Finished r -> r
-  | Executor.Crashed _ -> assert false
+let run = Verify.reference
 
 let run_volatile ?(config = Config.sim_default) ?threads program =
   let threads =

@@ -88,16 +88,7 @@ let run ?jobs ?(config = Config.sim_default) ?(focus = Persist.Capri)
           tracer = Tracer.null;
           regions = Profiler.null }
     in
-    let session =
-      Executor.start ~config ~mode ~obs
-        ~check_threshold:options.Options.threshold
-        ~program:compiled.Compiled.program ~threads ()
-    in
-    let result =
-      match Executor.run session with
-      | Executor.Finished r -> r
-      | Executor.Crashed _ -> assert false (* no crash point injected *)
-    in
+    let result = Verify.reference ~config ~mode ~obs ~threads compiled in
     Profiler.publish
       ~labels:[ ("mode", Persist.mode_name mode) ]
       obs.Obs.regions obs.Obs.metrics;

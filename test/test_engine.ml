@@ -29,14 +29,15 @@ let options_of_seed seed =
 type scheduler =
   ?crash_at_instr:int -> ?max_steps:int -> Executor.session -> Executor.outcome
 
-let run_with ?config ?(mode = Persist.Capri) ?obs ?crash_at_instr ?max_steps
-    ~(run : scheduler) (compiled : Compiled.t) threads =
-  let session =
-    Executor.start ?config ~mode ?obs
-      ~check_threshold:compiled.Compiled.options.Opt.threshold
-      ~program:compiled.Compiled.program ~threads ()
-  in
-  run ?crash_at_instr ?max_steps session
+let start_with ?config ?(mode = Persist.Capri) ?obs (compiled : Compiled.t)
+    threads =
+  Executor.start ?config ~mode ?obs
+    ~check_threshold:compiled.Compiled.options.Opt.threshold
+    ~program:compiled.Compiled.program ~threads ()
+
+let run_with ?config ?mode ?obs ?crash_at_instr ?max_steps ~(run : scheduler)
+    compiled threads =
+  run ?crash_at_instr ?max_steps (start_with ?config ?mode ?obs compiled threads)
 
 (* Canonical view of the per-boundary profile: hashtable bucket layout
    may differ, bindings may not. *)
@@ -223,14 +224,14 @@ let test_crash_recovery_identity () =
       let total = reference.Executor.instrs in
       let recover_with name (run : scheduler) at =
         let ctx = Printf.sprintf "seed %d crash@%d %s" seed at name in
-        let c =
-          crashed ctx (run_with ~crash_at_instr:at ~run compiled threads)
+        let session = start_with compiled threads in
+        let c = crashed ctx (run ~crash_at_instr:at session) in
+        ignore
+          (Recovery.apply_recovery_blocks_per_core compiled c.Executor.image);
+        let r =
+          finished ctx
+            (run (Executor.resume ~compiled ~image:c.Executor.image session))
         in
-        ignore (Recovery.apply_recovery_blocks compiled c.Executor.image);
-        let session =
-          Executor.resume ~compiled ~image:c.Executor.image ~threads ()
-        in
-        let r = finished ctx (run session) in
         (* outputs emitted before the crash already left the machine *)
         ( r,
           {
@@ -405,12 +406,11 @@ let test_txn_service_differential () =
       | [] -> (finished name (run session), List.rev crashes)
       | at :: rest ->
         let c = crashed name (run ~crash_at_instr:at session) in
-        ignore (Recovery.apply_recovery_blocks compiled c.Executor.image);
-        let session =
-          Executor.resume ~config ~mode ~journal_io:true ~check_threshold
-            ~compiled ~image:c.Executor.image ~threads ()
-        in
-        go session (c :: crashes) rest
+        ignore
+          (Recovery.apply_recovery_blocks_per_core compiled c.Executor.image);
+        go
+          (Executor.resume ~compiled ~image:c.Executor.image session)
+          (c :: crashes) rest
     in
     go
       (Executor.start ~config ~mode ~journal_io:true ~check_threshold
@@ -489,13 +489,15 @@ let prop_schedulers_agree =
       in
       List.for_all
         (fun at ->
-          let crash sched =
-            match run ~mode:Persist.Capri ~crash_at_instr:at sched with
-            | Executor.Crashed c -> c
+          let crash (sched : scheduler) =
+            let session = start_with compiled threads in
+            match sched ~crash_at_instr:at session with
+            | Executor.Crashed c -> (session, c)
             | Executor.Finished _ ->
               QCheck.Test.fail_reportf "seed %d: crash@%d did not fire" seed at
           in
-          let a = crash Executor.run_reference and b = crash Executor.run in
+          let sa, a = crash Executor.run_reference
+          and sb, b = crash Executor.run in
           let ia = a.Executor.image and ib = b.Executor.image in
           if
             not
@@ -506,17 +508,17 @@ let prop_schedulers_agree =
               && Memory.equal ia.Persist.nvm ib.Persist.nvm)
           then
             QCheck.Test.fail_reportf "seed %d crash@%d: images diverge" seed at;
-          let resume (run : scheduler) (c : Executor.crash) =
-            ignore (Recovery.apply_recovery_blocks compiled c.Executor.image);
-            let s =
-              Executor.resume ~compiled ~image:c.Executor.image ~threads ()
-            in
-            match run s with
+          let resume (run : scheduler) session (c : Executor.crash) =
+            ignore
+              (Recovery.apply_recovery_blocks_per_core compiled
+                 c.Executor.image);
+            match run (Executor.resume ~compiled ~image:c.Executor.image session)
+            with
             | Executor.Finished r -> r
             | Executor.Crashed _ -> assert false
           in
-          let ra = resume Executor.run_reference a in
-          let rb = resume Executor.run b in
+          let ra = resume Executor.run_reference sa a in
+          let rb = resume Executor.run sb b in
           ra.Executor.cycles = rb.Executor.cycles
           && ra.Executor.final_regs = rb.Executor.final_regs
           && ra.Executor.outputs = rb.Executor.outputs
