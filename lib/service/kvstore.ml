@@ -802,6 +802,10 @@ let alloc_tables b ~capacity preload =
 let round_line n = (n + 7) / 8 * 8
 let stride_for ~shards = round_line (1 + shards)
 
+let cores_for ?sched ~shards ~txns () =
+  (match sched with None -> shards | Some s -> s.Sched.cores)
+  + if txns > 0 then 1 else 0
+
 let local_counts ~shards (t : Wire.txn) =
   let local = Array.make shards 0 in
   Array.iter (fun (s, _) -> local.(s) <- local.(s) + 1) t.items;
@@ -906,10 +910,11 @@ let build ?(batch = 8) ?(txns = [||]) ?sched ?(preload = [||]) ~key_space
   let capacity = capacity_for key_space in
   let stride = stride_for ~shards in
   let txn = if ntxn = 0 then None else Some stride in
+  Option.iter Sched.check sched;
+  let cores = cores_for ?sched ~shards ~txns:ntxn () in
+  Capri_runtime.Layout.check_cores cores;
   match sched with
   | None ->
-    let cores = shards + if ntxn > 0 then 1 else 0 in
-    Capri_runtime.Layout.check_cores cores;
     let b = Builder.create () in
     emit_shard b ~batch ~txn;
     if ntxn > 0 then emit_coord b ~shards ~stride;
@@ -940,10 +945,7 @@ let build ?(batch = 8) ?(txns = [||]) ?sched ?(preload = [||]) ~key_space
       globals = 0;
     }
   | Some scfg ->
-    Sched.check scfg;
     let ncores = scfg.Sched.cores in
-    let cores = ncores + if ntxn > 0 then 1 else 0 in
-    Capri_runtime.Layout.check_cores cores;
     let b = Builder.create () in
     (* the worker code bakes area bases in as immediates, so all
        allocation happens before emission in scheduled stores *)

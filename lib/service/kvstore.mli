@@ -94,6 +94,11 @@ val synthetic_preload : shards:int -> keys:int -> (int * int) array array
 val stride_for : shards:int -> int
 (** Ctrl-block stride for a store with this many shards. *)
 
+val cores_for : ?sched:Sched.cfg -> shards:int -> txns:int -> unit -> int
+(** Cores a store with this many shards and transactions runs on: one
+    worker per shard (or [sched.cores] under the scheduler), plus the
+    2PC coordinator when [txns > 0]. *)
+
 val build :
   ?batch:int ->
   ?txns:Wire.txn array ->
