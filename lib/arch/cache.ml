@@ -34,12 +34,18 @@ let create ~sets ~ways =
   for w = 0 to ways - 1 do
     vacant.(fields * w) <- no_line
   done;
+  (* Filled, not [Array.make sets vacant]: a large array made with the
+     young [vacant] forces a minor collection, once per session, which
+     promotes whatever the session's creator holds (a crash drive's
+     shared decoded code among it). *)
+  let table = Array.make sets [||] in
+  Array.fill table 0 sets vacant;
   {
     ways;
     set_mask = sets - 1;
     way_bits = bits 0;
     vacant;
-    sets = Array.make sets vacant;
+    sets = table;
     tick = 0;
     insertions = 0;
     evictions = 0;
