@@ -233,13 +233,11 @@ let journal ~scale () =
         let baseline = float_of_int (Runner.baseline_cycles k) in
         let compiled = Pipeline.compile Options.default k.W.Kernel.program in
         let cycles journal_io =
-          let session =
-            Executor.start ~journal_io ~program:compiled.Compiled.program
-              ~threads:k.W.Kernel.threads ()
+          let r =
+            Recovery.drive ~journal_io ~threads:k.W.Kernel.threads
+              ~crash_at:[] compiled
           in
-          match Executor.run session with
-          | Executor.Finished r -> float_of_int r.Executor.cycles
-          | Executor.Crashed _ -> assert false
+          float_of_int r.Executor.cycles
         in
         [ k.W.Kernel.name;
           Table.fmt_f (cycles false /. baseline);

@@ -43,12 +43,7 @@ let () =
   (* Dynamic region timeline under the full optimization set. *)
   let compiled = Pipeline.compile Options.all_opts kernel.W.Kernel.program in
   let obs = Capri_obs.Obs.create () in
-  let session =
-    Executor.start ~obs ~program:compiled.Compiled.program
-      ~threads:kernel.W.Kernel.threads ()
-  in
-  (match Executor.run session with
-   | Executor.Finished _ | Executor.Crashed _ -> ());
+  ignore (Verify.reference ~obs ~threads:kernel.W.Kernel.threads compiled);
   print_endline "dynamic region timeline (all optimizations):";
   print_string
     (Executor.render_timeline ~max_rows:24 obs.Capri_obs.Obs.tracer);

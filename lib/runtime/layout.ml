@@ -24,8 +24,7 @@ let max_cores = heap_base / stack_words_per_core
 let check_cores cores =
   if cores < 1 || cores > max_cores then
     invalid_arg
-      (Printf.sprintf "Layout.check_cores: %d cores (1..%d supported)" cores
-         max_cores)
+      (Printf.sprintf "%d cores (1..%d supported)" cores max_cores)
 
 let check_heap ~words =
   if words < 0 || words > heap_words then

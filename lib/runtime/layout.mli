@@ -32,7 +32,9 @@ val max_cores : int
 
 val check_cores : int -> unit
 (** Raises [Invalid_argument] when a core count's stacks would underflow
-    the address space (or is non-positive). *)
+    the address space (or is non-positive). The message names the count
+    and the supported range, fit for a front end to prefix with the flag
+    that asked for it. *)
 
 val check_heap : words:int -> unit
 (** Raises [Invalid_argument] when an allocation plan
