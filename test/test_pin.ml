@@ -424,17 +424,20 @@ let store_run_digests =
   [ ("kv-hot store/crash-free", "6ce2e831024fa013b632686351520af8");
     ("kv-hot store/2 crashes", "afff9684e5ad49c65934977baa1b86cf") ]
 
+(* Everything a served run reports: acks, final tables, clocks, every
+   kept image, the recovery bill and the result. *)
+let served_view (o : Svc.Server.outcome) =
+  md5
+    ( ( o.Svc.Server.acks, o.Svc.Server.final, o.Svc.Server.cycles,
+        List.map image_view o.Svc.Server.images ),
+      ( o.Svc.Server.recoveries, o.Svc.Server.recovery_blocks,
+        o.Svc.Server.recovery_replayed, o.Svc.Server.recovery_tail,
+        o.Svc.Server.recovery_cycles, o.Svc.Server.downtime ),
+      observed o.Svc.Server.result )
+
 let test_store_runs () =
   let t = Svc.Server.plan kv_store_cfg in
-  let view (o : Svc.Server.outcome) =
-    md5
-      ( ( o.Svc.Server.acks, o.Svc.Server.final, o.Svc.Server.cycles,
-          List.map image_view o.Svc.Server.images ),
-        ( o.Svc.Server.recoveries, o.Svc.Server.recovery_blocks,
-          o.Svc.Server.recovery_replayed, o.Svc.Server.recovery_tail,
-          o.Svc.Server.recovery_cycles, o.Svc.Server.downtime ),
-        observed o.Svc.Server.result )
-  in
+  let view = served_view in
   let free = Svc.Server.run t in
   let total = free.Svc.Server.result.Executor.instrs in
   let crashed = Svc.Server.run ~crash_at:[ total / 3; total / 3 ] t in
@@ -610,6 +613,111 @@ let test_crash_drives () =
   Alcotest.(check int) "5 programs x 2 modes x 2 schedules + journaled" 21
     (List.length crash_drive_digests)
 
+(* The other two recoverable modes through the same drives, and a
+   preloaded store restarted twice in every recoverable mode.
+   "<program>/<mode>/<n> crashes" as above, in Naive_sync and Redo_nowb
+   (which drops dirty writebacks and counts stale reads against NVM).
+   "preloaded store/<mode>": 2 x 10^4 preloaded keys, journal compaction
+   every 16 commits, two transactions, served through [Server.run] with
+   two crashes at a third of the crash-free run each — the outcome and
+   every kept image. *)
+let restart_digests =
+  [ ("505.mcf_r/naive-sync/2 crashes", "09fb08c27fab7924a18431daec0ae11a");
+    ("505.mcf_r/naive-sync/3 crashes", "af1bdef64dfe42880757d374b07da58c");
+    ("505.mcf_r/redo-nowb/2 crashes", "2bed3b2e33dcb9f1b6ce8239e2e17701");
+    ("505.mcf_r/redo-nowb/3 crashes", "d43fbc275a6182b1a38b27aee95fc922");
+    ("genome/naive-sync/2 crashes", "7c4c37c5ac85ff51f45c6aabd1ba4fb8");
+    ("genome/naive-sync/3 crashes", "9e23020cfe4e1bbded771a72214309dc");
+    ("genome/redo-nowb/2 crashes", "72f7686e1328844f04347503e491f43d");
+    ("genome/redo-nowb/3 crashes", "9cf3004839278cf0d3121e92217aadcb");
+    ("ocean/naive-sync/2 crashes", "6bb3e775a204dc09fbfb65161888c518");
+    ("ocean/naive-sync/3 crashes", "e6c99ad120ad0811e005b61231d809b2");
+    ("ocean/redo-nowb/2 crashes", "4ffff68612fdb20b234b23f13ba4645f");
+    ("ocean/redo-nowb/3 crashes", "53025261479dbc4d969a15b9204ecb0b");
+    ("radix/naive-sync/2 crashes", "4caee82435fe451eba6fc61ad2de6c30");
+    ("radix/naive-sync/3 crashes", "590a33f0030a1e410277b63aabd8d0e5");
+    ("radix/redo-nowb/2 crashes", "0cd68ce7c8d58bcaa65e2b9c1c962cc9");
+    ("radix/redo-nowb/3 crashes", "298b7c574f1082bd660f0a30deee3708");
+    ("gen/naive-sync/2 crashes", "df9266c2d93ac1e8c6745e467a98c5d1");
+    ("gen/naive-sync/3 crashes", "d3105b082950e2afcc717908ac1514e3");
+    ("gen/redo-nowb/2 crashes", "28f848aa2cedfd2945b632af86b4427a");
+    ("gen/redo-nowb/3 crashes", "34de9d26b13635e59a2b77cec29d377a");
+    ("preloaded store/capri", "c0cfe57930cd070bdfa0d22b6d287e7f");
+    ("preloaded store/naive-sync", "e4bc98693e0282b321a22ff97caf702c");
+    ("preloaded store/undo-sync", "e4bc98693e0282b321a22ff97caf702c");
+    ("preloaded store/redo-nowb", "e605a064ed81a1c3949572c404f153c6") ]
+
+let preloaded_cfg mode =
+  let keys = 10_000 in
+  {
+    Svc.Server.default_cfg with
+    Svc.Server.shards = 2;
+    client =
+      {
+        Svc.Client.default with
+        Svc.Client.mix = Svc.Client.A;
+        key_space = keys;
+        ops_per_shard = 40;
+        txns = 2;
+      };
+    mode;
+    config = { Config.sim_default with Config.compact_interval = 16 };
+    preload = Svc.Kvstore.synthetic_preload ~shards:2 ~keys;
+  }
+
+let test_restarts () =
+  let case name got =
+    ( name, Option.value ~default:"" (List.assoc_opt name restart_digests),
+      got )
+  in
+  let schedules n = [ [ n / 4; n / 4 ]; [ n / 4; n / 5; n / 6 ] ] in
+  let kernel name =
+    let k = W.Suite.by_name ~scale:W.Suite.bench_scale name in
+    ( name,
+      Pipeline.compile (Options.with_threshold 256 Options.default)
+        k.W.Kernel.program,
+      k.W.Kernel.threads )
+  in
+  let gen_program, gen_threads =
+    W.Gen.lower (W.Gen.generate ~cores:2 ~array_words:64 22)
+  in
+  let gen =
+    Pipeline.compile (Options.with_threshold 16 Options.default) gen_program
+  in
+  let drives =
+    List.concat_map
+      (fun (name, compiled, threads) ->
+        let n = (Verify.reference ~threads compiled).Executor.instrs in
+        List.concat_map
+          (fun mode ->
+            List.map
+              (fun crash_at ->
+                let r, recoveries, blocks =
+                  Verify.run_with_crashes ~mode ~threads ~crash_at compiled
+                in
+                case
+                  (Printf.sprintf "%s/%s/%d crashes" name
+                     (Persist.mode_name mode) (List.length crash_at))
+                  (md5 (observed r, recoveries, blocks)))
+              (schedules n))
+          [ Persist.Naive_sync; Persist.Redo_nowb ])
+      (List.map kernel [ "505.mcf_r"; "genome"; "ocean"; "radix" ]
+       @ [ ("gen", gen, gen_threads) ])
+  in
+  let stores =
+    List.map
+      (fun mode ->
+        let t = Svc.Server.plan (preloaded_cfg mode) in
+        let total = (Svc.Server.run t).Svc.Server.result.Executor.instrs in
+        let o = Svc.Server.run ~crash_at:[ total / 3; total / 3 ] t in
+        Alcotest.(check int) "two recoveries" 2 o.Svc.Server.recoveries;
+        case ("preloaded store/" ^ Persist.mode_name mode) (served_view o))
+      (List.filter Persist.crash_recoverable Persist.all_modes)
+  in
+  check_all ~what:"execution" (drives @ stores);
+  Alcotest.(check int) "5 programs x 2 modes x 2 schedules + 4 stores" 24
+    (List.length restart_digests)
+
 let suite =
   [
     Alcotest.test_case "19 kernels x fig9 configs" `Quick test_kernels;
@@ -622,4 +730,6 @@ let suite =
       test_served_views;
     Alcotest.test_case "multi-crash drives: kernels and a journaled run"
       `Quick test_crash_drives;
+    Alcotest.test_case "restarts: naive-sync and redo-nowb drives, a preloaded store"
+      `Quick test_restarts;
   ]
