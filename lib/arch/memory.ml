@@ -161,6 +161,51 @@ let copy_page = function
 let copy t =
   { pos = Array.map copy_page t.pos; neg = Array.map copy_page t.neg }
 
+(* An absent line holds zeros (every write bumps its line's version), so
+   a clear or a copy visits only the lines either side holds: a sparse
+   page costs its version scan, not its 2048 words. *)
+let clear_page p =
+  for lo = 0 to page_lines - 1 do
+    if Array.unsafe_get p.version lo > 0 then begin
+      Array.unsafe_set p.version lo 0;
+      Array.fill p.data (lo lsl line_bits) line_words 0
+    end
+  done
+
+let reload_page ~src p =
+  for lo = 0 to page_lines - 1 do
+    let v = Array.unsafe_get src.version lo in
+    if v > 0 || Array.unsafe_get p.version lo > 0 then begin
+      Array.unsafe_set p.version lo v;
+      let base = lo lsl line_bits in
+      for o = base to base + line_words - 1 do
+        Array.unsafe_set p.data o (Array.unsafe_get src.data o)
+      done
+    end
+  done
+
+let clear t =
+  let clear_slot = function None -> () | Some p -> clear_page p in
+  Array.iter clear_slot t.pos;
+  Array.iter clear_slot t.neg
+
+(* One page table of [reload]: [src]'s pages copied over [t]'s, [t]'s
+   other pages cleared. [page_of] is the page index of a table slot. *)
+let reload_table t ~dst ~src ~page_of =
+  for i = 0 to Int.max (Array.length dst) (Array.length src) - 1 do
+    let from = if i < Array.length src then src.(i) else None in
+    match from with
+    | Some f -> reload_page ~src:f (get_page t (page_of i))
+    | None -> (
+      match find_page t (page_of i) with
+      | Some p -> clear_page p
+      | None -> ())
+  done
+
+let reload t ~from =
+  reload_table t ~dst:t.pos ~src:from.pos ~page_of:(fun i -> i);
+  reload_table t ~dst:t.neg ~src:from.neg ~page_of:(fun i -> -1 - i)
+
 (* Present lines of one page table, in ascending page order. *)
 let iter_table table ~pidx_of f =
   Array.iteri

@@ -40,6 +40,17 @@ val write_line_masked_from : t -> int -> int array -> int -> int -> unit
     with the line's words read from [src] starting at [off]. *)
 
 val copy : t -> t
+
+val clear : t -> unit
+(** Every line absent again: zero words at version 0. The pages stay
+    allocated for reuse. *)
+
+val reload : t -> from:t -> unit
+(** Make [t] equal to [from], words and line versions, in place: [from]'s
+    pages are copied into the pages [t] already has (allocating only
+    those it lacks), and [t]'s other pages are cleared. [from] is not
+    modified. *)
+
 val iter_lines : t -> (int -> int array -> unit) -> unit
 (** Every written line with a fresh copy of its words. *)
 

@@ -74,7 +74,7 @@ type stats = {
   mutable nvm_writes_slot : int;
       (** line writes to the checkpoint slot arrays *)
   mutable compactions : int;
-      (** journal checkpoint-cursor flips (see {!journal_base}) *)
+      (** journal checkpoint-cursor flips (see {!journal_tail}) *)
   mutable journal_truncated : int;
       (** journal entries compacted out of the durable journal *)
 }
@@ -131,7 +131,7 @@ val init_slots :
 
 val seed_core : t -> core:int -> slots:int array -> resume:resume -> unit
 (** Restart setup after recovery: install the recovered slot array and
-    resume record for a core in a fresh engine. *)
+    resume record for a core in a fresh or {!restart}ed engine. *)
 
 val fence_active : t -> bool
 (** Whether {!store_conflict} can ever return true under this engine's
@@ -180,18 +180,17 @@ val journal_entries : t -> core:int -> (int * int) list
 (** [(output, commit cycle)] pairs in emission order; entries carried in
     by {!seed_journal} report cycle 0. *)
 
-val journal_base : t -> core:int -> int
-(** The durable checkpoint cursor: how many leading journal entries
-    compaction ({!Config.t.compact_interval}) has truncated from the
-    durable journal. {!journal} still returns the full ledger. *)
-
 val journal_tail : t -> core:int -> int
-(** Entries still in the durable journal (past the cursor) — what a
-    restart would re-serve; bounded by the compaction interval when
-    compaction is on, grows with history when it is off. *)
+(** Entries still in the durable journal — what a restart would
+    re-serve. Compaction ({!Config.t.compact_interval}) truncates the
+    journal's leading entries by flipping a durable checkpoint cursor
+    past them, so the tail is bounded by the compaction interval when
+    compaction is on and grows with history when it is off. {!journal}
+    still returns the full ledger. *)
 
 val seed_journal : t -> core:int -> ?base:int -> outs:int list -> unit -> unit
-(** Restart setup: carry a recovered journal into a fresh engine.
+(** Restart setup: carry a recovered journal into a fresh or {!restart}ed
+    engine.
     [base] (default 0) restores the checkpoint cursor recorded in the
     crash image's [acked_base], so compaction state survives restarts. *)
 
@@ -237,6 +236,19 @@ val crash_recover : t -> cycle:int -> image
     at most its front proxy and one store-threshold-sized back-end
     region, so a restart drains a few items per core, far less than the
     cost of spawning a domain. *)
+
+val restart : t -> Memory.t -> unit
+(** [restart t image]: power-on over a recovered durable image, in place.
+    Leaves [t] as {!create} followed by {!install_image} [image] would
+    build it: proxy queues, staged slots, journals, resume records, slot
+    arrays, the write queue, the monitoring window and the event clock
+    back to their start values; NVM holding exactly [image]'s lines, each
+    written once and every word of them stamped 0; the two install
+    counts ([nvm_line_writes], [nvm_writes_wb]) counted. The counters are
+    registered again the way {!create} registers them: with the null
+    bundle they restart at zero, with an enabled registry they keep
+    accumulating. Allocates none of the queues, slabs and pages [t]
+    already has. *)
 
 val fault_drop_undo : bool Atomic.t
 (** Test-only fault injection: while [true], {!crash_recover} skips the

@@ -336,6 +336,56 @@ let test_crash_sweep_slots_with_commit () =
   Alcotest.(check string) "images digest" "6199ec54a4781073e02887d4b6fa1423"
     (Digest.to_hex (Digest.string (String.concat "\n" keys)))
 
+(* One power cycle on two cores: stores, checkpoints, a journaled
+   output, commits, a writeback, interrupted regions (one staging a slot
+   an earlier region committed) and the crash. *)
+let power_cycle t =
+  ignore (store_on t ~core:0 ~cycle:0 ~line:7 ~from:0 ~to_:10 ~version:1);
+  ignore (store_on t ~core:1 ~cycle:0 ~line:9 ~from:0 ~to_:30 ~version:1);
+  Persist.on_ckpt t ~core:0 ~slot:3 ~value:5;
+  Persist.on_ckpt t ~core:1 ~slot:2 ~value:8;
+  Persist.on_out t ~core:0 ~value:77;
+  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:4);
+  ignore (store_on t ~core:0 ~cycle:2 ~line:8 ~from:0 ~to_:20 ~version:1);
+  Persist.on_writeback t ~cycle:3 ~line:9 ~data:(line_data 30) ~version:1;
+  ignore (Persist.on_boundary t ~core:1 ~cycle:4 ~boundary:2 ~sp:6);
+  Persist.on_ckpt t ~core:1 ~slot:2 ~value:9;
+  ignore (store_on t ~core:1 ~cycle:5 ~line:11 ~from:0 ~to_:40 ~version:2);
+  Persist.crash_recover t ~cycle:400
+
+(* Everything an image holds, NVM line versions included. *)
+let image_view (i : Persist.image) =
+  let lines = ref [] in
+  Memory.iter_lines i.Persist.nvm (fun l data ->
+      lines :=
+        (l, Memory.line_version i.Persist.nvm l, Array.to_list data) :: !lines);
+  ( List.sort compare !lines,
+    (i.Persist.resume, i.Persist.slots, i.Persist.acked, i.Persist.acked_base),
+    i.Persist.replayed )
+
+let test_restart_is_fresh () =
+  let cfg = { config with Config.cores = 2 } in
+  let image = power_cycle (mk ~cfg ()) in
+  let fresh () =
+    let t = mk ~cfg () in
+    Persist.install_image t image.Persist.nvm;
+    t
+  in
+  let restarted () =
+    let t = mk ~cfg () in
+    ignore (power_cycle t);
+    Persist.restart t image.Persist.nvm;
+    t
+  in
+  Alcotest.(check bool) "counters" true
+    (Persist.stats (restarted ()) = Persist.stats (fresh ()));
+  let crash t = image_view (Persist.crash_recover t ~cycle:0) in
+  Alcotest.(check bool) "durable records" true
+    (crash (restarted ()) = crash (fresh ()));
+  let cycle t = (image_view (power_cycle t), Persist.stats t) in
+  Alcotest.(check bool) "the next power cycle" true
+    (cycle (restarted ()) = cycle (fresh ()))
+
 let suite =
   [
     Alcotest.test_case "merge within region" `Quick test_merge_within_region;
@@ -371,4 +421,6 @@ let suite =
       test_store_keeps_commit_departure;
     Alcotest.test_case "crash sweep: slots ride their commit" `Quick
       test_crash_sweep_slots_with_commit;
+    Alcotest.test_case "restart equals a fresh engine" `Quick
+      test_restart_is_fresh;
   ]

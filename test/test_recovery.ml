@@ -352,6 +352,34 @@ let test_resume_refuses_another_program () =
     | _ -> Alcotest.fail "resumed a session of another program"
     | exception Invalid_argument _ -> ())
 
+let test_resume_consumes_the_crash () =
+  (* A resume restarts the crashed session's own machine, so it needs a
+     crash to restart from, and each crash is restarted once. *)
+  let source, _ = sum_program ~n:40 () in
+  let compiled = compile source in
+  let program = compiled.Compiled.program in
+  let start () =
+    Executor.start ~program ~threads:[ Executor.main_thread program ] ()
+  in
+  let refused what session image =
+    match Executor.resume ~compiled ~image session with
+    | _ -> Alcotest.failf "resumed %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  let session = start () in
+  match Executor.run ~crash_at_instr:60 session with
+  | Executor.Finished _ -> Alcotest.fail "expected a crash"
+  | Executor.Crashed c -> (
+    let image = c.Executor.image in
+    refused "a session that never ran" (start ()) image;
+    let resumed = Executor.resume ~compiled ~image session in
+    Alcotest.(check bool) "the crashed session restarts" true
+      (resumed == session);
+    refused "one crash twice" session image;
+    match Executor.run resumed with
+    | Executor.Crashed _ -> Alcotest.fail "unexpected crash"
+    | Executor.Finished _ -> refused "a finished session" resumed image)
+
 let suite =
   [
     Alcotest.test_case "crash at instruction 1" `Quick
@@ -380,4 +408,6 @@ let suite =
       test_recovery_block_exhaustive;
     Alcotest.test_case "resume refuses another program" `Quick
       test_resume_refuses_another_program;
+    Alcotest.test_case "resume refuses a session without a crash" `Quick
+      test_resume_consumes_the_crash;
   ]
