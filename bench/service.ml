@@ -108,6 +108,22 @@ let () =
     Printf.eprintf "%s: %s\n" Sys.argv.(0) msg;
     exit 2
   in
+  (* every count is checked before any trial runs; none is clamped *)
+  let at_least least what name v =
+    if v < least then
+      usage_error
+        (Printf.sprintf "option '%s': expected %s, got %d" name what v)
+  in
+  List.iter
+    (fun (name, v) -> at_least 1 "a positive integer" name !v)
+    [ ("--shards", shards); ("--ops", ops); ("--keys", keys);
+      ("--compact", compact); ("--period", period); ("--cores", cores);
+      ("--quantum", quantum); ("--hot-txns", hot_txns) ];
+  List.iter
+    (fun (name, v) -> at_least 0 "a non-negative integer" name !v)
+    [ ("--crash", crashes); ("--txns", txns) ];
+  if !noisy || !hot_key then
+    at_least 2 "at least 2 tenants" "--tenants" !tenants;
   (* every trial's store must fit the machine layout's cores, checked
      before any trial runs *)
   let print sc =
@@ -124,18 +140,17 @@ let () =
       sc.B.cells;
     print_string (snd (B.table ~jobs sc))
   in
-  let shards = max 1 !shards and ops = max 1 !ops in
+  let shards = !shards and ops = !ops in
   if !recovery then begin
     match
-      B.recovery ~shards ~keys:(max 1 !keys) ~ops ~factors:[ 1; 2; 5; 10 ]
-        ~interval:(max 1 !compact)
+      B.recovery ~shards ~keys:!keys ~ops ~factors:[ 1; 2; 5; 10 ]
+        ~interval:!compact
     with
     | sc -> print sc
     | exception Invalid_argument msg -> usage_error ("option '--keys': " ^ msg)
   end
   else if !rolling then
-    print
-      (B.rolling ~shards ~ops ~crashes:(max 0 !crashes) ~period:(max 1 !period))
+    print (B.rolling ~shards ~ops ~crashes:!crashes ~period:!period)
   else if !noisy then begin
     let variants =
       match !steal with
@@ -144,13 +159,11 @@ let () =
       | _ -> [ false; true ]
     in
     print
-      (B.noisy ~shards ~ops ~cores:(max 1 !cores) ~quantum:(max 1 !quantum)
-         ~tenants:(max 2 !tenants) ~skew:!skew ~period:(max 1 !period)
-         ~variants)
+      (B.noisy ~shards ~ops ~cores:!cores ~quantum:!quantum ~tenants:!tenants
+         ~skew:!skew ~period:!period ~variants)
   end
   else if !hot_key then
     print
-      (B.hot_key ~shards ~ops ~cores:(max 1 !cores) ~quantum:(max 1 !quantum)
-         ~tenants:(max 2 !tenants) ~skew:!skew ~hot_txns:(max 1 !hot_txns))
-  else
-    print (B.modes ~shards ~ops ~crashes:(max 0 !crashes) ~txns:(max 0 !txns))
+      (B.hot_key ~shards ~ops ~cores:!cores ~quantum:!quantum
+         ~tenants:!tenants ~skew:!skew ~hot_txns:!hot_txns)
+  else print (B.modes ~shards ~ops ~crashes:!crashes ~txns:!txns)
