@@ -23,8 +23,6 @@ type reason =
 val reason_name : reason -> string
 (** Stable kebab-case name ("entry", "call-return", ...). *)
 
-val all_reasons : reason list
-
 type region = {
   id : int;
   func : string;
@@ -58,5 +56,5 @@ val max_store_bound : t -> int
     must accommodate. *)
 
 val reason_counts : t -> (reason * int) list
-(** Region count per boundary reason, in {!all_reasons} order (zero
-    entries included). *)
+(** Region count per boundary reason, in the order {!reason} declares
+    them (zero entries included). *)

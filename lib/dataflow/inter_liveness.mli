@@ -8,8 +8,8 @@
 
     - the live-out of a [Call] block = live-in of its return block ∪
       live-in of the callee's entry;
-    - the live-out of a [Ret] block = {!ret_live} (the return-value
-      convention, r0) joined with the live-ins of every caller's
+    - the live-out of a [Ret] block = r0 (the return-value convention)
+      joined with the live-ins of every caller's
       continuation block: a value may flow callee -> caller -> later
       reader without the caller touching the register, and the
       checkpoint analysis must see it live across the return.
@@ -22,9 +22,6 @@
 open Capri_ir
 
 type t
-
-val ret_live : Reg.Set.t
-(** Registers live at every [Ret]: the return-value register r0. *)
 
 val compute : Program.t -> t
 

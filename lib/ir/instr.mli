@@ -80,7 +80,6 @@ val binop_fn : binop -> int -> int -> int
 val eval_binop : binop -> int -> int -> int
 (** [binop_fn op a b]; recovery blocks evaluate through it. *)
 
-val pp_operand : Format.formatter -> operand -> unit
 val pp : Format.formatter -> t -> unit
 val pp_terminator : Format.formatter -> terminator -> unit
 val binop_name : binop -> string

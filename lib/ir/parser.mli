@@ -20,7 +20,7 @@
 
     The instruction grammar matches {!Instr.pp} / {!Instr.pp_terminator}
     exactly; [data] lines extend {!Program.t}'s initial data image (the
-    printer in {!Program.pp} does not emit them, so [print_program] here
+    printer in {!Program.pp} does not emit them, so {!to_string} here
     adds them for full round-tripping). *)
 
 type error = { line : int; message : string }
@@ -32,8 +32,6 @@ val parse : string -> (Program.t, error) result
 
 val parse_file : string -> (Program.t, error) result
 
-val print_program : Format.formatter -> Program.t -> unit
-(** Like {!Program.pp} but also emits [data] lines, so
-    [parse (print_program p)] reconstructs [p] exactly. *)
-
 val to_string : Program.t -> string
+(** Like {!Program.pp} but also emits [data] lines, so
+    [parse (to_string p)] reconstructs [p] exactly. *)

@@ -15,12 +15,9 @@
 
 type t
 
-val default_buckets : int
-
 val create : ?buckets:int -> width:int -> unit -> t
 (** [width] is the window size in cycles (> 0); [buckets] the log2
-    histogram bucket count every histogram series uses (default
-    {!default_buckets}). Raises [Invalid_argument] on non-positive
+    histogram bucket count every histogram series uses (default 28). Raises [Invalid_argument] on non-positive
     arguments. *)
 
 val width : t -> int

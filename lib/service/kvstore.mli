@@ -148,9 +148,7 @@ val ctrl_vote : t -> Capri_arch.Memory.t -> tid:int -> shard:int -> int
 (** A shard's durable vote word: 0 unvoted, 1 yes, 2 no
     (non-participants read 1 from the initial image). *)
 
-val steal_count : t -> Capri_arch.Memory.t -> core:int -> int
-(** Tasks core [core] stole during the run, from the per-core counter
-    in the scheduler globals (0 for unscheduled stores). *)
-
 val steal_total : t -> Capri_arch.Memory.t -> int
-(** Sum of {!steal_count} over all scheduler cores. *)
+(** Tasks the scheduler cores stole during the run, summed over the
+    per-core counters in the scheduler globals (0 for unscheduled
+    stores). *)

@@ -86,11 +86,6 @@ val decisions : protocol -> bool array
 val txn_outcomes : protocol -> int * int
 (** [(commits, aborts)] of the replayed transactions. *)
 
-val durable_slack : int
-(** Micro-ops the durable table may run ahead of the acked count (a
-    mutation's region can commit while the response's region is still
-    open). *)
-
 type violation = { shard : int; crash_index : int; detail : string }
 (** [shard] is a core index (the coordinator is core [shards]);
     [crash_index = -1] marks a completion check failure. *)
@@ -104,8 +99,9 @@ val check :
   (unit, violation) result
 (** For every crash image: each core's acked responses must be a prefix
     of the protocol's answers; each recovered table must equal the
-    protocol replayed to some point in [\[acked, acked+durable_slack\]]
-    micro-ops; each durable vote/decision word must be 0 or the
+    protocol replayed to some point in [\[acked, acked+2\]] micro-ops
+    (a mutation's region can commit while the response's region is
+    still open); each durable vote/decision word must be 0 or the
     protocol's value, and must be the protocol's value once its owner
     acked past the record's sealing point. For the completed run: the
     response streams of every core must equal the protocol's answers

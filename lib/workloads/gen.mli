@@ -59,5 +59,4 @@ val lower : prog -> Program.t * Capri_runtime.Executor.thread_spec list
 val program_of_seed : int -> Program.t
 (** [fst (lower (generate seed))] — the single-threaded qcheck entry. *)
 
-val pp_stmt : Format.formatter -> stmt -> unit
 val pp_prog : Format.formatter -> prog -> unit
