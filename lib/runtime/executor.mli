@@ -7,12 +7,12 @@
     local cycle count, giving a deterministic sequentially-consistent
     interleaving that tracks simulated time.
 
-    {!start} decodes every basic block once ({!Code.build}); the sessions
-    {!resume}d from it share that decoded code, so a whole crash drive
-    decodes the program once. Each session lowers every decoded block to
-    a flat closure array — operands, register indices and branch targets
-    resolved once — which is the executor's only statement of
-    instruction semantics. Two schedulers drive the closures: {!run},
+    {!start} builds the machine: it decodes every basic block once
+    ({!Code.build}) and lowers every decoded block to a flat closure
+    array — operands, register indices and branch targets resolved once
+    — which is the executor's only statement of instruction semantics.
+    {!resume} restarts that same machine after a crash, so a whole crash
+    drive builds one machine. Two schedulers drive the closures: {!run},
     which runs bursts and fuses whole boundary-free blocks, and
     {!run_reference}, which steps one instruction per pick and is the
     reference the differential tests hold {!run} to.
@@ -116,20 +116,28 @@ val start :
 val resume :
   compiled:Capri_compiler.Compiled.t -> image:Arch.Persist.image -> session ->
   session
-(** [resume ~compiled ~image crashed]: the machine rebuilt from [image],
-    the durable image [crashed]'s crash left: memory = NVM contents,
-    registers reloaded from the slot arrays, threads positioned at their
-    resume boundaries ({!Recovery} must have applied recovery blocks to
-    the image's slots first). The new session inherits [crashed]'s
-    config, mode, journaling, obs bundle, threshold, thread specs and
-    decoded code, so resuming decodes nothing. [crashed] must descend
-    from a {!start} of [compiled]'s program (the very value, compared
-    physically): the image's resume boundaries are [compiled]'s region
-    ids. Raises [Invalid_argument] otherwise. The journal (and its
-    compaction cursor, [image.acked_base]) is carried into the fresh
-    persist engine when journaling is on. A later crash of this session
-    recovers through {!Arch.Persist.crash_recover} on the calling
-    domain, like a crash of a {!start}ed one. *)
+(** [resume ~compiled ~image crashed] restarts [crashed]'s own machine
+    from [image], the durable image its crash left, and returns
+    [crashed]: memory reloaded in place from the NVM contents, the
+    caches empty, the persist engine as a fresh one over [image]
+    ({!Arch.Persist.restart}), the run's counters at zero, and fresh
+    threads with their registers reloaded from the slot arrays,
+    positioned at their resume boundaries ({!Recovery} must have applied
+    recovery blocks to the image's slots first). The session keeps its
+    config, mode, journaling, obs bundle, threshold, thread specs,
+    decoded code and lowered closures, and no memory page it already
+    has is allocated again. The journal (and its compaction cursor,
+    [image.acked_base]) is carried into the restarted persist engine
+    when journaling is on. A later crash of the session recovers
+    through {!Arch.Persist.crash_recover} on the calling domain, like a
+    crash of a {!start}ed one.
+
+    A resume consumes its crash: [crashed] must have crashed since it
+    was started or last resumed, and must descend from a {!start} of
+    [compiled]'s program (the very value, compared physically), since
+    the image's resume boundaries are [compiled]'s region ids. Raises
+    [Invalid_argument] otherwise — on a session that never crashed, on
+    a finished one, and on a second resume of the same crash. *)
 
 val run : ?crash_at_instr:int -> ?max_steps:int -> session -> outcome
 (** Executes until every thread halts, the optional crash point fires, or

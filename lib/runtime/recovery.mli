@@ -40,5 +40,5 @@ val drive :
     counts, and {!Executor.resume}s. It runs the last session to the end
     and returns its result; a session that finishes before its crash
     point ends the drive. Outputs, acks and clocks of the crashed
-    sessions are the hook's to collect. A drive decodes the program
-    once. *)
+    sessions are the hook's to collect; each resume restarts the
+    session in place, so a drive builds one machine. *)
