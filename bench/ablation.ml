@@ -234,8 +234,9 @@ let journal ~scale () =
         let compiled = Pipeline.compile Options.default k.W.Kernel.program in
         let cycles journal_io =
           let r =
-            Recovery.drive ~journal_io ~threads:k.W.Kernel.threads
-              ~crash_at:[] compiled
+            Recovery.drive ~crash_at:[] compiled
+              (Recovery.machine ~journal_io ~threads:k.W.Kernel.threads
+                 compiled)
           in
           float_of_int r.Executor.cycles
         in

@@ -25,6 +25,15 @@ let threshold_arg =
   let doc = "Region store threshold (paper default 256)." in
   Arg.(value & opt int 256 & info [ "threshold" ] ~docv:"N" ~doc)
 
+let positive =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n > 0 -> Ok n
+        | Some _ | None ->
+          Error (Printf.sprintf "expected a positive integer, got %S" s)),
+      Format.pp_print_int )
+
 let find_kernel name scale =
   try W.Suite.by_name ~scale name
   with Not_found ->
@@ -113,20 +122,14 @@ let run_cmd =
 
 let crash_cmd =
   let points_arg =
-    let doc = "Number of crash points to test." in
-    Arg.(value & opt int 40 & info [ "points" ] ~docv:"N" ~doc)
+    let doc = "Number of crash points to test (at least 1)." in
+    Arg.(value & opt positive 40 & info [ "points" ] ~docv:"N" ~doc)
   in
   let run name scale threshold points =
     let k = find_kernel name scale in
     let options = Options.with_threshold threshold Options.default in
     let compiled = Pipeline.compile options k.W.Kernel.program in
-    let reference =
-      Verify.reference ~threads:k.W.Kernel.threads compiled
-    in
-    let stride = max 1 (reference.Executor.instrs / points) in
-    match
-      crash_sweep ~threads:k.W.Kernel.threads ~stride compiled
-    with
+    match crash_sweep ~threads:k.W.Kernel.threads ~points compiled with
     | Ok report ->
       Printf.printf
         "%d crash points: all recovered (%d recoveries, %d recovery \
@@ -299,15 +302,6 @@ let trace_cmd =
 
 let serve_cmd =
   let module Svc = Capri_service in
-  let positive =
-    Arg.conv'
-      ( (fun s ->
-          match int_of_string_opt s with
-          | Some n when n > 0 -> Ok n
-          | Some _ | None ->
-            Error (Printf.sprintf "expected a positive integer, got %S" s)),
-        Format.pp_print_int )
-  in
   let shards_arg =
     let doc = "Shard cores serving the store (at least 1)." in
     Arg.(value & opt positive 2 & info [ "shards" ] ~docv:"N" ~doc)

@@ -127,7 +127,10 @@ let () =
   let at = ref 1 in
   while !at < reference.Executor.instrs do
     incr points;
-    let result, _, _ = Verify.run_with_crashes ~crash_at:[ !at ] compiled in
+    let result, _, _ =
+      Verify.run_with_crashes ~crash_at:[ !at ] compiled
+        (Recovery.machine compiled)
+    in
     (match Verify.check_equivalence ~reference ~candidate:result with
      | Ok () -> ()
      | Error e ->
@@ -142,7 +145,7 @@ let () =
     Verify.run_with_crashes
       ~crash_at:[ reference.Executor.instrs / 3;
                   reference.Executor.instrs / 2 ]
-      compiled
+      compiled (Recovery.machine compiled)
   in
   let ok = ref true in
   Hashtbl.iter

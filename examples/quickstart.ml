@@ -59,6 +59,7 @@ let () =
   (* 4. Pull the plug mid-run, recover, resume — same answer. *)
   let crashed, recoveries, _ =
     Verify.run_with_crashes ~crash_at:[ result.Executor.instrs / 2 ] compiled
+      (Recovery.machine compiled)
   in
   Printf.printf "crash:    sum after recovery = %d (recoveries: %d)\n"
     (List.hd crashed.Executor.outputs.(0))

@@ -30,9 +30,10 @@ let () =
   let crash_point = result.Executor.instrs / 2 in
   let crash = ref None in
   let resumed =
-    Recovery.drive ~threads:kernel.W.Kernel.threads
+    Recovery.drive
       ~on_crash:(fun c _ -> crash := Some c)
       ~crash_at:[ crash_point ] compiled
+      (Recovery.machine ~threads:kernel.W.Kernel.threads compiled)
   in
   match !crash with
   | None -> print_endline "the kernel finished before the power failure"

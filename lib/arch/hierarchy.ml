@@ -33,7 +33,7 @@ type t = {
       (* whether the copy the last [fetch_from_below] took was dirty: an
          out-parameter instead of a result tuple per miss *)
   mutable c : counters;  (* registered anew by [reset] *)
-  metrics : Metrics.t;
+  mutable metrics : Metrics.t;  (* rebound by [reset ~obs] *)
   labels : Metrics.labels;
 }
 
@@ -41,15 +41,17 @@ let pow2_ge n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
+(* Registered by every [create] and [reset]: the series names are
+   literals, so a registration allocates no string. *)
 let mk_counters metrics labels =
-  let c name = Metrics.counter ~labels metrics ("cache_" ^ name) in
+  let c name = Metrics.counter ~labels metrics name in
   {
-    c_l1_hits = c "l1_hits";
-    c_l2_hits = c "l2_hits";
-    c_dram_hits = c "dram_hits";
-    c_nvm_accesses = c "nvm_accesses";
-    c_writebacks = c "writebacks";
-    c_invalidations = c "invalidations";
+    c_l1_hits = c "cache_l1_hits";
+    c_l2_hits = c "cache_l2_hits";
+    c_dram_hits = c "cache_dram_hits";
+    c_nvm_accesses = c "cache_nvm_accesses";
+    c_writebacks = c "cache_writebacks";
+    c_invalidations = c "cache_invalidations";
   }
 
 let create ?(obs = Obs.null) ?(labels = []) config ~on_nvm_writeback =
@@ -73,7 +75,10 @@ let create ?(obs = Obs.null) ?(labels = []) config ~on_nvm_writeback =
   }
 
 (* [drop_all] emptied the caches at the power loss. *)
-let reset t =
+let reset ?obs t =
+  (match obs with
+   | Some (obs : Obs.t) -> t.metrics <- obs.Obs.metrics
+   | None -> ());
   Array.iter Cache.reset t.l1;
   Cache.reset t.l2;
   Cache.reset t.dram;

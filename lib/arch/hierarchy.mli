@@ -47,12 +47,13 @@ val flush_all : t -> cycle:int -> unit
 val drop_all : t -> unit
 (** Power loss: every cached line vanishes. *)
 
-val reset : t -> unit
+val reset : ?obs:Capri_obs.Obs.t -> t -> unit
 (** Power-on after {!drop_all}: every cache as {!create} built it
     ({!Cache.reset}) and the counters registered again the way {!create}
-    registers them — with the null bundle they restart at zero, with an
-    enabled registry they keep accumulating. The caches' allocated sets
-    are reused. *)
+    registers them, in [obs]'s registry when it is given (it then stays
+    the hierarchy's) and in the hierarchy's own otherwise — with the
+    null bundle they restart at zero, with an enabled registry they keep
+    accumulating. The caches' allocated sets are reused. *)
 
 val l1 : t -> core:int -> Cache.t
 (** A core's private L1, for inspection by tests. *)

@@ -68,28 +68,30 @@ type counters = {
   c_journal_truncated : Metrics.Counter.t;
 }
 
+(* Registered by every [create] and [restart]: the series names are
+   literals, so a registration allocates no string. *)
 let mk_counters metrics ~mode =
   let labels = [ ("mode", mode_name mode) ] in
-  let c name = Metrics.counter ~labels metrics ("persist_" ^ name) in
+  let c name = Metrics.counter ~labels metrics name in
   {
-    c_entries_created = c "entries_created";
-    c_entries_merged = c "entries_merged";
-    c_commits = c "commits";
-    c_boundaries_elided = c "boundaries_elided";
-    c_ckpt_flushes = c "ckpt_flushes";
-    c_redo_writes = c "redo_writes";
-    c_redo_skipped_invalid = c "redo_skipped_invalid";
-    c_redo_skipped_stale = c "redo_skipped_stale";
-    c_scan_invalidations = c "scan_invalidations";
-    c_window_invalidations = c "window_invalidations";
-    c_store_stall_cycles = c "store_stall_cycles";
-    c_boundary_stall_cycles = c "boundary_stall_cycles";
-    c_nvm_line_writes = c "nvm_line_writes";
-    c_nvm_writes_wb = c "nvm_writes_wb";
-    c_nvm_writes_redo = c "nvm_writes_redo";
-    c_nvm_writes_slot = c "nvm_writes_slot";
-    c_compactions = c "compactions";
-    c_journal_truncated = c "journal_truncated";
+    c_entries_created = c "persist_entries_created";
+    c_entries_merged = c "persist_entries_merged";
+    c_commits = c "persist_commits";
+    c_boundaries_elided = c "persist_boundaries_elided";
+    c_ckpt_flushes = c "persist_ckpt_flushes";
+    c_redo_writes = c "persist_redo_writes";
+    c_redo_skipped_invalid = c "persist_redo_skipped_invalid";
+    c_redo_skipped_stale = c "persist_redo_skipped_stale";
+    c_scan_invalidations = c "persist_scan_invalidations";
+    c_window_invalidations = c "persist_window_invalidations";
+    c_store_stall_cycles = c "persist_store_stall_cycles";
+    c_boundary_stall_cycles = c "persist_boundary_stall_cycles";
+    c_nvm_line_writes = c "persist_nvm_line_writes";
+    c_nvm_writes_wb = c "persist_nvm_writes_wb";
+    c_nvm_writes_redo = c "persist_nvm_writes_redo";
+    c_nvm_writes_slot = c "persist_nvm_writes_slot";
+    c_compactions = c "persist_compactions";
+    c_journal_truncated = c "persist_journal_truncated";
   }
 
 type resume =
@@ -416,7 +418,7 @@ type t = {
          OR of their word masks; drives the cross-core conflict fence
          (see store_conflict) *)
   mutable c : counters;  (* registered anew by [restart] *)
-  obs : Obs.t;
+  mutable obs : Obs.t;  (* rebound by [restart ~obs] *)
 }
 
 (* Volatile proxy state after the drain: every queue empty, every
@@ -637,7 +639,8 @@ let install_image t memory =
    the queues, slabs, pages and buffers already allocated are kept. Only
    lines NVM holds carry stamps, so resetting theirs to [create]'s -1 and
    clearing NVM leaves the stamps and NVM of a fresh engine. *)
-let restart t image =
+let restart ?obs t image =
+  (match obs with Some obs -> t.obs <- obs | None -> ());
   reset_volatile t;
   t.c <- mk_counters t.obs.Obs.metrics ~mode:t.mode;
   Memory.iter_line_data t.nvm (fun line _ _ ->

@@ -237,17 +237,18 @@ val crash_recover : t -> cycle:int -> image
     region, so a restart drains a few items per core, far less than the
     cost of spawning a domain. *)
 
-val restart : t -> Memory.t -> unit
+val restart : ?obs:Capri_obs.Obs.t -> t -> Memory.t -> unit
 (** [restart t image]: power-on over a recovered durable image, in place.
     Leaves [t] as {!create} followed by {!install_image} [image] would
     build it: proxy queues, staged slots, journals, resume records, slot
     arrays, the write queue, the monitoring window and the event clock
     back to their start values; NVM holding exactly [image]'s lines, each
     written once and every word of them stamped 0; the two install
-    counts ([nvm_line_writes], [nvm_writes_wb]) counted. The counters are
-    registered again the way {!create} registers them: with the null
-    bundle they restart at zero, with an enabled registry they keep
-    accumulating. Allocates none of the queues, slabs and pages [t]
+    counts ([nvm_line_writes], [nvm_writes_wb]) counted. [obs] (default:
+    the engine's own bundle) becomes the engine's bundle, and the
+    counters are registered in it the way {!create} registers them: with
+    the null bundle they restart at zero, with an enabled registry they
+    keep accumulating. Allocates none of the queues, slabs and pages [t]
     already has. *)
 
 val fault_drop_undo : bool Atomic.t

@@ -40,8 +40,7 @@ let run_volatile ?(config = Config.sim_default) ?threads program =
   | Executor.Finished r -> r
   | Executor.Crashed _ -> assert false
 
-let crash_sweep ?config ?threads ?stride compiled =
-  Verify.crash_sweep ?config ?threads ?stride compiled
+let crash_sweep = Verify.crash_sweep
 
 (* Profile-guided compilation (the paper's Section 6.3 future work):
    measure each unknown-trip loop's typical iteration count with an

@@ -68,7 +68,7 @@ val run_volatile :
 
 val crash_sweep :
   ?config:Config.t -> ?threads:Executor.thread_spec list -> ?stride:int ->
-  Compiled.t -> (Verify.report, Verify.failure) result
+  ?points:int -> Compiled.t -> (Verify.report, Verify.failure) result
 (** See {!Verify.crash_sweep}. *)
 
 val compile_pgo :

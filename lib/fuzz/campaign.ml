@@ -24,6 +24,7 @@ module Opt = Capri_compiler.Options
 module Pipeline = Capri_compiler.Pipeline
 module Gen = Capri_workloads.Gen
 module Pool = Capri_util.Pool
+module Recovery = Capri_runtime.Recovery
 
 (* ---------------- configuration ---------------- *)
 
@@ -110,8 +111,9 @@ let shrink_crash_failure cfg ~mode ~options ~threads ~reference ~compiled prog
     schedule =
   let test_schedule compiled' threads' reference' s =
     match
-      Oracle.check_crash ~config:cfg.config ~mode ~threads:threads'
-        ~reference:reference' compiled' s
+      Oracle.check_crash ~reference:reference' compiled'
+        (Recovery.machine ~config:cfg.config ~mode ~threads:threads' compiled')
+        s
     with
     | Error _ -> true
     | Ok () -> false
@@ -245,38 +247,44 @@ let run_trial cfg k =
       let crash_modes = List.filter Arch.Persist.crash_recoverable cfg.modes in
       let crash_checks = ref 0 in
       let failure = ref None in
-      (* crash oracle: every schedule under every requested mode *)
+      (* crash oracle: every schedule under every requested mode, each
+         mode's schedules driving one machine (the reference has its
+         own) *)
       List.iter
         (fun mode ->
-          List.iter
-            (fun schedule ->
-              if !failure = None then begin
-                incr crash_checks;
-                match
-                  Oracle.check_crash ~config:cfg.config ~mode ~threads
-                    ~reference compiled schedule
-                with
-                | Ok () -> ()
-                | Error reason ->
-                  let shrunk_schedule, shrunk_keep, minimized =
-                    if cfg.shrink then
-                      let s, k, m =
-                        shrink_crash_failure cfg ~mode ~options ~threads
-                          ~reference ~compiled prog schedule
-                      in
-                      (s, k, pp_prog_string m)
-                    else (schedule, [], "")
-                  in
-                  failure :=
-                    Some
-                      (fail ~schedule ~shrunk_schedule ~shrunk_keep ~minimized
-                         ~oracle:
-                           (Printf.sprintf "crash(%s)"
-                              (Arch.Persist.mode_name mode))
-                         ~detail:(Oracle.options_string options)
-                         ~repro:(repro_string cfg seed mode) reason)
-              end)
-            schedules)
+          if !failure = None && schedules <> [] then begin
+            let machine =
+              Recovery.machine ~config:cfg.config ~mode ~threads compiled
+            in
+            List.iter
+              (fun schedule ->
+                if !failure = None then begin
+                  incr crash_checks;
+                  match
+                    Oracle.check_crash ~reference compiled machine schedule
+                  with
+                  | Ok () -> ()
+                  | Error reason ->
+                    let shrunk_schedule, shrunk_keep, minimized =
+                      if cfg.shrink then
+                        let s, k, m =
+                          shrink_crash_failure cfg ~mode ~options ~threads
+                            ~reference ~compiled prog schedule
+                        in
+                        (s, k, pp_prog_string m)
+                      else (schedule, [], "")
+                    in
+                    failure :=
+                      Some
+                        (fail ~schedule ~shrunk_schedule ~shrunk_keep ~minimized
+                           ~oracle:
+                             (Printf.sprintf "crash(%s)"
+                                (Arch.Persist.mode_name mode))
+                           ~detail:(Oracle.options_string options)
+                           ~repro:(repro_string cfg seed mode) reason)
+                end)
+              schedules
+          end)
         crash_modes;
       (* differential oracle: gated on Volatile membership *)
       let diff_checks = ref 0 in

@@ -62,11 +62,8 @@ let crash_options_of_seed seed =
 
 (* ---------------- crash oracle ---------------- *)
 
-let check_crash ?config ?(mode = Arch.Persist.Capri) ~threads
-    ~(reference : Executor.result) compiled schedule =
-  match
-    Verify.run_with_crashes ?config ~mode ~threads ~crash_at:schedule compiled
-  with
+let check_crash ~(reference : Executor.result) compiled machine schedule =
+  match Verify.run_with_crashes ~crash_at:schedule compiled machine with
   | result, _recoveries, _blocks ->
     Verify.check_equivalence ~reference ~candidate:result
   | exception Failure reason -> Error (Printf.sprintf "exception: %s" reason)
@@ -93,6 +90,10 @@ let check_differential ?config ~threads ~(source : Executor.result) options
     let compiled_result =
       Capri.run_volatile ?config ~threads compiled.Compiled.program
     in
+    if source.Executor.memory == compiled_result.Executor.memory then
+      invalid_arg
+        "Oracle.check_differential: the source and compiled runs share one \
+         machine's memory";
     (* Stacks (below the data segment) legitimately differ: compiled
        code spills checkpoint bookkeeping; compare the data segment. *)
     if

@@ -19,15 +19,16 @@ val crash_options_of_seed : int -> Opt.t
     the bare region configuration is not failure-atomic by design). *)
 
 val check_crash :
-  ?config:Arch.Config.t ->
-  ?mode:Arch.Persist.mode ->
-  threads:Executor.thread_spec list ->
   reference:Executor.result ->
   Capri_compiler.Compiled.t ->
+  Executor.session ->
   int list ->
   (unit, string) result
-(** Run the compiled program under [mode] with the given crash schedule
-    and check indistinguishability from the crash-free [reference]. *)
+(** [check_crash ~reference compiled machine schedule] drives [machine]
+    (a machine of [compiled]'s program, {!Capri_runtime.Recovery.machine},
+    in the persist mode under test) through the crash schedule and checks
+    indistinguishability from the crash-free [reference], which must come
+    from a machine of its own. *)
 
 val run_source :
   ?config:Arch.Config.t ->
@@ -48,4 +49,6 @@ val check_differential :
 (** Compile [program] under the given options and execute it in Volatile
     mode: data-segment memory, output streams and per-core r0 must match
     the source run exactly (no crash machinery involved, so no
-    re-emission slack). *)
+    re-emission slack). Raises [Invalid_argument] when [source] carries
+    the compiled run's memory (physically): the comparison would be of a
+    memory with itself. *)

@@ -219,15 +219,16 @@ let repro_string cfg seed =
 
 (* ---------------- oracle drive and shrinking ---------------- *)
 
-let serve t schedule =
+let serve ?(obs = Capri_obs.Obs.create ()) ?machine t schedule =
   (* Each run gets a fresh obs bundle: trace well-formedness across the
      crash schedule is itself an oracle — a dangling span at a crash
      point or a non-monotone stitch across a recovery boundary is
      reported like any other violation. (Fresh because origin stitching
      is per-run state; sharing a tracer across runs would interleave
-     timelines.) A clean run returns its outcome and tracer. *)
-  let obs = Capri_obs.Obs.create () in
-  match Svc.Server.run ~obs ~crash_at:schedule t with
+     timelines.) The run drives [machine] when given, rebound to [obs],
+     and a new machine otherwise. A clean run returns its outcome and
+     tracer. *)
+  match Svc.Server.run ~obs ?machine ~crash_at:schedule t with
   | outcome -> (
     match Svc.Server.check t outcome with
     | Ok () -> (
@@ -388,10 +389,14 @@ let run_trial cfg k =
            if !failure = None then begin
              let cfg' = { planned.Svc.Server.cfg with Svc.Server.mode } in
              let t = { planned with Svc.Server.cfg = cfg' } in
+             (* One machine serves the mode's crash-free run and every
+                schedule, made under the first run's bundle. *)
+             let obs = Capri_obs.Obs.create () in
+             let machine = Svc.Server.machine ~obs t in
              (* the crash-free oracle run also yields the crash points'
                 range and the boundaries they aim at *)
              incr checks;
-             match serve t [] with
+             match serve ~obs ~machine t [] with
              | Error reason ->
                (* a crash-free violation: no schedule to shrink, but the
                   workload still minimizes (e.g. down to the one
@@ -422,7 +427,7 @@ let run_trial cfg k =
                    let s = schedule () in
                    incr checks;
                    incr schedules_run;
-                   match serve t s with
+                   match serve ~machine t s with
                    | Ok _ -> ()
                    | Error reason ->
                      let shrunk, kept =

@@ -133,6 +133,9 @@ type session = {
   mutable threads : thread array;  (* made by [restart_run] *)
   check_threshold : int option;
   mutable crashed : bool;  (* a crash fired and no [resume] followed yet *)
+  mutable pristine : bool;
+      (* in [rewind]'s state: nothing ran since, so a rewind under the
+         same bundle has nothing to undo *)
   mutable instr_count : int;
   mutable payload_count : int;
   mutable store_count : int;
@@ -149,7 +152,9 @@ type session = {
          a result tuple per load; sessions never share a domain with each
          other, threads within one never interleave mid-instruction *)
   profile : (int, boundary_profile) Hashtbl.t;
-  obs : Obs.t;
+  mutable obs : Obs.t;
+      (* rebound by [rewind]; the closures decided the tracer's
+         enablement when they were lowered, so a new bundle must agree *)
 }
 
 let make_thread code core (spec : thread_spec) =
@@ -649,10 +654,10 @@ let init_slots s (th : thread) =
   Persist.init_slots s.persist ~core:th.core ~slots:th.regs ~resume_boundary
     ~sp:th.regs.(sp_idx)
 
-(* The run's own state at its start values, for [start] on a fresh
-   session and for [resume] on a crashed one: the counters, the region
-   profile (reset, not cleared, so it keeps a fresh table's bucket count)
-   and one new thread per spec at its entry. *)
+(* The run's own state at its start values, for [rewind] and for
+   [resume] on a crashed session: the counters, the region profile
+   (reset, not cleared, so it keeps a fresh table's bucket count) and one
+   new thread per spec at its entry. *)
 let restart_run s =
   s.instr_count <- 0;
   s.payload_count <- 0;
@@ -671,22 +676,43 @@ let restart_run s =
            th)
          s.specs)
 
-(* A fresh machine: a persist engine and cache hierarchy over [memory],
-   whose contents become the initial NVM image (installed directly: the
-   writeback path would lose them under Redo_nowb, which drops dirty
-   writebacks by design), one thread per spec at its function's entry,
-   and every block of the program decoded and lowered. A writeback hands
-   the persist engine the line's current words through one per-session
-   buffer. The program is decoded only after the caches are built:
-   building them can trigger a minor collection, which would promote a
-   decode made before it. [resume] restarts this same machine. *)
+(* [start]'s state, written in place: memory holding the program's data
+   image only, the caches empty, the persist engine over that image (the
+   loader wrote it, so it is durable before execution starts; installed
+   directly, since the writeback path would lose it under Redo_nowb,
+   which drops dirty writebacks by design), the run's counters at zero
+   and one thread per spec at its function's entry, its initial context
+   durable. The decoded code, the lowered closures and every page,
+   cache set and proxy buffer already allocated are kept. *)
+let rewind ?obs s =
+  let obs = Option.value obs ~default:s.obs in
+  if Tracer.enabled obs.Obs.tracer <> Tracer.enabled s.obs.Obs.tracer then
+    invalid_arg
+      "Executor.rewind: the session's closures were lowered for the other \
+       tracer setting";
+  if not (s.pristine && obs == s.obs) then begin
+    s.obs <- obs;
+    s.crashed <- false;
+    Memory.clear s.memory;
+    load_data s.program s.memory;
+    Hierarchy.drop_all s.hier;
+    Hierarchy.reset ~obs s.hier;
+    Persist.restart ~obs s.persist s.memory;
+    restart_run s;
+    Array.iter (init_slots s) s.threads;
+    s.pristine <- true
+  end
+
+(* A new machine: memory, a persist engine and a cache hierarchy, every
+   block of the program decoded and lowered, then [rewind] to the start
+   state. A writeback hands the persist engine the line's current words
+   through one per-session buffer. The program is decoded only after the
+   caches are built: building them can trigger a minor collection, which
+   would promote a decode made before it. *)
 let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
     ?(journal_io = false) ?(obs = Obs.null) ?check_threshold ~program
     ~threads:specs () =
-  (* The data segment is durable before execution starts: the loader
-     wrote it. *)
   let memory = Memory.create () in
-  load_data program memory;
   let config = { config with Config.cores = max 1 (List.length specs) } in
   let persist = Persist.create ~obs config ~mode in
   let wb_data = Array.make Config.line_words 0 in
@@ -697,7 +723,6 @@ let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
         Persist.on_writeback persist ~cycle ~line ~data:wb_data
           ~version:(Memory.line_version memory line))
   in
-  Persist.install_image persist memory;
   let code = Code.build program in
   let lcosts, scosts = mk_cost_tables config in
   let s =
@@ -719,6 +744,7 @@ let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
       threads = [||];
       check_threshold;
       crashed = false;
+      pristine = false;
       instr_count = 0;
       payload_count = 0;
       store_count = 0;
@@ -736,8 +762,7 @@ let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
   s.cblocks <-
     Array.init (Code.length code) (fun idx ->
         lower_block s (Code.block code idx));
-  restart_run s;
-  Array.iter (init_slots s) s.threads;
+  rewind s;
   s
 
 let resume ~(compiled : Capri_compiler.Compiled.t) ~(image : Persist.image) s =
@@ -900,6 +925,7 @@ let default_max_steps = 100_000_000
    index on ties) is re-picked before every instruction, which runs
    through [exec_one] — no bursts, no fused blocks. *)
 let run_reference ?crash_at_instr ?(max_steps = default_max_steps) s =
+  s.pristine <- false;
   let crashed = ref None in
   let rec loop () =
     (* Earliest-cycle runnable thread. *)
@@ -949,6 +975,7 @@ let run_reference ?crash_at_instr ?(max_steps = default_max_steps) s =
    [max_steps] waits for its turn to raise [Livelock], so the thread the
    reference names raises first). *)
 let run ?crash_at_instr ?(max_steps = default_max_steps) s =
+  s.pristine <- false;
   let crashed = ref None in
   let threads = s.threads in
   let nthreads = Array.length threads in
@@ -1023,6 +1050,8 @@ let run ?crash_at_instr ?(max_steps = default_max_steps) s =
   in
   sched ();
   match !crashed with Some c -> Crashed c | None -> finish s
+
+let program s = s.program
 
 let positions s =
   Array.map

@@ -12,7 +12,9 @@
     array — operands, register indices and branch targets resolved once
     — which is the executor's only statement of instruction semantics.
     {!resume} restarts that same machine after a crash, so a whole crash
-    drive builds one machine. Two schedulers drive the closures: {!run},
+    drive builds one machine, and {!rewind} puts a stopped machine back
+    into its start state, so a loop of drives over one program builds one
+    machine too. Two schedulers drive the closures: {!run},
     which runs bursts and fuses whole boundary-free blocks, and
     {!run_reference}, which steps one instruction per pick and is the
     reference the differential tests hold {!run} to.
@@ -87,7 +89,10 @@ type crash = {
 type outcome = Finished of result | Crashed of crash
 
 type session
-(** A run in progress or a resumable context. *)
+(** A machine: a run in progress, a resumable context or a stopped run
+    to {!rewind}. A result's [memory] and [profile] are the machine's
+    own, not copies: they hold the run's final state until the machine
+    is rewound or resumed. *)
 
 val start :
   ?config:Arch.Config.t -> ?mode:Arch.Persist.mode -> ?journal_io:bool ->
@@ -111,7 +116,32 @@ val start :
     region span's begin event carries the boundary's global instruction
     index ([instr]) and the store count of the region it closed
     ([stores]); {!boundary_instrs} and {!render_timeline} read them
-    back. *)
+    back.
+
+    [start] allocates the machine's parts, decodes and lowers, then
+    {!rewind}s it: the start state is written down once, there. *)
+
+val rewind : ?obs:Capri_obs.Obs.t -> session -> unit
+(** Puts a stopped session back into the state {!start} gave it, in
+    place. Stopped means finished, crashed and not resumed, or abandoned
+    by {!Livelock} or by a failed threshold check (any session, in fact,
+    that is not inside {!run} or {!run_reference}). Memory is cleared and
+    reloaded with the program's data image, the caches are emptied and
+    reset, the persist engine restarts over that image
+    ({!Arch.Persist.restart}), the run's counters and profile restart
+    from zero and the threads from their entries with their initial
+    contexts durable. The config, mode, journaling, threshold, thread
+    specs, decoded code, lowered closures and every page, cache set and
+    proxy buffer the machine already has are kept. The previous run's
+    result loses its [memory] and [profile] to the new run.
+
+    [obs] (default: the session's own bundle) becomes the bundle of the
+    session, its persist engine and its caches, as {!start}'s [obs]
+    would. The closures were lowered for one tracer setting, so a bundle
+    whose tracer's enablement differs is refused with
+    [Invalid_argument]. A session that has not run since it was started
+    or rewound is already in the start state: rewinding it under the
+    same bundle (physically) does nothing. *)
 
 val resume :
   compiled:Capri_compiler.Compiled.t -> image:Arch.Persist.image -> session ->
@@ -169,6 +199,9 @@ val run_reference :
     [bench/perfsmoke.exe]) hold {!run} to it field by field: cycles,
     counters, outputs, acks, final registers and memory, persist and
     hierarchy statistics, crash images and recovered runs. *)
+
+val program : session -> Program.t
+(** The program the session was started with. *)
 
 val positions : session -> (string * string * int * int) array
 (** Per-core (function, block label, instruction index, cycle) — where

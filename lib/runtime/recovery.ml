@@ -60,23 +60,28 @@ let apply_recovery_blocks_per_core (compiled : Compiled.t)
       | Arch.Persist.Done | Arch.Persist.Never_started -> 0)
     image.Arch.Persist.resume
 
-let drive ?config ?mode ?journal_io ?obs ?threads ?(on_crash = fun _ _ -> ())
-    ~crash_at (compiled : Compiled.t) =
-  let rec go session crash_at =
+let machine ?config ?mode ?journal_io ?obs ?threads (compiled : Compiled.t) =
+  let program = compiled.Compiled.program in
+  Executor.start ?config ?mode ?journal_io ?obs
+    ~check_threshold:compiled.Compiled.options.Options.threshold ~program
+    ~threads:(Option.value threads ~default:[ Executor.main_thread program ])
+    ()
+
+let drive ?obs ?(on_crash = fun _ _ -> ()) ~crash_at (compiled : Compiled.t)
+    machine =
+  let rec go crash_at =
     let at, rest =
       match crash_at with [] -> (None, []) | at :: rest -> (Some at, rest)
     in
-    match Executor.run ?crash_at_instr:at session with
+    match Executor.run ?crash_at_instr:at machine with
     | Executor.Finished r -> r
     | Executor.Crashed crash ->
       let image = crash.Executor.image in
       on_crash crash (apply_recovery_blocks_per_core compiled image);
-      go (Executor.resume ~compiled ~image session) rest
+      ignore (Executor.resume ~compiled ~image machine);
+      go rest
   in
-  let program = compiled.Compiled.program in
-  go
-    (Executor.start ?config ?mode ?journal_io ?obs
-       ~check_threshold:compiled.Compiled.options.Options.threshold ~program
-       ~threads:(Option.value threads ~default:[ Executor.main_thread program ])
-       ())
-    crash_at
+  if Executor.program machine != compiled.Compiled.program then
+    invalid_arg "Recovery.drive: the machine does not run compiled's program";
+  Executor.rewind ?obs machine;
+  go crash_at

@@ -12,9 +12,9 @@
       regions' boundaries with all architectural registers reloaded from
       the slot arrays.
 
-    {!drive} is the one loop that runs this cycle; the verifier, the
-    serving layer, the fuzzer's oracle and the examples all crash through
-    it. *)
+    {!drive} is the one loop that runs this cycle, on a machine its
+    caller holds; the verifier, the serving layer, the fuzzer's oracle
+    and the examples all crash through it. *)
 
 module Arch = Capri_arch
 
@@ -26,19 +26,35 @@ val apply_recovery_blocks_per_core :
     feed the restart-time model, which charges the {e maximum} over
     cores — the simulated restart finishes with its slowest core. *)
 
-val drive :
+val machine :
   ?config:Arch.Config.t -> ?mode:Arch.Persist.mode -> ?journal_io:bool ->
   ?obs:Capri_obs.Obs.t -> ?threads:Executor.thread_spec list ->
+  Capri_compiler.Compiled.t -> Executor.session
+(** A new machine for [compiled]: {!Executor.start} of its program with
+    its store threshold checked, the start options as there, [threads]
+    defaulting to the main function. *)
+
+val drive :
+  ?obs:Capri_obs.Obs.t ->
   ?on_crash:(Executor.crash -> int array -> unit) -> crash_at:int list ->
-  Capri_compiler.Compiled.t -> Executor.result
-(** [drive ~crash_at compiled] {!Executor.start}s [compiled]'s program
-    (the start options as there; [threads] defaults to the main function,
-    and [compiled]'s store threshold is checked) and runs it to each
-    crash point in turn (each counted in global instructions within its
-    own session): it applies the recovery blocks per core, calls
-    [on_crash] (default: nothing) with the crash and the per-core block
-    counts, and {!Executor.resume}s. It runs the last session to the end
-    and returns its result; a session that finishes before its crash
-    point ends the drive. Outputs, acks and clocks of the crashed
-    sessions are the hook's to collect; each resume restarts the
-    session in place, so a drive builds one machine. *)
+  Capri_compiler.Compiled.t -> Executor.session -> Executor.result
+(** [drive ~crash_at compiled machine] runs [machine], a machine of
+    [compiled]'s program ({!machine}), from its start state to each crash
+    point in turn (each counted in global instructions within its own
+    session): it applies the recovery blocks per core, calls [on_crash]
+    (default: nothing) with the crash and the per-core block counts, and
+    {!Executor.resume}s. It runs the last session to the end and returns
+    its result; a session that finishes before its crash point ends the
+    drive. Outputs, acks and clocks of the crashed sessions are the
+    hook's to collect. Raises [Invalid_argument] when [machine] was not
+    started with [compiled]'s program (the very value, compared
+    physically), whose region ids the crash images' resume boundaries
+    are.
+
+    The drive first {!Executor.rewind}s [machine] under [obs] (default:
+    the machine's own bundle) — nothing to undo on a machine just made —
+    so the caller that holds a machine may drive it again and again, and
+    each resume restarts it in place: a drive builds no machine. The
+    result's [memory] and [profile] belong to [machine] until its next
+    drive; a result checked against later drives needs a machine of its
+    own. *)

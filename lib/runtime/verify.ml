@@ -11,15 +11,16 @@ type report = {
 type failure = { crash_at : int list; reason : string }
 
 let reference ?config ?mode ?obs ?threads compiled =
-  Recovery.drive ?config ?mode ?obs ?threads ~crash_at:[] compiled
+  Recovery.drive ~crash_at:[] compiled
+    (Recovery.machine ?config ?mode ?obs ?threads compiled)
 
-let run_with_crashes ?config ?mode ?threads ~crash_at compiled =
+let run_with_crashes ~crash_at compiled machine =
   let before = ref [] and blocks = ref 0 in
   let on_crash (crash : Executor.crash) per_core =
     before := crash.Executor.outputs_before :: !before;
     blocks := !blocks + Array.fold_left ( + ) 0 per_core
   in
-  let r = Recovery.drive ?config ?mode ?threads ~on_crash ~crash_at compiled in
+  let r = Recovery.drive ~on_crash ~crash_at compiled machine in
   (* Outputs emitted before each crash already left the machine: they
      lead each core's stream. *)
   let outputs =
@@ -40,6 +41,10 @@ let is_subsequence small big =
 
 let check_equivalence ~(reference : Executor.result)
     ~(candidate : Executor.result) =
+  if reference.Executor.memory == candidate.Executor.memory then
+    invalid_arg
+      "Verify.check_equivalence: reference and candidate share one machine's \
+       memory";
   if not (Arch.Memory.equal reference.Executor.memory candidate.Executor.memory)
   then begin
     let diffs =
@@ -87,12 +92,14 @@ let check_equivalence ~(reference : Executor.result)
        | None -> Ok ())
   end
 
-let crash_sweep ?config ?threads ?stride compiled =
+let crash_sweep ?config ?threads ?stride ?(points = 50) compiled =
   let ref_result = reference ?config ?threads compiled in
   let total = ref_result.Executor.instrs in
   let stride =
-    match stride with Some s -> max 1 s | None -> max 1 (total / 50)
+    match stride with Some s -> max 1 s | None -> max 1 (total / points)
   in
+  (* The reference keeps its own machine; the candidates share one. *)
+  let machine = Recovery.machine ?config ?threads compiled in
   let crash_points = ref 0 in
   let recoveries = ref 0 in
   let blocks = ref 0 in
@@ -103,7 +110,7 @@ let crash_sweep ?config ?threads ?stride compiled =
     incr crash_points;
     (try
        let result, recs, blks =
-         run_with_crashes ?config ?threads ~crash_at:[ !at ] compiled
+         run_with_crashes ~crash_at:[ !at ] compiled machine
        in
        recoveries := !recoveries + recs;
        blocks := !blocks + blks;

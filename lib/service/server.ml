@@ -95,8 +95,9 @@ let calibrate cfg =
   in
   let compiled = Comp.Pipeline.compile cfg.options kv.Kvstore.program in
   let r =
-    Runtime.Recovery.drive ~config:cfg.config ~mode:cfg.mode ~journal_io:true
-      ~threads:(Kvstore.thread_specs kv) ~crash_at:[] compiled
+    Runtime.Recovery.drive ~crash_at:[] compiled
+      (Runtime.Recovery.machine ~config:cfg.config ~mode:cfg.mode
+         ~journal_io:true ~threads:(Kvstore.thread_specs kv) compiled)
   in
   max 1 (r.Executor.cycles / 32)
 
@@ -442,7 +443,11 @@ let instrument obs t outcome =
       (derive t outcome protocol)
   end
 
-let run ?(obs = Obs.null) ?(crash_at = []) t =
+let machine ?obs t =
+  Runtime.Recovery.machine ~config:t.cfg.config ~mode:t.cfg.mode
+    ~journal_io:true ?obs ~threads:(Kvstore.thread_specs t.kv) t.compiled
+
+let run ?(obs = Obs.null) ?machine:held ?(crash_at = []) t =
   let cfg = t.cfg in
   if cfg.mode = Arch.Persist.Volatile && crash_at <> [] then
     invalid_arg "Server.run: a volatile store cannot recover from a crash";
@@ -497,8 +502,8 @@ let run ?(obs = Obs.null) ?(crash_at = []) t =
     Tracer.set_origin obs.Obs.tracer (max !base (Tracer.max_ts obs.Obs.tracer))
   in
   let result =
-    Runtime.Recovery.drive ~config:cfg.config ~mode:cfg.mode ~journal_io:true
-      ~obs ~threads:(Kvstore.thread_specs t.kv) ~on_crash ~crash_at t.compiled
+    Runtime.Recovery.drive ~obs ~on_crash ~crash_at t.compiled
+      (match held with Some m -> m | None -> machine ~obs t)
   in
   (* acks of the last session, or of the only one when the service
      drained before any crash point fired *)

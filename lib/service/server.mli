@@ -113,12 +113,24 @@ type outcome = {
   result : Capri_runtime.Executor.result;
 }
 
+val machine : ?obs:Capri_obs.Obs.t -> t -> Capri_runtime.Executor.session
+(** A new machine for [t]'s store: {!Capri_runtime.Recovery.machine} of
+    its compiled program in [t]'s config and mode, journaled I/O on, one
+    thread per store core. *)
+
 val run :
   ?obs:Capri_obs.Obs.t ->
+  ?machine:Capri_runtime.Executor.session ->
   ?crash_at:int list ->
   t ->
   outcome
-(** Each [crash_at] entry is a dynamic-instruction crash point within its
+(** [machine] (default: a new {!machine} of [t]) is the machine the run
+    drives; a held one is rewound under [obs] first, so a loop can serve
+    [t] again and again on one machine, each run with its own bundle of
+    the same tracer setting. The outcome's [result.memory] is the
+    machine's until its next run.
+
+    Each [crash_at] entry is a dynamic-instruction crash point within its
     own segment (first entry in the fresh run, second after the first
     recovery, ...): the run is one {!Capri_runtime.Recovery.drive}, whose
     per-crash hook collects acks and images and charges each restart's

@@ -7,6 +7,14 @@ let r = Reg.of_int
 let rg i = Builder.reg (r i)
 let im = Builder.imm
 
+(* A shipped example file, from wherever the suites run: [dune runtest]
+   runs them in _build/default/test, beside the copy the test's deps put
+   in ../examples, and a [dune exec test/main.exe] from the repository
+   root finds examples/ below it. *)
+let example_path name =
+  let beside = Filename.concat "../examples" name in
+  if Sys.file_exists beside then beside else Filename.concat "examples" name
+
 (* sum of 0..n-1 stored into memory, then read back and emitted. *)
 let sum_program ?(n = 10) () =
   let b = Builder.create () in

@@ -37,7 +37,10 @@ let test_journal_crash_free_matches () =
   let program = chatty_program () in
   let compiled = compile program in
   let plain = run compiled in
-  let r = Recovery.drive ~journal_io:true ~crash_at:[] compiled in
+  let r =
+    Recovery.drive ~crash_at:[] compiled
+      (Recovery.machine ~journal_io:true compiled)
+  in
   Alcotest.(check (list int)) "same stream"
     plain.Executor.outputs.(0) r.Executor.outputs.(0)
 
@@ -46,9 +49,15 @@ let test_journal_exactly_once_under_crashes () =
      after any crash — no re-emission, no loss. *)
   let program = chatty_program () in
   let compiled = compile program in
-  let reference = Recovery.drive ~journal_io:true ~crash_at:[] compiled in
+  let reference =
+    Recovery.drive ~crash_at:[] compiled
+      (Recovery.machine ~journal_io:true compiled)
+  in
   for at = 1 to reference.Executor.instrs - 1 do
-    let crashed = Recovery.drive ~journal_io:true ~crash_at:[ at ] compiled in
+    let crashed =
+      Recovery.drive ~crash_at:[ at ] compiled
+        (Recovery.machine ~journal_io:true compiled)
+    in
     Alcotest.(check (list int))
       (Printf.sprintf "exact stream after crash at %d" at)
       reference.Executor.outputs.(0) crashed.Executor.outputs.(0)
@@ -57,12 +66,16 @@ let test_journal_exactly_once_under_crashes () =
 let test_journal_double_crash () =
   let program = chatty_program () in
   let compiled = compile program in
-  let reference = Recovery.drive ~journal_io:true ~crash_at:[] compiled in
+  let reference =
+    Recovery.drive ~crash_at:[] compiled
+      (Recovery.machine ~journal_io:true compiled)
+  in
   let n = reference.Executor.instrs in
   List.iter
     (fun (a, b) ->
       let crashed =
-        Recovery.drive ~journal_io:true ~crash_at:[ a; b ] compiled
+        Recovery.drive ~crash_at:[ a; b ] compiled
+          (Recovery.machine ~journal_io:true compiled)
       in
       Alcotest.(check (list int)) "exact stream, double crash"
         reference.Executor.outputs.(0) crashed.Executor.outputs.(0))
@@ -76,7 +89,10 @@ let test_unjournaled_can_duplicate () =
   let reference = Verify.reference compiled in
   let duplicated = ref false in
   for at = 1 to reference.Executor.instrs - 1 do
-    let result, _, _ = Verify.run_with_crashes ~crash_at:[ at ] compiled in
+    let result, _, _ =
+      Verify.run_with_crashes ~crash_at:[ at ] compiled
+        (Recovery.machine compiled)
+    in
     if
       List.length result.Executor.outputs.(0)
       > List.length reference.Executor.outputs.(0)

@@ -131,7 +131,8 @@ let negative_counter () =
     | _ -> line
   in
   let text =
-    In_channel.with_open_text "../examples/counter.capri" In_channel.input_all
+    In_channel.with_open_text (example_path "counter.capri")
+      In_channel.input_all
     |> String.split_on_char '\n' |> List.map rebase |> String.concat "\n"
   in
   match Parser.parse text with
@@ -157,7 +158,8 @@ let test_negative_addresses_all_modes () =
       if Persist.crash_recoverable mode then begin
         let crash_at = reference.Executor.instrs / 2 in
         let result, recoveries, _ =
-          Verify.run_with_crashes ~mode ~crash_at:[ crash_at ] compiled
+          Verify.run_with_crashes ~crash_at:[ crash_at ] compiled
+            (Recovery.machine ~mode compiled)
         in
         Alcotest.(check int) (name ^ " recoveries") 1 recoveries;
         same (name ^ " with one crash") result

@@ -343,7 +343,10 @@ let test_invariant_survives_crash_recovery () =
     | Persist.Done | Persist.Never_started ->
       Alcotest.fail "the crash left no region to resume"
   in
-  let r = Recovery.drive ~on_crash ~crash_at:[ 60 ] compiled in
+  let r =
+    Recovery.drive ~on_crash ~crash_at:[ 60 ] compiled
+      (Recovery.machine compiled)
+  in
   Alcotest.(check int) "one crash" 1 !crashes;
   check_stats_invariant "post-recovery" r.Executor.persist_stats
 

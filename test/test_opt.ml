@@ -78,7 +78,10 @@ let test_pruned_recovery_block_recomputes () =
   (* crash at every instruction: region 2 crashes exercise the block *)
   let total = reference.Executor.instrs in
   for at = 1 to total - 1 do
-    let result, _, _ = Verify.run_with_crashes ~crash_at:[ at ] compiled in
+    let result, _, _ =
+      Verify.run_with_crashes ~crash_at:[ at ] compiled
+        (Recovery.machine compiled)
+    in
     match Verify.check_equivalence ~reference ~candidate:result with
     | Ok () -> ()
     | Error e -> Alcotest.failf "crash at %d: %s" at e

@@ -173,7 +173,7 @@ let test_error_line_numbers () =
 let test_fixpoint_counter_example () =
   (* parse -> print -> parse over the shipped example must be a fixpoint:
      the second print is byte-identical to the first. *)
-  let path = "../examples/counter.capri" in
+  let path = example_path "counter.capri" in
   match Parser.parse_file path with
   | Error e ->
     Alcotest.failf "counter.capri: line %d: %s" e.Parser.line e.Parser.message

@@ -560,7 +560,8 @@ let journaled_drive ~crash_at compiled threads =
     blocks := !blocks + Array.fold_left ( + ) 0 per_core
   in
   let r =
-    Recovery.drive ~journal_io:true ~threads ~on_crash ~crash_at compiled
+    Recovery.drive ~on_crash ~crash_at compiled
+      (Recovery.machine ~journal_io:true ~threads compiled)
   in
   (r, !recoveries, !blocks)
 
@@ -596,8 +597,8 @@ let test_crash_drives () =
                   (Printf.sprintf "%s/%s/%d crashes" name
                      (Persist.mode_name mode) (List.length crash_at))
                   (view
-                     (Verify.run_with_crashes ~mode ~threads ~crash_at
-                        compiled)))
+                     (Verify.run_with_crashes ~crash_at compiled
+                        (Recovery.machine ~mode ~threads compiled))))
               (schedules n))
           [ Persist.Capri; Persist.Undo_sync ])
       (List.map kernel [ "505.mcf_r"; "genome"; "ocean"; "radix" ]
@@ -693,7 +694,8 @@ let test_restarts () =
             List.map
               (fun crash_at ->
                 let r, recoveries, blocks =
-                  Verify.run_with_crashes ~mode ~threads ~crash_at compiled
+                  Verify.run_with_crashes ~crash_at compiled
+                    (Recovery.machine ~mode ~threads compiled)
                 in
                 case
                   (Printf.sprintf "%s/%s/%d crashes" name

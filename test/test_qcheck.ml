@@ -44,6 +44,7 @@ let prop_crash_equivalence =
         (fun at ->
           let result, _, _ =
             Verify.run_with_crashes ~crash_at:[ at ] compiled
+              (Recovery.machine compiled)
           in
           match Verify.check_equivalence ~reference ~candidate:result with
           | Ok () -> true
@@ -63,6 +64,7 @@ let prop_double_crash =
       let b = 1 + (seed * 17 mod max 1 (total / 2)) in
       let result, _, _ =
         Verify.run_with_crashes ~crash_at:[ a; b ] compiled
+          (Recovery.machine compiled)
       in
       match Verify.check_equivalence ~reference ~candidate:result with
       | Ok () -> true
@@ -156,7 +158,8 @@ let prop_journal_exactly_once =
       let program = Capri_workloads.Gen.program_of_seed seed in
       let compiled = Pipeline.compile (crash_options_of_seed seed) program in
       let journaled crash_at =
-        Recovery.drive ~journal_io:true ~crash_at compiled
+        Recovery.drive ~crash_at compiled
+          (Recovery.machine ~journal_io:true compiled)
       in
       let reference = journaled [] in
       let total = reference.Executor.instrs in

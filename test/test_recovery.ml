@@ -10,7 +10,8 @@ let exhaustive_sweep name compiled threads =
   let reference = Verify.reference ~threads compiled in
   for at = 1 to reference.Executor.instrs - 1 do
     let result, _, _ =
-      Verify.run_with_crashes ~threads ~crash_at:[ at ] compiled
+      Verify.run_with_crashes ~crash_at:[ at ] compiled
+        (Recovery.machine ~threads compiled)
     in
     match Verify.check_equivalence ~reference ~candidate:result with
     | Ok () -> ()
@@ -23,6 +24,7 @@ let test_crash_at_first_instruction () =
   let reference = Verify.reference compiled in
   let result, recoveries, _ =
     Verify.run_with_crashes ~crash_at:[ 1 ] compiled
+      (Recovery.machine compiled)
   in
   Alcotest.(check int) "one recovery" 1 recoveries;
   match Verify.check_equivalence ~reference ~candidate:result with
@@ -37,7 +39,7 @@ let test_crash_after_halt_is_noop () =
   let result, recoveries, _ =
     Verify.run_with_crashes
       ~crash_at:[ reference.Executor.instrs * 2 ]
-      compiled
+      compiled (Recovery.machine compiled)
   in
   Alcotest.(check int) "no recovery" 0 recoveries;
   match Verify.check_equivalence ~reference ~candidate:result with
@@ -69,6 +71,7 @@ let test_triple_crash () =
   let n = reference.Executor.instrs in
   let result, recoveries, _ =
     Verify.run_with_crashes ~crash_at:[ n / 4; n / 4; n / 4 ] compiled
+      (Recovery.machine compiled)
   in
   Alcotest.(check int) "three recoveries" 3 recoveries;
   match Verify.check_equivalence ~reference ~candidate:result with
@@ -85,8 +88,8 @@ let test_multithreaded_recovery () =
   List.iter
     (fun at ->
       let result, _, _ =
-        Verify.run_with_crashes ~threads:k.W.Kernel.threads ~crash_at:[ at ]
-          compiled
+        Verify.run_with_crashes ~crash_at:[ at ] compiled
+          (Recovery.machine ~threads:k.W.Kernel.threads compiled)
       in
       match Verify.check_equivalence ~reference ~candidate:result with
       | Ok () -> ()
@@ -100,9 +103,10 @@ let test_resume_session_register_state () =
   let compiled = compile program in
   let crashes = ref 0 in
   let r =
-    Recovery.drive ~mode:Persist.Capri
+    Recovery.drive
       ~on_crash:(fun _ _ -> incr crashes)
       ~crash_at:[ 60 ] compiled
+      (Recovery.machine ~mode:Persist.Capri compiled)
   in
   Alcotest.(check int) "one crash" 1 !crashes;
   (* The resumed run must complete with the correct final value. *)
@@ -115,8 +119,8 @@ let test_never_started_core_restarts () =
   let compiled = compile k.W.Kernel.program in
   let reference = Verify.reference ~threads:k.W.Kernel.threads compiled in
   let result, _, _ =
-    Verify.run_with_crashes ~threads:k.W.Kernel.threads ~crash_at:[ 1 ]
-      compiled
+    Verify.run_with_crashes ~crash_at:[ 1 ] compiled
+      (Recovery.machine ~threads:k.W.Kernel.threads compiled)
   in
   match Verify.check_equivalence ~reference ~candidate:result with
   | Ok () -> ()
@@ -177,7 +181,8 @@ let test_crash_at_instruction_zero () =
     (fun mode ->
       let reference = Verify.reference ~mode compiled in
       let result, recoveries, _ =
-        Verify.run_with_crashes ~mode ~crash_at:[ 0 ] compiled
+        Verify.run_with_crashes ~crash_at:[ 0 ] compiled
+          (Recovery.machine ~mode compiled)
       in
       Alcotest.(check int) "one recovery" 1 recoveries;
       (match Verify.check_equivalence ~reference ~candidate:result with
@@ -203,6 +208,7 @@ let test_two_crashes_same_region () =
       (fun second ->
         let result, recoveries, _ =
           Verify.run_with_crashes ~crash_at:[ !at; second ] compiled
+            (Recovery.machine compiled)
         in
         Alcotest.(check int)
           (Printf.sprintf "two recoveries @%d+%d" !at second)
@@ -284,7 +290,7 @@ let test_crash_inside_recovery_replay () =
   let r =
     Recovery.drive ~on_crash
       ~crash_at:[ reference.Executor.instrs / 2; 1 ]
-      compiled
+      compiled (Recovery.machine compiled)
   in
   match List.rev !crashes with
   | [ first; second ] ->
@@ -325,7 +331,8 @@ let test_crash_after_core_halts () =
       List.iter
         (fun at ->
           let result, _, _ =
-            Verify.run_with_crashes ~mode ~threads ~crash_at:[ at ] compiled
+            Verify.run_with_crashes ~crash_at:[ at ] compiled
+              (Recovery.machine ~mode ~threads compiled)
           in
           match Verify.check_equivalence ~reference ~candidate:result with
           | Ok () -> ()
@@ -339,12 +346,16 @@ let test_crash_after_core_halts () =
 let test_resume_refuses_another_program () =
   (* A crash image's resume boundaries are region ids of the compiled
      program: a session started from the uncompiled source cannot be
-     resumed under it. *)
+     resumed under it, nor driven (a crash-free drive would otherwise
+     run the source silently). *)
   let source, _ = sum_program ~n:40 () in
   let compiled = compile source in
   let session =
     Executor.start ~program:source ~threads:[ Executor.main_thread source ] ()
   in
+  (match Recovery.drive ~crash_at:[] compiled session with
+   | _ -> Alcotest.fail "drove a machine of another program"
+   | exception Invalid_argument _ -> ());
   match Executor.run ~crash_at_instr:60 session with
   | Executor.Finished _ -> Alcotest.fail "expected a crash"
   | Executor.Crashed c -> (

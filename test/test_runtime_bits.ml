@@ -94,7 +94,7 @@ let test_outputs_preserved_across_sessions () =
   let result, _, _ =
     Verify.run_with_crashes
       ~crash_at:[ reference.Executor.instrs - 2 ]
-      compiled
+      compiled (Recovery.machine compiled)
   in
   Alcotest.(check bool) "7 present" true
     (List.mem 7 result.Executor.outputs.(0))
@@ -111,11 +111,35 @@ let test_check_equivalence_rejects () =
    | Error _ -> ()
    | Ok () -> Alcotest.fail "memory mismatch accepted");
   let candidate2 =
-    { a with Executor.outputs = Array.map (fun _ -> []) a.Executor.outputs }
+    {
+      a with
+      Executor.outputs = Array.map (fun _ -> []) a.Executor.outputs;
+      memory = Memory.copy a.Executor.memory;
+    }
   in
   match Verify.check_equivalence ~reference:a ~candidate:candidate2 with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "lost outputs accepted"
+
+(* A machine's next drive takes over its previous result's memory, so a
+   reference and a candidate from one machine carry one memory: the
+   oracle must refuse the pair instead of comparing a memory with
+   itself. *)
+let test_check_equivalence_refuses_aliasing () =
+  let program, _ = sum_program ~n:4 () in
+  let compiled = compile program in
+  let machine = Recovery.machine compiled in
+  let reference = Recovery.drive ~crash_at:[] compiled machine in
+  let candidate, _, _ =
+    Verify.run_with_crashes ~crash_at:[ 5 ] compiled machine
+  in
+  Alcotest.(check bool) "one machine, one memory" true
+    (reference.Executor.memory == candidate.Executor.memory);
+  Alcotest.check_raises "aliased pair refused"
+    (Invalid_argument
+       "Verify.check_equivalence: reference and candidate share one \
+        machine's memory")
+    (fun () -> ignore (Verify.check_equivalence ~reference ~candidate))
 
 let test_region_map_queries () =
   let program, _, _ = mixed_program ~n:8 () in
@@ -225,6 +249,8 @@ let suite =
       test_emit_lock_mutual_exclusion;
     Alcotest.test_case "barrier synchronizes" `Quick
       test_emit_barrier_synchronizes;
+    Alcotest.test_case "verifier refuses one machine's pair" `Quick
+      test_check_equivalence_refuses_aliasing;
   ]
 
 (* The region timeline is read back from the tracer the executor

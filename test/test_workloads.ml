@@ -88,8 +88,8 @@ let test_multithread_kernels_crash_recover () =
       List.iter
         (fun at ->
           let result, _, _ =
-            Verify.run_with_crashes ~threads:k.W.Kernel.threads
-              ~crash_at:[ at ] compiled
+            Verify.run_with_crashes ~crash_at:[ at ] compiled
+              (Recovery.machine ~threads:k.W.Kernel.threads compiled)
           in
           match Verify.check_equivalence ~reference ~candidate:result with
           | Ok () -> ()
