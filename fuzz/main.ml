@@ -35,6 +35,10 @@
                     hot-key 2PC), so crashes land inside deque critical
                     sections and steal windows
 
+   Counts are never clamped: a budget, job count, schedule or core
+   count below 1, a negative --diff-combos, --max-txns or --min-txns,
+   and a --min-txns above --max-txns are usage errors (exit 2).
+
    The report goes to stdout; the exit status is 1 iff any oracle
    failed. Every failure carries a repro line: the exact --seed plus
    every non-default flag that shapes the trial, which replays it in
@@ -59,6 +63,15 @@ let int_arg flag v =
   | Some n -> n
   | None -> bad (Printf.sprintf "%s expects an integer, got %S" flag v)
 
+let count_arg ~least flag v =
+  let n = int_arg flag v in
+  if n < least then
+    bad
+      (Printf.sprintf "%s expects a %s integer, got %d" flag
+         (if least > 0 then "positive" else "non-negative")
+         n);
+  n
+
 let modes_arg v =
   String.split_on_char ',' v
   |> List.concat_map (fun name ->
@@ -73,7 +86,7 @@ let modes_arg v =
 let () =
   let seed = ref Campaign.default_cfg.Campaign.seed in
   let budget = ref Campaign.default_cfg.Campaign.budget in
-  let jobs = ref 0 in
+  let jobs = ref None in
   let modes = ref [] in
   let max_schedules = ref Campaign.default_cfg.Campaign.max_schedules in
   let diff_combos = ref Campaign.default_cfg.Campaign.diff_combos in
@@ -99,28 +112,28 @@ let () =
       seed := int_arg "--seed" v;
       parse rest
     | "--budget" :: v :: rest ->
-      budget := int_arg "--budget" v;
+      budget := count_arg ~least:1 "--budget" v;
       parse rest
     | "--jobs" :: v :: rest ->
-      jobs := int_arg "--jobs" v;
+      jobs := Some (count_arg ~least:1 "--jobs" v);
       parse rest
     | "--mode" :: v :: rest ->
       modes := !modes @ modes_arg v;
       parse rest
     | "--max-schedules" :: v :: rest ->
-      max_schedules := int_arg "--max-schedules" v;
+      max_schedules := count_arg ~least:1 "--max-schedules" v;
       parse rest
     | "--diff-combos" :: v :: rest ->
-      diff_combos := int_arg "--diff-combos" v;
+      diff_combos := count_arg ~least:0 "--diff-combos" v;
       parse rest
     | "--max-cores" :: v :: rest ->
-      max_cores := int_arg "--max-cores" v;
+      max_cores := count_arg ~least:1 "--max-cores" v;
       parse rest
     | "--max-txns" :: v :: rest ->
-      max_txns := int_arg "--max-txns" v;
+      max_txns := count_arg ~least:0 "--max-txns" v;
       parse rest
     | "--min-txns" :: v :: rest ->
-      min_txns := int_arg "--min-txns" v;
+      min_txns := count_arg ~least:0 "--min-txns" v;
       parse rest
     | "--no-shrink" :: rest ->
       shrink := false;
@@ -137,20 +150,26 @@ let () =
       | None -> bad (Printf.sprintf "unknown argument %S" a))
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let jobs = if !jobs > 0 then !jobs else Capri_util.Pool.default_jobs () in
+  let jobs =
+    match !jobs with Some n -> n | None -> Capri_util.Pool.default_jobs ()
+  in
   let modes = if !modes = [] then Persist.all_modes else !modes in
   if !steal && not !service then bad "--steal requires --service";
+  if !min_txns > !max_txns then
+    bad
+      (Printf.sprintf "--min-txns %d exceeds --max-txns %d" !min_txns
+         !max_txns);
   if !service then begin
     let cfg =
       {
         Service_fuzz.default_cfg with
         Service_fuzz.seed = !seed;
-        budget = max 1 !budget;
+        budget = !budget;
         jobs;
         modes;
-        max_schedules = max 1 !max_schedules;
-        max_txns = max 0 !max_txns;
-        min_txns = max 0 !min_txns;
+        max_schedules = !max_schedules;
+        max_txns = !max_txns;
+        min_txns = !min_txns;
         steal = !steal;
         shrink = !shrink;
       }
@@ -163,12 +182,12 @@ let () =
     {
       Campaign.default_cfg with
       Campaign.seed = !seed;
-      budget = max 1 !budget;
+      budget = !budget;
       jobs;
       modes;
-      max_schedules = max 1 !max_schedules;
-      diff_combos = max 0 !diff_combos;
-      max_cores = max 1 !max_cores;
+      max_schedules = !max_schedules;
+      diff_combos = !diff_combos;
+      max_cores = !max_cores;
       shrink = !shrink;
     }
   in

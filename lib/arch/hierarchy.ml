@@ -32,7 +32,9 @@ type t = {
   mutable fetched_dirty : bool;
       (* whether the copy the last [fetch_from_below] took was dirty: an
          out-parameter instead of a result tuple per miss *)
-  mutable c : counters;  (* registered anew by [reset] *)
+  mutable c : counters;
+      (* registered in [metrics]; [reset] registers anew only when the
+         registry changes *)
   mutable metrics : Metrics.t;  (* rebound by [reset ~obs] *)
   labels : Metrics.labels;
 }
@@ -41,8 +43,8 @@ let pow2_ge n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-(* Registered by every [create] and [reset]: the series names are
-   literals, so a registration allocates no string. *)
+(* Registered by [create], and by [reset] when the registry changed: the
+   series names are literals, so a registration allocates no string. *)
 let mk_counters metrics labels =
   let c name = Metrics.counter ~labels metrics name in
   {
@@ -53,6 +55,17 @@ let mk_counters metrics labels =
     c_writebacks = c "cache_writebacks";
     c_invalidations = c "cache_invalidations";
   }
+
+(* The fresh cells a null-registry registration would hand out, made in
+   place. *)
+let zero_counters c =
+  let z cell = Metrics.Counter.set cell 0 in
+  z c.c_l1_hits;
+  z c.c_l2_hits;
+  z c.c_dram_hits;
+  z c.c_nvm_accesses;
+  z c.c_writebacks;
+  z c.c_invalidations
 
 let create ?(obs = Obs.null) ?(labels = []) config ~on_nvm_writeback =
   let mk lines ways =
@@ -74,15 +87,19 @@ let create ?(obs = Obs.null) ?(labels = []) config ~on_nvm_writeback =
     labels;
   }
 
-(* [drop_all] emptied the caches at the power loss. *)
+(* [drop_all] emptied the caches at the power loss. The counters are
+   what registering them again would return: an enabled registry's
+   interned cells as they stand, the null registry's at zero. *)
 let reset ?obs t =
+  let metrics = t.metrics in
   (match obs with
    | Some (obs : Obs.t) -> t.metrics <- obs.Obs.metrics
    | None -> ());
   Array.iter Cache.reset t.l1;
   Cache.reset t.l2;
   Cache.reset t.dram;
-  t.c <- mk_counters t.metrics t.labels
+  if t.metrics != metrics then t.c <- mk_counters t.metrics t.labels
+  else if not (Metrics.enabled metrics) then zero_counters t.c
 
 let latency (config : Config.t) = function
   | L1 -> config.l1_hit

@@ -53,7 +53,9 @@ val reset : ?obs:Capri_obs.Obs.t -> t -> unit
     registers them, in [obs]'s registry when it is given (it then stays
     the hierarchy's) and in the hierarchy's own otherwise — with the
     null bundle they restart at zero, with an enabled registry they keep
-    accumulating. The caches' allocated sets are reused. *)
+    accumulating. Only a change of registry registers new cells; the
+    caches' allocated sets and, under an unchanged registry, the counter
+    cells (zeroed in place under the null registry) are reused. *)
 
 val l1 : t -> core:int -> Cache.t
 (** A core's private L1, for inspection by tests. *)

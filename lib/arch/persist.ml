@@ -68,8 +68,9 @@ type counters = {
   c_journal_truncated : Metrics.Counter.t;
 }
 
-(* Registered by every [create] and [restart]: the series names are
-   literals, so a registration allocates no string. *)
+(* Registered by [create], and by [restart] when the registry changed:
+   the series names are literals, so a registration allocates no
+   string. *)
 let mk_counters metrics ~mode =
   let labels = [ ("mode", mode_name mode) ] in
   let c name = Metrics.counter ~labels metrics name in
@@ -93,6 +94,29 @@ let mk_counters metrics ~mode =
     c_compactions = c "persist_compactions";
     c_journal_truncated = c "persist_journal_truncated";
   }
+
+(* The fresh cells a null-registry registration would hand out, made in
+   place. *)
+let zero_counters c =
+  let z cell = Metrics.Counter.set cell 0 in
+  z c.c_entries_created;
+  z c.c_entries_merged;
+  z c.c_commits;
+  z c.c_boundaries_elided;
+  z c.c_ckpt_flushes;
+  z c.c_redo_writes;
+  z c.c_redo_skipped_invalid;
+  z c.c_redo_skipped_stale;
+  z c.c_scan_invalidations;
+  z c.c_window_invalidations;
+  z c.c_store_stall_cycles;
+  z c.c_boundary_stall_cycles;
+  z c.c_nvm_line_writes;
+  z c.c_nvm_writes_wb;
+  z c.c_nvm_writes_redo;
+  z c.c_nvm_writes_slot;
+  z c.c_compactions;
+  z c.c_journal_truncated
 
 type resume =
   | Resume of { boundary : int; sp : int }
@@ -417,7 +441,9 @@ type t = {
       (* per line, per core: count of not-yet-committed entries and the
          OR of their word masks; drives the cross-core conflict fence
          (see store_conflict) *)
-  mutable c : counters;  (* registered anew by [restart] *)
+  mutable c : counters;
+      (* registered in [obs]'s registry; [restart] registers anew only
+         when the registry changes *)
   mutable obs : Obs.t;  (* rebound by [restart ~obs] *)
 }
 
@@ -638,11 +664,17 @@ let install_image t memory =
 (* The engine [create] and then [install_image] build, made in place:
    the queues, slabs, pages and buffers already allocated are kept. Only
    lines NVM holds carry stamps, so resetting theirs to [create]'s -1 and
-   clearing NVM leaves the stamps and NVM of a fresh engine. *)
+   clearing NVM leaves the stamps and NVM of a fresh engine. The
+   counters are what registering them again would return: an enabled
+   registry's interned cells as they stand, the null registry's at
+   zero. *)
 let restart ?obs t image =
+  let metrics = t.obs.Obs.metrics in
   (match obs with Some obs -> t.obs <- obs | None -> ());
   reset_volatile t;
-  t.c <- mk_counters t.obs.Obs.metrics ~mode:t.mode;
+  if t.obs.Obs.metrics != metrics then
+    t.c <- mk_counters t.obs.Obs.metrics ~mode:t.mode
+  else if not (Metrics.enabled metrics) then zero_counters t.c;
   Memory.iter_line_data t.nvm (fun line _ _ ->
       Array.fill
         (Line_pages.page t.stamps line)
@@ -850,15 +882,14 @@ let do_commit t cs k now =
   if Capri_obs.Profiler.enabled t.obs.Obs.regions then
     Capri_obs.Profiler.on_commit t.obs.Obs.regions ~core:cs.id ~seq ~cycle:now
       ~nvm_lines:commit_lines;
-  if Capri_obs.Tracer.enabled t.obs.Obs.tracer then
-    Capri_obs.Tracer.instant t.obs.Obs.tracer ~track:Capri_obs.Tracer.Proxy
-      ~name:"commit" ~ts:now
-      ~args:
-        [
-          ("core", string_of_int cs.id);
-          ("seq", string_of_int seq);
-          ("nvm_lines", string_of_int commit_lines);
-        ];
+  let tr = t.obs.Obs.tracer in
+  if Capri_obs.Tracer.enabled tr then begin
+    Capri_obs.Tracer.instant tr ~track:Capri_obs.Tracer.Proxy ~name:"commit"
+      ~ts:now;
+    Capri_obs.Tracer.int_arg tr "core" cs.id;
+    Capri_obs.Tracer.int_arg tr "seq" seq;
+    Capri_obs.Tracer.int_arg tr "nvm_lines" commit_lines
+  end;
   if nouts > 0 then begin
     for _ = 1 to nouts do
       cs.journal <- (Fifo.pop cs.outq, now) :: cs.journal

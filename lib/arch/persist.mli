@@ -246,10 +246,12 @@ val restart : ?obs:Capri_obs.Obs.t -> t -> Memory.t -> unit
     written once and every word of them stamped 0; the two install
     counts ([nvm_line_writes], [nvm_writes_wb]) counted. [obs] (default:
     the engine's own bundle) becomes the engine's bundle, and the
-    counters are registered in it the way {!create} registers them: with
-    the null bundle they restart at zero, with an enabled registry they
-    keep accumulating. Allocates none of the queues, slabs and pages [t]
-    already has. *)
+    counters are what registering them in it the way {!create} does would
+    return: with the null bundle they restart at zero, with an enabled
+    registry they keep accumulating. They are registered anew only when
+    the registry changed; otherwise the cells are kept (zeroed in place
+    under the null registry). Allocates none of the queues, slabs and
+    pages [t] already has. *)
 
 val fault_drop_undo : bool Atomic.t
 (** Test-only fault injection: while [true], {!crash_recover} skips the

@@ -104,8 +104,7 @@ let service_cfg cfg seed =
     else 1 + Rng.int rng (max 1 cfg.max_shards)
   in
   let ops = 6 + Rng.int rng (max 1 (cfg.max_ops - 5)) in
-  let lo = max 0 (min cfg.min_txns cfg.max_txns) in
-  let hi = max 0 cfg.max_txns in
+  let lo = cfg.min_txns and hi = cfg.max_txns in
   let txns = if hi = 0 then 0 else lo + Rng.int rng (hi - lo + 1) in
   let client =
     {
@@ -219,7 +218,18 @@ let repro_string cfg seed =
 
 (* ---------------- oracle drive and shrinking ---------------- *)
 
-let serve ?(obs = Capri_obs.Obs.create ()) ?machine t schedule =
+(* The bundle a campaign serve records into: the tracer, whose
+   well-formedness is an oracle, and the registry, without which
+   [Server.instrument] records no request spans for that oracle to
+   check. No oracle reads the region profiler, so it stays off. *)
+let serve_obs () =
+  {
+    Capri_obs.Obs.metrics = Capri_obs.Metrics.create ();
+    tracer = Capri_obs.Tracer.create ();
+    regions = Capri_obs.Profiler.null;
+  }
+
+let serve ?(obs = serve_obs ()) ?machine t schedule =
   (* Each run gets a fresh obs bundle: trace well-formedness across the
      crash schedule is itself an oracle — a dangling span at a crash
      point or a non-monotone stitch across a recovery boundary is
@@ -391,7 +401,7 @@ let run_trial cfg k =
              let t = { planned with Svc.Server.cfg = cfg' } in
              (* One machine serves the mode's crash-free run and every
                 schedule, made under the first run's bundle. *)
-             let obs = Capri_obs.Obs.create () in
+             let obs = serve_obs () in
              let machine = Svc.Server.machine ~obs t in
              (* the crash-free oracle run also yields the crash points'
                 range and the boundaries they aim at *)
@@ -448,6 +458,8 @@ let run_trial cfg k =
 (* ---------------- the campaign loop ---------------- *)
 
 let run cfg =
+  if cfg.min_txns < 0 || cfg.min_txns > cfg.max_txns then
+    invalid_arg "Service_fuzz.run: needs 0 <= min_txns <= max_txns";
   let cfg = { cfg with jobs = max 1 cfg.jobs; budget = max 1 cfg.budget } in
   let trials =
     Campaign.drive ~jobs:cfg.jobs ~budget:cfg.budget
@@ -473,8 +485,7 @@ let render r =
         trials=%d schedules=%d checks=%d\n"
        r.cfg.seed r.cfg.budget
        (String.concat "," (List.map Arch.Persist.mode_name r.cfg.modes))
-       (min r.cfg.min_txns r.cfg.max_txns)
-       r.cfg.max_txns
+       r.cfg.min_txns r.cfg.max_txns
        (if r.cfg.steal then " steal=on" else "")
        r.trials r.schedules r.checks);
   if r.failures = [] then Buffer.add_string buf "failures: none\n"

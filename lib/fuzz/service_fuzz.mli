@@ -28,7 +28,9 @@ type cfg = {
   max_ops : int;  (** per shard *)
   max_schedules : int;  (** crash schedules per trial and mode *)
   max_txns : int;  (** txns per trial store; 0 disables txns *)
-  min_txns : int;  (** floor for the per-trial txn draw *)
+  min_txns : int;
+      (** floor for the per-trial txn draw; [0 <= min_txns <= max_txns],
+          which {!run} checks *)
   steal : bool;
       (** serve every trial through the work-stealing scheduler (random
           core count and quantum; half the trials multi-tenant, some
@@ -81,4 +83,6 @@ val run_trial : cfg -> int -> trial
 (** One trial, pure in [cfg.seed + k] — exposed for tests. *)
 
 val run : cfg -> report
+(** Raises [Invalid_argument] when the txn range is empty or negative. *)
+
 val render : report -> string

@@ -155,6 +155,9 @@ type session = {
   mutable obs : Obs.t;
       (* rebound by [rewind]; the closures decided the tracer's
          enablement when they were lowered, so a new bundle must agree *)
+  core_tracks : Tracer.track array;
+      (* per core: its trace track, made once when the tracer is on (a
+         [Core c] built per event would allocate); empty otherwise *)
 }
 
 let make_thread code core (spec : thread_spec) =
@@ -350,7 +353,7 @@ let goto s (th : thread) idx =
 (* Region boundary and halt bookkeeping: the cold paths the lowered
    closures call into. Neither touches [payload_count]; the callers
    account it. Both return the cycle cost. *)
-let exec_boundary s (th : thread) ~id =
+let exec_boundary s (th : thread) ~id ~name =
   s.boundary_count <- s.boundary_count + 1;
   (* Capture the closing region's costs before the reset; the profiler
      record goes out after Persist flushes so the boundary stall (sync
@@ -373,14 +376,11 @@ let exec_boundary s (th : thread) ~id =
       ~stall_cycles:(store_stall + stall) ~cycle:th.cycle;
   let tr = s.obs.Obs.tracer in
   if Tracer.enabled tr then begin
-    let track = Tracer.Core th.core in
+    let track = Array.unsafe_get s.core_tracks th.core in
     if closing then Tracer.end_span tr ~track ~ts:th.cycle;
-    Tracer.begin_span tr ~track ~name:(region_name id) ~ts:th.cycle
-      ~args:
-        [
-          (stores_arg, string_of_int stores);
-          (instr_arg, string_of_int s.instr_count);
-        ];
+    Tracer.begin_span tr ~track ~name ~ts:th.cycle;
+    Tracer.int_arg tr stores_arg stores;
+    Tracer.int_arg tr instr_arg s.instr_count;
     if stall > 0 then begin
       Tracer.begin_span tr ~track ~name:stall_span ~ts:th.cycle;
       Tracer.end_span tr ~track ~ts:(th.cycle + stall)
@@ -413,7 +413,7 @@ let exec_halt s (th : thread) =
       ~stall_cycles:(store_stall + stall) ~cycle:th.cycle;
   let tr = s.obs.Obs.tracer in
   if Tracer.enabled tr then begin
-    let track = Tracer.Core th.core in
+    let track = Array.unsafe_get s.core_tracks th.core in
     if closing then Tracer.end_span tr ~track ~ts:th.cycle;
     Tracer.instant tr ~track ~name:halt_instant ~ts:th.cycle
   end;
@@ -528,7 +528,8 @@ let lower_instr s (d : Code.dinstr) : thread -> int =
       if fence then fence_store s th addr;
       s.payload_count <- s.payload_count + 1;
       if trace_on then
-        Tracer.instant s.obs.Obs.tracer ~track:(Tracer.Core th.core)
+        Tracer.instant s.obs.Obs.tracer
+          ~track:(Array.unsafe_get s.core_tracks th.core)
           ~name:"atomic" ~ts:th.cycle;
       let load_cost = do_load s th addr in
       let old_value = s.lval in
@@ -540,7 +541,8 @@ let lower_instr s (d : Code.dinstr) : thread -> int =
     if Tracer.enabled s.obs.Obs.tracer then
       fun th ->
         s.payload_count <- s.payload_count + 1;
-        Tracer.instant s.obs.Obs.tracer ~track:(Tracer.Core th.core)
+        Tracer.instant s.obs.Obs.tracer
+          ~track:(Array.unsafe_get s.core_tracks th.core)
           ~name:"fence" ~ts:th.cycle;
         1
     else
@@ -568,7 +570,12 @@ let lower_instr s (d : Code.dinstr) : thread -> int =
         th.outputs <- v :: th.outputs;
         th.out_cycles <- (v, th.cycle) :: th.out_cycles;
         1
-  | Code.Dboundary { id } -> fun th -> exec_boundary s th ~id
+  | Code.Dboundary { id } ->
+    (* the region span's name, built once and only when it is traced *)
+    let name =
+      if Tracer.enabled s.obs.Obs.tracer then region_name id else ""
+    in
+    fun th -> exec_boundary s th ~id ~name
   | Code.Dckpt { reg; slot } ->
     fun th ->
       s.ckpt_count <- s.ckpt_count + 1;
@@ -757,6 +764,10 @@ let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
       lval = 0;
       profile = Hashtbl.create 64;
       obs;
+      core_tracks =
+        (if Tracer.enabled obs.Obs.tracer then
+           Array.init config.Config.cores (fun c -> Tracer.Core c)
+         else [||]);
     }
   in
   s.cblocks <-
@@ -819,19 +830,23 @@ let resume ~(compiled : Capri_compiler.Compiled.t) ~(image : Persist.image) s =
 
 (* One step of [th]: dispatch its next closure. A store the conflict
    fence blocks raises before changing any state; the fetch is rolled
-   back and the thread is charged the retry delay instead. *)
+   back and the thread is charged the retry delay instead. Only a fenced
+   session's closures can raise, so the others step without a handler. *)
 let exec_one s (th : thread) =
   s.instr_count <- s.instr_count + 1;
   th.cur_region_instrs <- th.cur_region_instrs + 1;
   let i = th.index in
   th.index <- i + 1;
+  let f = Array.unsafe_get th.cfns i in
   let cost =
-    try (Array.unsafe_get th.cfns i) th
-    with Retry_conflict ->
-      th.index <- i;
-      s.instr_count <- s.instr_count - 1;
-      th.cur_region_instrs <- th.cur_region_instrs - 1;
-      conflict_retry_cycles
+    if not s.fence_on then f th
+    else
+      try f th
+      with Retry_conflict ->
+        th.index <- i;
+        s.instr_count <- s.instr_count - 1;
+        th.cur_region_instrs <- th.cur_region_instrs - 1;
+        conflict_retry_cycles
   in
   th.cycle <- th.cycle + cost
 
@@ -901,8 +916,8 @@ let livelock (th : thread) =
 let fire_crash s crashed (th : thread) =
   if Tracer.enabled s.obs.Obs.tracer then begin
     Tracer.instant s.obs.Obs.tracer ~track:Tracer.Proxy ~name:crash_instant
-      ~ts:th.cycle
-      ~args:[ (instr_arg, string_of_int s.instr_count) ];
+      ~ts:th.cycle;
+    Tracer.int_arg s.obs.Obs.tracer instr_arg s.instr_count;
     (* The crash tears down mid-region: close the spans it interrupted
        so the trace stays balanced across the boundary. *)
     Tracer.close_open s.obs.Obs.tracer ~ts:th.cycle
@@ -1064,19 +1079,26 @@ let positions s =
 (* The region timeline, read back from the tracer.                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A region span's begin event, as [(core, instr)]. Boundary-stall
-   sub-spans and the serving layer's request spans are not region
-   spans; neither is anything without the [instr] argument. *)
+(* A region span's begin event: a B on a core track carrying the
+   [instr] argument. Boundary-stall sub-spans and the serving layer's
+   request spans are not region spans. *)
+let is_region_begin phase track name =
+  match (phase, track) with
+  | Tracer.B, Tracer.Core _ -> not (String.equal name stall_span)
+  | _ -> false
+
 let region_begin (e : Tracer.event) =
-  match (e.Tracer.phase, e.Tracer.track) with
-  | Tracer.B, Tracer.Core core when e.Tracer.name <> stall_span ->
+  match e.Tracer.track with
+  | Tracer.Core core
+    when is_region_begin e.Tracer.phase e.Tracer.track e.Tracer.name ->
     Option.map (fun i -> (core, i)) (List.assoc_opt instr_arg e.Tracer.args)
   | _ -> None
 
 let boundary_instrs tr =
-  List.filter_map
-    (fun e -> Option.map (fun (_, i) -> int_of_string i) (region_begin e))
-    (Tracer.events tr)
+  Tracer.fold_int_arg tr ~key:instr_arg
+    (fun track phase name instr acc ->
+      if is_region_begin phase track name then instr :: acc else acc)
+    []
   |> List.sort_uniq Int.compare
 
 let timeline_row (e : Tracer.event) =

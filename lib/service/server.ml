@@ -322,13 +322,10 @@ let instrument obs t outcome =
                    Tracer.instant tr
                      ~track:(Tracer.Core sl.Sched.core)
                      ~name:"migration"
-                     ~ts:(snd sl.Sched.header)
-                     ~args:
-                       [
-                         ("shard", string_of_int sl.Sched.shard);
-                         ("seq", string_of_int sl.Sched.seq);
-                         ("from", string_of_int p.Sched.core);
-                       ]
+                     ~ts:(snd sl.Sched.header);
+                   Tracer.int_arg tr "shard" sl.Sched.shard;
+                   Tracer.int_arg tr "seq" sl.Sched.seq;
+                   Tracer.int_arg tr "from" p.Sched.core
                  | _ -> ());
                  Some sl)
                None per_shard))
@@ -346,6 +343,7 @@ let instrument obs t outcome =
              (List.filter
                 (fun (w, _) -> not (Wire.is_slice_header w))
                 core_acks));
+        let track = Tracer.Core core in
         List.iteri
           (fun i (resp, cycle) ->
             (* the coordinator core's acks are 2PC outcomes; workers ack
@@ -359,19 +357,22 @@ let instrument obs t outcome =
                 | _ -> "ack"
               else "ack"
             in
-            Tracer.instant tr
-              ~track:(Tracer.Core core)
-              ~name ~ts:cycle
-              ~args:
-                [
-                  ("request", string_of_int i); ("response", string_of_int resp);
-                ])
+            Tracer.instant tr ~track ~name ~ts:cycle;
+            Tracer.int_arg tr "request" i;
+            Tracer.int_arg tr "response" resp)
           core_acks)
       outcome.acks;
     let tenant_label r =
       match t.workload with
       | None -> []
       | Some _ -> [ ("tenant", string_of_int r.tenant) ]
+    in
+    (* a request's trace arguments: its txn id, and its tenant when the
+       store is multi-tenant *)
+    let multi_tenant = Option.is_some t.workload in
+    let tid_args r =
+      if r.meta.Sla.tid >= 0 then Tracer.int_arg tr "tid" r.meta.Sla.tid;
+      if multi_tenant then Tracer.int_arg tr "tenant" r.tenant
     in
     Array.iteri
       (fun stream reqs ->
@@ -402,40 +403,34 @@ let instrument obs t outcome =
            coordinator's spans are the 2PC outcome windows, linked to
            the shard-side item spans by the tid arg. *)
         if Tracer.enabled tr then begin
+          let track = Tracer.Request stream in
           let prev_ack = ref 0 in
           List.iteri
             (fun i r ->
               let ack = r.ack in
               let b_ts = min ack (max r.start !prev_ack) in
-              let tid_args =
-                if r.meta.Sla.tid >= 0 then
-                  [ ("tid", string_of_int r.meta.Sla.tid) ]
-                else []
-              in
-              let tid_args = tid_args @ tenant_label r in
-              let track = Tracer.Request stream in
-              Tracer.begin_span tr ~track ~name:r.meta.Sla.kind ~ts:b_ts
-                ~args:
-                  (( "request", string_of_int i )
-                   :: ("arrival", string_of_int r.start)
-                   :: tid_args);
-              Tracer.instant tr ~track ~name:"admitted" ~ts:b_ts ~args:tid_args;
-              Tracer.instant tr ~track ~name:"enqueued" ~ts:b_ts
-                ~args:
-                  (("batch", string_of_int (i / t.cfg.batch)) :: tid_args);
+              Tracer.begin_span tr ~track ~name:r.meta.Sla.kind ~ts:b_ts;
+              Tracer.int_arg tr "request" i;
+              Tracer.int_arg tr "arrival" r.start;
+              tid_args r;
+              Tracer.instant tr ~track ~name:"admitted" ~ts:b_ts;
+              tid_args r;
+              Tracer.instant tr ~track ~name:"enqueued" ~ts:b_ts;
+              Tracer.int_arg tr "batch" (i / t.cfg.batch);
+              tid_args r;
               if stream >= shards then begin
                 (* coordinator: the span brackets prepare -> decision *)
-                Tracer.instant tr ~track ~name:"prepare" ~ts:b_ts ~args:tid_args;
+                Tracer.instant tr ~track ~name:"prepare" ~ts:b_ts;
+                tid_args r;
                 Tracer.instant tr ~track ~name:"decision" ~ts:ack
                   ~args:
-                    (( "committed",
-                       match Wire.decode_response r.response with
-                       | Wire.Committed, _ -> "true"
-                       | _ -> "false" )
-                     :: tid_args)
+                    (match Wire.decode_response r.response with
+                     | Wire.Committed, _ -> [ ("committed", "true") ]
+                     | _ -> [ ("committed", "false") ]);
+                tid_args r
               end;
-              Tracer.instant tr ~track ~name:"proxy_commit" ~ts:ack
-                ~args:tid_args;
+              Tracer.instant tr ~track ~name:"proxy_commit" ~ts:ack;
+              tid_args r;
               Tracer.end_span tr ~track ~ts:ack;
               prev_ack := ack)
             reqs
