@@ -7,7 +7,6 @@ module W = Capri_workloads
 module Table = Capri_util.Table
 module Stat = Capri_util.Stat
 
-let fig8_thresholds = [ 32; 64; 128; 256; 512; 1024 ]
 let figure8_legend = [ 128; 256; 512; 1024 ]
 
 let print_suite_footer table rows_of_suite =
@@ -31,7 +30,7 @@ let figure8 ~scale () =
     \    the paper's figure plots thresholds 128-1024, its text also\n\
     \    discusses 32 and 64)";
   let kernels = Runner.kernels ~scale in
-  let columns = fig8_thresholds in
+  let columns = Options.fig8_thresholds in
   Runner.prewarm_baselines kernels;
   let per_kernel =
     Runner.par_map

@@ -79,8 +79,6 @@ let print_top title tbl =
              name)
 
 (* perfbench's fig8 repetition: the source runs, then the matrix. *)
-let thresholds = [ 32; 64; 128; 256; 512; 1024 ]
-
 let shifted =
   { Config.sim_default with Config.l2_hit = 2 * Config.sim_default.Config.l2_hit }
 
@@ -111,7 +109,7 @@ let run_kernel (k : W.Kernel.t) =
           simulate ~config ~mode:Persist.Capri ~check_threshold:threshold
             compiled.Compiled.program)
         (List.tl Options.fig9_configs))
-    thresholds
+    Options.fig8_thresholds
 
 (* perfbench's crash-fuzz repetition. *)
 let crash_fuzz () =

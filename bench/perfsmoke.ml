@@ -14,10 +14,12 @@
    core; determinism is what the smoke can and does verify there).
    It then gates allocation: minor words per simulated instruction
    inside `Executor.run`, for each dispatch shape in Volatile mode (the
-   source program), Capri mode (the compiled one) and Capri mode traced
+   source program), Capri mode (the compiled one), Capri mode traced
    (under the tracer-only bundle the crash campaigns observe their
-   reference runs with), must stay at or under a committed ceiling.
-   Runs as part of `dune runtest` (and as `make perfsmoke`). *)
+   reference runs with) and Capri and Naive_sync mode profiled (under
+   the full bundle `Obs.create ()`: registry, tracer and region
+   profiler), must stay at or under a committed ceiling. Runs as part
+   of `dune runtest` (and as `make perfsmoke`). *)
 
 open Capri
 module W = Capri_workloads
@@ -48,16 +50,13 @@ let run_pair (name, mode, program, threads) =
   ( name, Persist.mode_name mode,
     fingerprint_of Executor.run_reference, fingerprint_of Executor.run )
 
+module Obs = Capri_obs.Obs
+
 (* Minor words [Executor.run] allocates over a whole run, and the
-   instructions it simulates; [traced] records into a fresh tracer. *)
-let run_words ~traced mode program =
-  let module Obs = Capri_obs.Obs in
-  let obs =
-    if traced then { Obs.null with Obs.tracer = Capri_obs.Tracer.create () }
-    else Obs.null
-  in
+   instructions it simulates; the run records into a fresh [obs ()]. *)
+let run_words ~obs mode program =
   let s =
-    Executor.start ~obs ~mode ~program
+    Executor.start ~obs:(obs ()) ~mode ~program
       ~threads:[ Executor.main_thread program ] ()
   in
   let w0 = Gc.minor_words () in
@@ -70,43 +69,58 @@ let run_words ~traced mode program =
 (* Words per instruction in steady state: the difference between a run
    at [trips] and one at [2 * trips], so the per-run constants (the
    result record, one-time growth of the proxy structures) cancel. *)
-let words_per_instr ?(traced = false) ~mode ~compiled shape =
+let words_per_instr ~obs ~mode ~compiled shape =
   let program trips =
     let p = List.assoc shape (Capri_bench.Micro.dispatch_programs ~trips) in
     if compiled then (compile p).Compiled.program else p
   in
   let trips = 10_000 in
-  let wa, ia = run_words ~traced mode (program trips) in
-  let wb, ib = run_words ~traced mode (program (2 * trips)) in
+  let wa, ia = run_words ~obs mode (program trips) in
+  let wb, ib = run_words ~obs mode (program (2 * trips)) in
   (wb -. wa) /. float_of_int (ib - ia)
 
-(* Ceilings in words per simulated instruction, (volatile, capri, capri
-   traced) per shape. A pure register loop allocates nothing at all,
-   and recording a trace event allocates nothing either. *)
+(* The gate's columns: a heading, the mode, the bundle the run records
+   into and whether it runs the compiled program. *)
+let columns =
+  let null () = Obs.null in
+  let traced () = { Obs.null with Obs.tracer = Capri_obs.Tracer.create () } in
+  [
+    ("volatile", Persist.Volatile, null, false);
+    ("capri", Persist.Capri, null, true);
+    ("traced", Persist.Capri, traced, true);
+    ("profiled", Persist.Capri, Obs.create, true);
+    ("prof-sync", Persist.Naive_sync, Obs.create, true);
+  ]
+
+(* Ceilings in words per simulated instruction, one per column, per
+   shape. A pure register loop allocates nothing at all, and neither
+   recording a trace event nor tallying a region close or its commit
+   allocates either. *)
 let ceilings =
   [
-    ("arith", (0., 0., 0.));
-    ("branches", (0., 0., 0.));
-    ("stores", (0., 0., 0.));
+    ("arith", [ 0.; 0.; 0.; 0.; 0. ]);
+    ("branches", [ 0.; 0.; 0.; 0.; 0. ]);
+    ("stores", [ 0.; 0.; 0.; 0.; 0. ]);
   ]
 
 let alloc_gate () =
   print_endline "perf-smoke: minor words per instruction in Executor.run";
-  Printf.printf "  %-10s %10s %10s %10s %10s %10s %10s\n" "loop" "volatile"
-    "ceiling" "capri" "ceiling" "traced" "ceiling";
+  Printf.printf "  %-10s" "loop";
+  List.iter
+    (fun (heading, _, _, _) -> Printf.printf " %10s %10s" heading "ceiling")
+    columns;
+  print_newline ();
   let over = ref 0 in
   List.iter
-    (fun (shape, (vmax, cmax, tmax)) ->
-      let v = words_per_instr ~mode:Persist.Volatile ~compiled:false shape in
-      let c = words_per_instr ~mode:Persist.Capri ~compiled:true shape in
-      let t =
-        words_per_instr ~traced:true ~mode:Persist.Capri ~compiled:true shape
-      in
-      Printf.printf "  %-10s %10.4f %10.4f %10.4f %10.4f %10.4f %10.4f\n" shape
-        v vmax c cmax t tmax;
-      if v > vmax then incr over;
-      if c > cmax then incr over;
-      if t > tmax then incr over)
+    (fun (shape, maxes) ->
+      Printf.printf "  %-10s" shape;
+      List.iter2
+        (fun (_, mode, obs, compiled) max ->
+          let w = words_per_instr ~obs ~mode ~compiled shape in
+          Printf.printf " %10.4f %10.4f" w max;
+          if w > max then incr over)
+        columns maxes;
+      print_newline ())
     ceilings;
   if !over > 0 then begin
     Printf.eprintf "perf-smoke: %d cell(s) allocate above their ceiling\n"

@@ -345,10 +345,11 @@ end
 (* A path item is an int: a Data item is its entry's handle, and the
    commit marker of a region with [k] staged checkpoint slots is
    [-1 - k]. The marker carries the slots: its payload waits in the
-   core's [cmq] in push order — seq, resume boundary, sp, #outs, then the
-   k (slot, value) pairs in staged order. A core's stream is FIFO from
-   the front queue to the back end, so markers meet their payloads in
-   order. *)
+   core's [cmq] in push order — seq, resume boundary, sp, #outs, the
+   executor's tally row of the closed region and its close cycle, then
+   the k (slot, value) pairs in staged order. A core's stream is FIFO
+   from the front queue to the back end, so markers meet their payloads
+   in order. *)
 let[@inline] commit_item k = -1 - k
 let[@inline] commit_slots item = -1 - item
 
@@ -445,6 +446,7 @@ type t = {
       (* registered in [obs]'s registry; [restart] registers anew only
          when the registry changes *)
   mutable obs : Obs.t;  (* rebound by [restart ~obs] *)
+  mutable commit_hook : row:int -> latency:int -> nvm_lines:int -> unit;
 }
 
 (* Volatile proxy state after the drain: every queue empty, every
@@ -548,12 +550,14 @@ let create ?(obs = Obs.null) config ~mode =
       pending = Line_pages.create ~width:(2 * ncores) ~init:0;
       c = mk_counters obs.Obs.metrics ~mode;
       obs;
+      commit_hook = (fun ~row:_ ~latency:_ ~nvm_lines:_ -> ());
     }
   in
   reset_volatile t;
   t
 
 let mode t = t.mode
+let set_commit_hook t f = t.commit_hook <- f
 
 (* Thin snapshot over the registry cells: the record the callers (tests,
    bench tables) always read, rebuilt on demand. *)
@@ -855,13 +859,16 @@ let compact t cs =
 
 (* Phase 2 of the open back region, on its commit marker carrying [k]
    slots: copy redo data of valid entries, apply the checkpoint slots,
-   journal the region's outputs, update the resume record, and schedule
-   the space release. *)
+   journal the region's outputs, update the resume record, report the
+   commit to the closed region's tally row, and schedule the space
+   release. *)
 let do_commit t cs k now =
   let seq = Fifo.pop cs.cmq in
   let boundary = Fifo.pop cs.cmq in
   let sp = Fifo.pop cs.cmq in
   let nouts = Fifo.pop cs.cmq in
+  let row = Fifo.pop cs.cmq in
+  let closed_at = Fifo.pop cs.cmq in
   Metrics.Counter.inc t.c.c_commits;
   let entry_lines = commit_entries t cs now in
   for _ = 1 to k do
@@ -879,8 +886,11 @@ let do_commit t cs k now =
     t.nvm_wq_free <- imax t.nvm_wq_free now + t.config.Config.nvm_write_service
   done;
   let commit_lines = entry_lines + slot_lines in
-  if Capri_obs.Profiler.enabled t.obs.Obs.regions then
-    Capri_obs.Profiler.on_commit t.obs.Obs.regions ~core:cs.id ~seq ~cycle:now
+  (* A marker can drain from a stale [next_drain] and land before the
+     close that queued it (DESIGN.md section 5b, item 8): the latency is
+     clamped at zero. *)
+  if row >= 0 then
+    t.commit_hook ~row ~latency:(imax 0 (now - closed_at))
       ~nvm_lines:commit_lines;
   let tr = t.obs.Obs.tracer in
   if Capri_obs.Tracer.enabled tr then begin
@@ -1194,7 +1204,7 @@ let seed_journal t ~core ?(base = 0) ~outs () =
   cs.journal_len <- List.length outs;
   cs.journal_base <- max 0 (min base cs.journal_len)
 
-let flush_region t cs ~boundary ~sp =
+let flush_region t cs ~cycle ~boundary ~sp ~row =
   (* Close the open region: send the commit marker carrying the staged
      checkpoints (final values) and journaled outputs, unless the region
      produced nothing (elided boundary entry, Section 5.2.1
@@ -1206,6 +1216,8 @@ let flush_region t cs ~boundary ~sp =
     Fifo.push cs.cmq boundary;
     Fifo.push cs.cmq sp;
     Fifo.push cs.cmq cs.out_open;
+    Fifo.push cs.cmq row;
+    Fifo.push cs.cmq cycle;
     for i = 0 to cs.staged_n - 1 do
       let slot = cs.staged_order.(i) in
       Fifo.push cs.cmq slot;
@@ -1227,20 +1239,20 @@ let flush_region t cs ~boundary ~sp =
   cs.open_seq <- cs.open_seq + 1;
   cs.open_entries <- 0
 
-let on_boundary t ~core ~cycle ~boundary ~sp =
+let on_boundary t ~core ~cycle ~boundary ~sp ~row =
   match t.mode with
   | Volatile -> 0
   | Capri | Redo_nowb ->
     let cs = t.cores.(core) in
     advance t ~cycle;
-    flush_region t cs ~boundary ~sp;
+    flush_region t cs ~cycle ~boundary ~sp ~row;
     0
   | Naive_sync | Undo_sync ->
     (* Synchronous region persistence: wait until everything this core has
        produced, including this region, is durable. *)
     let cs = t.cores.(core) in
     advance t ~cycle;
-    flush_region t cs ~boundary ~sp;
+    flush_region t cs ~cycle ~boundary ~sp ~row;
     let finish = stall_until t ~cycle cs Drained in
     let stall = imax 0 (finish - cycle) in
     Metrics.Counter.add t.c.c_boundary_stall_cycles stall;
@@ -1279,7 +1291,7 @@ let on_writeback t ~cycle ~line ~data ~version =
     prune_window t cycle;
     window_push t ~line ~version ~time:cycle
 
-let on_halt t ~core ~cycle =
+let on_halt t ~core ~cycle ~row =
   match t.mode with
   | Volatile -> 0
   | Capri | Redo_nowb ->
@@ -1290,12 +1302,12 @@ let on_halt t ~core ~cycle =
        execution windows and likewise exclude exit-drain time. *)
     let cs = t.cores.(core) in
     advance t ~cycle;
-    flush_region t cs ~boundary:(-1) ~sp:0;
+    flush_region t cs ~cycle ~boundary:(-1) ~sp:0 ~row;
     0
   | Naive_sync | Undo_sync ->
     let cs = t.cores.(core) in
     advance t ~cycle;
-    flush_region t cs ~boundary:(-1) ~sp:0;
+    flush_region t cs ~cycle ~boundary:(-1) ~sp:0 ~row;
     let finish = stall_until t ~cycle cs Drained in
     cs.res_kind <- finished;
     imax 0 (finish - cycle)
@@ -1361,10 +1373,10 @@ let drain_core t cs ~cycle =
       and sp = Fifo.get cs.cmq (!cm + 2)
       and nouts = Fifo.get cs.cmq (!cm + 3) in
       for j = 0 to commit_slots it - 1 do
-        let p = !cm + 4 + (2 * j) in
+        let p = !cm + 6 + (2 * j) in
         cs.slot_array.(Fifo.get cs.cmq p) <- Fifo.get cs.cmq (p + 1)
       done;
-      cm := !cm + 4 + (2 * commit_slots it);
+      cm := !cm + 6 + (2 * commit_slots it);
       (* Committed journaled outputs survive the crash too; their regions
          reach phase 2 during recovery, at the crash cycle. (No
          compaction here: compaction is a steady-state activity, not

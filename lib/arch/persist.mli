@@ -114,12 +114,22 @@ type t
 
 val create : ?obs:Capri_obs.Obs.t -> Config.t -> mode:mode -> t
 (** [obs] defaults to {!Capri_obs.Obs.null}: counters still count (the
-    {!stats} view works regardless) but nothing is registered, traced or
-    profiled. With an enabled bundle the engine additionally emits a
-    proxy-track instant per region commit and feeds the region profiler
-    with commit cycle and NVM line counts. *)
+    {!stats} view works regardless) but nothing is registered or traced.
+    With an enabled tracer the engine additionally emits a proxy-track
+    instant per region commit. *)
 
 val mode : t -> mode
+
+val set_commit_hook :
+  t -> (row:int -> latency:int -> nvm_lines:int -> unit) -> unit
+(** [f ~row ~latency ~nvm_lines] runs at each commit of a region that
+    {!on_boundary} or {!on_halt} closed with [row >= 0]: the commit
+    marker carries [row] and the close cycle, so the region's tally row
+    is reached without a table. [latency] is the commit cycle minus the
+    close cycle, clamped at zero (a marker can land before its close);
+    [nvm_lines] counts the commit's entry and checkpoint-slot line
+    writes. The hook survives {!restart}; the default does nothing. *)
+
 val stats : t -> stats
 
 val init_slots :
@@ -194,9 +204,11 @@ val seed_journal : t -> core:int -> ?base:int -> outs:int list -> unit -> unit
     [base] (default 0) restores the checkpoint cursor recorded in the
     crash image's [acked_base], so compaction state survives restarts. *)
 
-val on_boundary : t -> core:int -> cycle:int -> boundary:int -> sp:int -> int
+val on_boundary :
+  t -> core:int -> cycle:int -> boundary:int -> sp:int -> row:int -> int
 (** Commit the open region, open the next; returns stall cycles (0 in
-    Capri mode — asynchronous region persistence). *)
+    Capri mode — asynchronous region persistence). [row] is the closed
+    region's tally row for the commit hook, [-1] for none. *)
 
 val on_writeback :
   t -> cycle:int -> line:int -> data:int array -> version:int -> unit
@@ -210,8 +222,9 @@ val install_image : t -> Memory.t -> unit
     mode. Unlike {!on_writeback} this is never dropped in [Redo_nowb]
     mode, where ordinary dirty writebacks are discarded by design. *)
 
-val on_halt : t -> core:int -> cycle:int -> int
-(** Final implicit boundary + full drain; returns stall cycles. *)
+val on_halt : t -> core:int -> cycle:int -> row:int -> int
+(** Final implicit boundary + full drain; returns stall cycles. [row] as
+    for {!on_boundary}. *)
 
 val load_extra_latency : t -> Hierarchy.level -> int
 (** Indirect-read penalty ([Redo_nowb] mode only). *)

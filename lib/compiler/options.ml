@@ -38,6 +38,8 @@ let fig9_configs =
     ("+unrolling", up_to_unroll); ("+pruning", up_to_prune);
     ("+licm", all_opts) ]
 
+let fig8_thresholds = [ 32; 64; 128; 256; 512; 1024 ]
+
 let pp fmt t =
   Format.fprintf fmt
     "{threshold=%d; ckpt=%b; unroll=%b; prune=%b; licm=%b; absorb=%b}"

@@ -41,4 +41,7 @@ val all_opts : t
 val fig9_configs : (string * t) list
 (** The five accumulative configurations, labelled as in Figure 9. *)
 
+val fig8_thresholds : int list
+(** The region store thresholds Figure 8 sweeps: 32 to 1024. *)
+
 val pp : Format.formatter -> t -> unit

@@ -53,8 +53,12 @@ let compile_pgo ?(options = Options.default) ?config ?threads program =
   let result = run ?config ?threads profiled in
   let map = profiled.Compiled.regions in
   let instances id =
-    match Hashtbl.find_opt result.Executor.profile id with
-    | Some bp -> bp.Executor.instances
+    match
+      Array.find_opt
+        (fun (r : Executor.region_row) -> r.Executor.id = id)
+        result.Executor.profile
+    with
+    | Some r -> r.Executor.executions
     | None -> 0
   in
   (* Mean trips of the loop headed at a region head = its instance count

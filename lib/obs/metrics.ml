@@ -70,10 +70,14 @@ module Histogram = struct
   let log2 ~buckets =
     fixed (List.init (max 1 buckets) (fun i -> if i = 0 then 0 else 1 lsl (i - 1)))
 
+  (* The first bucket whose bound holds [v]; top level, so an
+     observation builds no closure. *)
+  let rec bucket bounds v i =
+    if i >= Array.length bounds || v <= bounds.(i) then i
+    else bucket bounds v (i + 1)
+
   let observe t v =
-    let n = Array.length t.bounds in
-    let rec find i = if i >= n || v <= t.bounds.(i) then i else find (i + 1) in
-    let i = find 0 in
+    let i = bucket t.bounds v 0 in
     t.counts.(i) <- t.counts.(i) + 1;
     t.count <- t.count + 1;
     t.sum <- t.sum + v;

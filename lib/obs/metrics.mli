@@ -34,9 +34,6 @@ module Gauge : sig
 
   val make : unit -> t
   val set : t -> int -> unit
-  val max_to : t -> int -> unit
-  (** Retain the maximum of the current and given value. *)
-
   val value : t -> int
 end
 

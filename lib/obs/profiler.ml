@@ -1,203 +1,71 @@
-(* Region profiler: per-dynamic-region records joined from two sources.
+(* Region profiler: the distributions of per-region persistence costs.
 
-   The executor owns one side — when it closes a dynamic region it knows
-   the core, the static region identity, the store/checkpoint-store
-   counts and the stall cycles accumulated inside the region. Persist
-   owns the other — the proxy commits the region asynchronously and only
-   it knows the commit cycle and how many NVM lines the commit wrote.
-   The two sides join on (core, seq), where seq mirrors Persist's
-   per-core open_seq: both sides count every region close on the core,
-   including elided ones, so the keys stay aligned even when a region
-   never reaches the proxy.
+   The executor tallies each region close once, into its static region's
+   row; the profiler adds what a row cannot keep, the spread of the
+   values behind its totals. It observes each value as it becomes known:
+   stores, checkpoint stores and stall cycles when the executor closes
+   the region, commit latency and NVM lines when the proxy commits it.
+   The instruments are standalone cells, so observing allocates nothing
+   and touches no registry; {!publish} folds them into one.
 
-   Records are only ever touched from the core's own domain (the
-   simulator runs one session per domain), so plain Hashtbl mutation is
-   fine, and aggregation sorts before rendering so output is
-   deterministic. *)
+   Every cell is touched from the observed session's own domain only
+   (the simulator runs one session per domain). *)
 
-type record = {
-  core : int;
-  seq : int;
-  region : string;
-  stores : int;
-  ckpt_stores : int;
-  stall_cycles : int;
-  close_cycle : int;
-  mutable commit_cycle : int; (* -1 until the proxy reports the commit *)
-  mutable nvm_lines : int;
-}
+module Counter = Metrics.Counter
+module Histogram = Metrics.Histogram
 
 type t = {
   enabled : bool;
-  records : (int * int, record) Hashtbl.t;
-  (* Commits can outrun closes in principle (the proxy path reports as
-     soon as slots drain); stash early arrivals and join on close. *)
-  pending_commits : (int * int, int * int) Hashtbl.t;
+  stores : Histogram.t;
+  ckpt_stores : Histogram.t;
+  stall_cycles : Histogram.t;
+  commit_latency : Histogram.t;
+  nvm_lines : Histogram.t;
+  closed : Counter.t;
+  committed : Counter.t;
 }
 
-let create () =
-  { enabled = true; records = Hashtbl.create 256; pending_commits = Hashtbl.create 16 }
+let make enabled =
+  {
+    enabled;
+    stores = Histogram.log2 ~buckets:14;
+    ckpt_stores = Histogram.log2 ~buckets:14;
+    stall_cycles = Histogram.log2 ~buckets:18;
+    commit_latency = Histogram.log2 ~buckets:18;
+    nvm_lines = Histogram.log2 ~buckets:14;
+    closed = Counter.make ();
+    committed = Counter.make ();
+  }
 
-let null =
-  { enabled = false; records = Hashtbl.create 0; pending_commits = Hashtbl.create 0 }
-
+let create () = make true
+let null = make false
 let enabled t = t.enabled
 
-let on_region_close t ~core ~seq ~region ~stores ~ckpt_stores ~stall_cycles
-    ~cycle =
+let on_close t ~stores ~ckpt_stores ~stall_cycles =
   if t.enabled then begin
-    let r =
-      {
-        core;
-        seq;
-        region;
-        stores;
-        ckpt_stores;
-        stall_cycles;
-        close_cycle = cycle;
-        commit_cycle = -1;
-        nvm_lines = 0;
-      }
-    in
-    (match Hashtbl.find_opt t.pending_commits (core, seq) with
-    | Some (cycle, lines) ->
-      r.commit_cycle <- cycle;
-      r.nvm_lines <- lines;
-      Hashtbl.remove t.pending_commits (core, seq)
-    | None -> ());
-    Hashtbl.replace t.records (core, seq) r
+    Counter.inc t.closed;
+    Histogram.observe t.stores stores;
+    Histogram.observe t.ckpt_stores ckpt_stores;
+    Histogram.observe t.stall_cycles stall_cycles
   end
 
-let on_commit t ~core ~seq ~cycle ~nvm_lines =
-  if t.enabled then
-    match Hashtbl.find_opt t.records (core, seq) with
-    | Some r ->
-      r.commit_cycle <- cycle;
-      r.nvm_lines <- r.nvm_lines + nvm_lines
-    | None -> Hashtbl.replace t.pending_commits (core, seq) (cycle, nvm_lines)
-
-let records t =
-  Hashtbl.fold (fun _ r acc -> r :: acc) t.records []
-  |> List.sort (fun a b ->
-         match Int.compare a.core b.core with
-         | 0 -> Int.compare a.seq b.seq
-         | c -> c)
-
-(* ---------------- aggregation ---------------- *)
-
-type agg = {
-  name : string;
-  executions : int;
-  total_stores : int;
-  total_ckpt_stores : int;
-  total_stall_cycles : int;
-  commits : int;
-  total_commit_latency : int;
-  total_nvm_lines : int;
-}
-
-let aggregate t =
-  let by_region = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      let a =
-        match Hashtbl.find_opt by_region r.region with
-        | Some a -> a
-        | None ->
-          {
-            name = r.region;
-            executions = 0;
-            total_stores = 0;
-            total_ckpt_stores = 0;
-            total_stall_cycles = 0;
-            commits = 0;
-            total_commit_latency = 0;
-            total_nvm_lines = 0;
-          }
-      in
-      let committed = r.commit_cycle >= 0 in
-      let latency =
-        if committed then max 0 (r.commit_cycle - r.close_cycle) else 0
-      in
-      Hashtbl.replace by_region r.region
-        {
-          a with
-          executions = a.executions + 1;
-          total_stores = a.total_stores + r.stores;
-          total_ckpt_stores = a.total_ckpt_stores + r.ckpt_stores;
-          total_stall_cycles = a.total_stall_cycles + r.stall_cycles;
-          commits = (a.commits + if committed then 1 else 0);
-          total_commit_latency = a.total_commit_latency + latency;
-          total_nvm_lines = a.total_nvm_lines + r.nvm_lines;
-        })
-    (records t);
-  Hashtbl.fold (fun _ a acc -> a :: acc) by_region []
-  |> List.sort (fun a b -> String.compare a.name b.name)
-
-(* "Hot" orders by where the persistence cost lands: stall cycles first,
-   then NVM traffic, then store volume; name breaks ties so the table is
-   stable across runs. *)
-let hottest t ~n =
-  aggregate t
-  |> List.sort (fun a b ->
-         match Int.compare b.total_stall_cycles a.total_stall_cycles with
-         | 0 -> (
-           match Int.compare b.total_nvm_lines a.total_nvm_lines with
-           | 0 -> (
-             match Int.compare b.total_stores a.total_stores with
-             | 0 -> String.compare a.name b.name
-             | c -> c)
-           | c -> c)
-         | c -> c)
-  |> List.filteri (fun i _ -> i < n)
-
-let render_top t ~n =
-  let rows = hottest t ~n in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-28s %6s %9s %7s %9s %9s %9s\n" "region" "execs"
-       "stores" "ckpt" "stall" "commit" "nvm-lines");
-  List.iter
-    (fun a ->
-      let avg_latency =
-        if a.commits = 0 then 0 else a.total_commit_latency / a.commits
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%-28s %6d %9d %7d %9d %9d %9d\n" a.name a.executions
-           a.total_stores a.total_ckpt_stores a.total_stall_cycles avg_latency
-           a.total_nvm_lines))
-    rows;
-  let total = List.length (aggregate t) in
-  if total > List.length rows then
-    Buffer.add_string buf
-      (Printf.sprintf "… (+%d more regions)\n" (total - List.length rows));
-  Buffer.contents buf
-
-(* ---------------- registry publication ---------------- *)
+let on_commit t ~latency ~nvm_lines =
+  if t.enabled then begin
+    Counter.inc t.committed;
+    Histogram.observe t.commit_latency latency;
+    Histogram.observe t.nvm_lines nvm_lines
+  end
 
 let publish ?(labels = []) t m =
-  let h_stores = Metrics.log2_histogram ~labels m "region_stores" ~buckets:14 in
-  let h_ckpt =
-    Metrics.log2_histogram ~labels m "region_ckpt_stores" ~buckets:14
+  let histogram name buckets h =
+    Histogram.merge_into ~dst:(Metrics.log2_histogram ~labels m name ~buckets) h
   in
-  let h_stall =
-    Metrics.log2_histogram ~labels m "region_stall_cycles" ~buckets:18
-  in
-  let h_latency =
-    Metrics.log2_histogram ~labels m "region_commit_latency" ~buckets:18
-  in
-  let h_nvm = Metrics.log2_histogram ~labels m "region_nvm_lines" ~buckets:14 in
-  let closed = Metrics.counter ~labels m "regions_closed" in
-  let committed = Metrics.counter ~labels m "regions_committed" in
-  List.iter
-    (fun r ->
-      Metrics.Counter.inc closed;
-      Metrics.Histogram.observe h_stores r.stores;
-      Metrics.Histogram.observe h_ckpt r.ckpt_stores;
-      Metrics.Histogram.observe h_stall r.stall_cycles;
-      if r.commit_cycle >= 0 then begin
-        Metrics.Counter.inc committed;
-        Metrics.Histogram.observe h_latency (max 0 (r.commit_cycle - r.close_cycle));
-        Metrics.Histogram.observe h_nvm r.nvm_lines
-      end)
-    (records t)
+  histogram "region_stores" 14 t.stores;
+  histogram "region_ckpt_stores" 14 t.ckpt_stores;
+  histogram "region_stall_cycles" 18 t.stall_cycles;
+  histogram "region_commit_latency" 18 t.commit_latency;
+  histogram "region_nvm_lines" 14 t.nvm_lines;
+  Counter.add (Metrics.counter ~labels m "regions_closed") (Counter.value t.closed);
+  Counter.add
+    (Metrics.counter ~labels m "regions_committed")
+    (Counter.value t.committed)

@@ -1,19 +1,8 @@
-(** Region profiler: per-dynamic-region cost records, joined from the
-    executor side (stores, stalls, close cycle) and the Persist/proxy
-    side (commit cycle, NVM lines), keyed by (core, seq) where [seq]
-    mirrors Persist's per-core [open_seq]. *)
-
-type record = {
-  core : int;
-  seq : int;
-  region : string;  (** static region identity, e.g. ["main:L3"] *)
-  stores : int;
-  ckpt_stores : int;
-  stall_cycles : int;
-  close_cycle : int;
-  mutable commit_cycle : int;  (** [-1] until the proxy reports *)
-  mutable nvm_lines : int;
-}
+(** Region profiler: the distributions behind the executor's per-region
+    totals, observed as each value becomes known — stores, checkpoint
+    stores and stall cycles at a region's close, commit latency and NVM
+    lines at its commit. Observing allocates nothing and writes no
+    registry until {!publish}. *)
 
 type t
 
@@ -21,52 +10,17 @@ val create : unit -> t
 val null : t
 val enabled : t -> bool
 
-val on_region_close :
-  t ->
-  core:int ->
-  seq:int ->
-  region:string ->
-  stores:int ->
-  ckpt_stores:int ->
-  stall_cycles:int ->
-  cycle:int ->
-  unit
-(** Executor side: a dynamic region closed on [core] at [cycle]. Must be
-    called once per region close per core, in seq order. *)
+val on_close : t -> stores:int -> ckpt_stores:int -> stall_cycles:int -> unit
+(** A dynamic region closed with these costs. *)
 
-val on_commit : t -> core:int -> seq:int -> cycle:int -> nvm_lines:int -> unit
-(** Persist side: the proxy committed region [seq] of [core] at [cycle],
-    writing [nvm_lines] NVM lines. Arrival order relative to
-    {!on_region_close} does not matter. *)
-
-val records : t -> record list
-(** All records sorted by (core, seq). *)
-
-(** Aggregate over all dynamic executions of one static region. *)
-type agg = {
-  name : string;
-  executions : int;
-  total_stores : int;
-  total_ckpt_stores : int;
-  total_stall_cycles : int;
-  commits : int;
-  total_commit_latency : int;
-  total_nvm_lines : int;
-}
-
-val aggregate : t -> agg list
-(** Sorted by region name. *)
-
-val hottest : t -> n:int -> agg list
-(** Top [n] by stall cycles, then NVM lines, then stores; deterministic. *)
-
-val render_top : t -> n:int -> string
-(** Fixed-width "hottest regions" table with a trailing
-    [… (+K more regions)] line when truncated. *)
+val on_commit : t -> latency:int -> nvm_lines:int -> unit
+(** The proxy committed a closed region [latency] cycles after its
+    close, writing [nvm_lines] NVM lines. *)
 
 val publish : ?labels:Metrics.labels -> t -> Metrics.t -> unit
-(** Fold the records into registry histograms (region_stores,
-    region_stall_cycles, region_commit_latency, region_nvm_lines, ...)
-    and counters (regions_closed, regions_committed), all carrying
-    [labels] — the profile driver passes the persistence mode so
-    per-mode registries merge into one mode-resolved document. *)
+(** Add the observations to the registry's histograms [region_stores],
+    [region_ckpt_stores], [region_stall_cycles], [region_commit_latency]
+    and [region_nvm_lines] and counters [regions_closed] and
+    [regions_committed], all carrying [labels] — the profile driver
+    passes the persistence mode so per-mode registries merge into one
+    mode-resolved document. *)

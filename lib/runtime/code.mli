@@ -4,9 +4,10 @@
     [code_base + index], used for return addresses pushed on the in-memory
     stack and decoded again by [Ret]). {!build} decodes each block once
     per session: register operands become integer indices, immediates
-    are unwrapped and each terminator's targets are resolved to block
-    indices, so the executor lowers blocks to closures without per-branch
-    string conversion or hashing. *)
+    are unwrapped, each terminator's targets are resolved to block
+    indices and each region boundary to its static region's tally row,
+    so the executor lowers blocks to closures without per-branch string
+    conversion or hashing. *)
 
 open Capri_ir
 
@@ -21,7 +22,8 @@ type dinstr =
                  src : dop }
   | Dfence
   | Dout of dop
-  | Dboundary of { id : int }
+  | Dboundary of { id : int; row : int }
+      (** [row]: the boundary's tally row, its index in {!row_ids} *)
   | Dckpt of { reg : int; slot : int }
   | Dckpt_load of { dst : int; slot : int }
 
@@ -63,6 +65,10 @@ val build : Program.t -> t
 val block : t -> int -> block
 val length : t -> int
 (** Number of blocks; indices run from 0 to [length t - 1]. *)
+
+val row_ids : t -> int array
+(** The program's distinct boundary ids in ascending order: entry [i] is
+    the id of tally row [i], one row per static region. *)
 
 val index_of : t -> func:string -> Label.t -> int
 (** Raises [Not_found]. *)

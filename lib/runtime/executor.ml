@@ -34,11 +34,17 @@ type region_stats = {
   max_stores_in_region : int;
 }
 
-type boundary_profile = {
-  mutable instances : int;
-  mutable p_instrs : int;
-  mutable p_stores : int;
-  mutable p_max_stores : int;
+type region_row = {
+  id : int;
+  mutable executions : int;
+  mutable instrs : int;
+  mutable stores : int;
+  mutable max_stores : int;
+  mutable ckpt_stores : int;
+  mutable stall_cycles : int;
+  mutable commits : int;
+  mutable commit_latency : int;
+  mutable nvm_lines : int;
 }
 
 type result = {
@@ -49,9 +55,8 @@ type result = {
   ckpt_stores : int;
   boundaries : int;
   region_stats : region_stats;
-  profile : (int, boundary_profile) Hashtbl.t;
-      (* per boundary id: dynamic instance counts (profile-guided
-         region formation consumes this) *)
+  profile : region_row array;
+      (* one row per static region, in [Code.row_ids] order *)
   outputs : int list array;
   acks : (int * int) list array;
       (* per thread: (output, cycle it became client-visible). Journaled
@@ -94,21 +99,10 @@ type thread = {
   mutable cur_region_stores : int;
   mutable cur_region_ckpts : int;
   mutable cur_region_stall : int;  (* store-stall cycles inside the region *)
-  mutable cur_region_id : int;
-  mutable in_region : bool;
-  mutable region_seq : int;
-      (* mirror of Persist's per-core open_seq: incremented on every
-         boundary/halt flush, elided or not, so profiler records keyed
-         (core, seq) join with Persist's commit reports *)
-  mutable prof_id : int;
-      (* region id of [prof_bp], [min_int] when the cache is cold: loop
-         bodies close the same static region millions of times, so the
-         per-close profile row is one compare away instead of a hash *)
-  mutable prof_bp : boundary_profile;
+  mutable cur_row : int;
+      (* the open region's tally row; -1 before the first boundary and
+         after the halt *)
 }
-
-(* Never mutated: threads point at it until their first region closes. *)
-let dummy_bp = { instances = 0; p_instrs = 0; p_stores = 0; p_max_stores = 0 }
 
 type session = {
   config : Config.t;
@@ -151,7 +145,8 @@ type session = {
       (* value of the most recent {!do_load} — an out-parameter instead of
          a result tuple per load; sessions never share a domain with each
          other, threads within one never interleave mid-instruction *)
-  profile : (int, boundary_profile) Hashtbl.t;
+  rows : region_row array;
+      (* the run's one region tally, zeroed in place by [restart_run] *)
   mutable obs : Obs.t;
       (* rebound by [rewind]; the closures decided the tracer's
          enablement when they were lowered, so a new bundle must agree *)
@@ -180,11 +175,7 @@ let make_thread code core (spec : thread_spec) =
     cur_region_stores = 0;
     cur_region_ckpts = 0;
     cur_region_stall = 0;
-    cur_region_id = -1;
-    in_region = false;
-    region_seq = 0;
-    prof_id = min_int;
-    prof_bp = dummy_bp;
+    cur_row = -1;
   }
 
 (* Hoist the per-access latency divisions out of the load/store paths:
@@ -247,44 +238,52 @@ let fence_store s (th : thread) addr =
          ~line:(Memory.line_of_addr addr) ~mask:(word_bit addr)
   then raise Retry_conflict
 
-let close_dyn_region s (th : thread) ~next_id =
-  if th.in_region then begin
-    (match s.check_threshold with
-     | Some limit when th.cur_region_stores > limit ->
-       failwith
-         (Printf.sprintf
-            "region store threshold violated: %d > %d (core %d)"
-            th.cur_region_stores limit th.core)
-     | Some _ | None -> ());
-    let bp =
-      if th.prof_id = th.cur_region_id then th.prof_bp
-      else begin
-        let bp =
-          match Hashtbl.find s.profile th.cur_region_id with
-          | bp -> bp
-          | exception Not_found ->
-            let bp =
-              { instances = 0; p_instrs = 0; p_stores = 0; p_max_stores = 0 }
-            in
-            Hashtbl.replace s.profile th.cur_region_id bp;
-            bp
-        in
-        th.prof_id <- th.cur_region_id;
-        th.prof_bp <- bp;
-        bp
-      end
-    in
-    bp.instances <- bp.instances + 1;
-    bp.p_instrs <- bp.p_instrs + th.cur_region_instrs;
-    bp.p_stores <- bp.p_stores + th.cur_region_stores;
-    bp.p_max_stores <- Int.max bp.p_max_stores th.cur_region_stores
+(* Checked before the closing boundary reaches the persist engine, so a
+   violation stops the run with the region still open. *)
+let check_threshold s (th : thread) =
+  match s.check_threshold with
+  | Some limit when th.cur_row >= 0 && th.cur_region_stores > limit ->
+    failwith
+      (Printf.sprintf "region store threshold violated: %d > %d (core %d)"
+         th.cur_region_stores limit th.core)
+  | Some _ | None -> ()
+
+(* The one tally of a region close: its static region's row, and the
+   profiler's distributions when one is on. [ckpts] adds the halt's
+   staged register file to the region's own checkpoint stores; [stall]
+   is the boundary or halt stall the close paid. *)
+let close_dyn_region s (th : thread) ~ckpts ~stall ~next_row =
+  let row = th.cur_row in
+  if row >= 0 then begin
+    let r = Array.unsafe_get s.rows row in
+    let stores = th.cur_region_stores in
+    let ckpts = th.cur_region_ckpts + ckpts in
+    let stall = th.cur_region_stall + stall in
+    r.executions <- r.executions + 1;
+    r.instrs <- r.instrs + th.cur_region_instrs;
+    r.stores <- r.stores + stores;
+    r.max_stores <- Int.max r.max_stores stores;
+    r.ckpt_stores <- r.ckpt_stores + ckpts;
+    r.stall_cycles <- r.stall_cycles + stall;
+    let p = s.obs.Obs.regions in
+    if Profiler.enabled p then
+      Profiler.on_close p ~stores ~ckpt_stores:ckpts ~stall_cycles:stall
   end;
   th.cur_region_instrs <- 0;
   th.cur_region_stores <- 0;
   th.cur_region_ckpts <- 0;
   th.cur_region_stall <- 0;
-  th.cur_region_id <- next_id;
-  th.in_region <- true
+  th.cur_row <- next_row
+
+(* The other half of a row: a commit of one of its closes, reported by
+   the persist engine from the commit marker. *)
+let commit_row s ~row ~latency ~nvm_lines =
+  let r = Array.unsafe_get s.rows row in
+  r.commits <- r.commits + 1;
+  r.commit_latency <- r.commit_latency + latency;
+  r.nvm_lines <- r.nvm_lines + nvm_lines;
+  let p = s.obs.Obs.regions in
+  if Profiler.enabled p then Profiler.on_commit p ~latency ~nvm_lines
 
 let region_name id = if id < 0 then "entry" else "b" ^ string_of_int id
 
@@ -353,27 +352,18 @@ let goto s (th : thread) idx =
 (* Region boundary and halt bookkeeping: the cold paths the lowered
    closures call into. Neither touches [payload_count]; the callers
    account it. Both return the cycle cost. *)
-let exec_boundary s (th : thread) ~id ~name =
+let exec_boundary s (th : thread) ~id ~row ~name =
   s.boundary_count <- s.boundary_count + 1;
-  (* Capture the closing region's costs before the reset; the profiler
-     record goes out after Persist flushes so the boundary stall (sync
-     modes) is attributed to the region it closes. *)
-  let closing = th.in_region in
-  let closing_id = th.cur_region_id in
+  check_threshold s th;
+  (* The region closes after Persist flushes it, so the boundary stall
+     (sync modes) is tallied to the region it closes. *)
+  let closing = th.cur_row >= 0 in
   let stores = th.cur_region_stores in
-  let ckpts = th.cur_region_ckpts in
-  let store_stall = th.cur_region_stall in
-  close_dyn_region s th ~next_id:id;
   let stall =
     Persist.on_boundary s.persist ~core:th.core ~cycle:th.cycle ~boundary:id
-      ~sp:th.regs.(sp_idx)
+      ~sp:th.regs.(sp_idx) ~row:th.cur_row
   in
-  let seq = th.region_seq in
-  th.region_seq <- seq + 1;
-  if closing && Profiler.enabled s.obs.Obs.regions then
-    Profiler.on_region_close s.obs.Obs.regions ~core:th.core ~seq
-      ~region:(region_name closing_id) ~stores ~ckpt_stores:ckpts
-      ~stall_cycles:(store_stall + stall) ~cycle:th.cycle;
+  close_dyn_region s th ~ckpts:0 ~stall ~next_row:row;
   let tr = s.obs.Obs.tracer in
   if Tracer.enabled tr then begin
     let track = Array.unsafe_get s.core_tracks th.core in
@@ -389,13 +379,8 @@ let exec_boundary s (th : thread) ~id ~name =
   1 + stall
 
 let exec_halt s (th : thread) =
-  let closing = th.in_region in
-  let closing_id = th.cur_region_id in
-  let stores = th.cur_region_stores in
-  let ckpts = th.cur_region_ckpts in
-  let store_stall = th.cur_region_stall in
-  close_dyn_region s th ~next_id:(-1);
-  th.in_region <- false;
+  check_threshold s th;
+  let closing = th.cur_row >= 0 in
   (* Stage the full architected register file with the final region:
      its commit makes the finished thread's context durable, so a crash
      after this core halts (while others still run) can restore the
@@ -403,14 +388,10 @@ let exec_halt s (th : thread) =
   Array.iteri
     (fun slot value -> Persist.on_ckpt s.persist ~core:th.core ~slot ~value)
     th.regs;
-  let stall = Persist.on_halt s.persist ~core:th.core ~cycle:th.cycle in
-  let seq = th.region_seq in
-  th.region_seq <- seq + 1;
-  if closing && Profiler.enabled s.obs.Obs.regions then
-    Profiler.on_region_close s.obs.Obs.regions ~core:th.core ~seq
-      ~region:(region_name closing_id) ~stores
-      ~ckpt_stores:(ckpts + Array.length th.regs)
-      ~stall_cycles:(store_stall + stall) ~cycle:th.cycle;
+  let stall =
+    Persist.on_halt s.persist ~core:th.core ~cycle:th.cycle ~row:th.cur_row
+  in
+  close_dyn_region s th ~ckpts:(Array.length th.regs) ~stall ~next_row:(-1);
   let tr = s.obs.Obs.tracer in
   if Tracer.enabled tr then begin
     let track = Array.unsafe_get s.core_tracks th.core in
@@ -570,12 +551,12 @@ let lower_instr s (d : Code.dinstr) : thread -> int =
         th.outputs <- v :: th.outputs;
         th.out_cycles <- (v, th.cycle) :: th.out_cycles;
         1
-  | Code.Dboundary { id } ->
+  | Code.Dboundary { id; row } ->
     (* the region span's name, built once and only when it is traced *)
     let name =
       if Tracer.enabled s.obs.Obs.tracer then region_name id else ""
     in
-    fun th -> exec_boundary s th ~id ~name
+    fun th -> exec_boundary s th ~id ~row ~name
   | Code.Dckpt { reg; slot } ->
     fun th ->
       s.ckpt_count <- s.ckpt_count + 1;
@@ -656,15 +637,25 @@ let init_slots s (th : thread) =
     match entry with
     | [||] -> None
     | _ -> (
-      match entry.(0) with Code.Dboundary { id } -> Some id | _ -> None)
+      match entry.(0) with Code.Dboundary { id; _ } -> Some id | _ -> None)
   in
   Persist.init_slots s.persist ~core:th.core ~slots:th.regs ~resume_boundary
     ~sp:th.regs.(sp_idx)
 
+let zero_row r =
+  r.executions <- 0;
+  r.instrs <- 0;
+  r.stores <- 0;
+  r.max_stores <- 0;
+  r.ckpt_stores <- 0;
+  r.stall_cycles <- 0;
+  r.commits <- 0;
+  r.commit_latency <- 0;
+  r.nvm_lines <- 0
+
 (* The run's own state at its start values, for [rewind] and for
-   [resume] on a crashed session: the counters, the region profile
-   (reset, not cleared, so it keeps a fresh table's bucket count) and one
-   new thread per spec at its entry. *)
+   [resume] on a crashed session: the counters, the region rows (zeroed
+   in place) and one new thread per spec at its entry. *)
 let restart_run s =
   s.instr_count <- 0;
   s.payload_count <- 0;
@@ -673,7 +664,7 @@ let restart_run s =
   s.boundary_count <- 0;
   s.stale_reads <- 0;
   s.lval <- 0;
-  Hashtbl.reset s.profile;
+  Array.iter zero_row s.rows;
   s.threads <-
     Array.of_list
       (List.mapi
@@ -762,7 +753,13 @@ let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
       scosts;
       redo_extra = (mode = Persist.Redo_nowb);
       lval = 0;
-      profile = Hashtbl.create 64;
+      rows =
+        Array.map
+          (fun id ->
+            { id; executions = 0; instrs = 0; stores = 0; max_stores = 0;
+              ckpt_stores = 0; stall_cycles = 0; commits = 0;
+              commit_latency = 0; nvm_lines = 0 })
+          (Code.row_ids code);
       obs;
       core_tracks =
         (if Tracer.enabled obs.Obs.tracer then
@@ -773,6 +770,8 @@ let start ?(config = Config.sim_default) ?(mode = Persist.Capri)
   s.cblocks <-
     Array.init (Code.length code) (fun idx ->
         lower_block s (Code.block code idx));
+  Persist.set_commit_hook persist (fun ~row ~latency ~nvm_lines ->
+      commit_row s ~row ~latency ~nvm_lines);
   rewind s;
   s
 
@@ -850,24 +849,24 @@ let exec_one s (th : thread) =
   in
   th.cycle <- th.cycle + cost
 
-(* Every closed region lands in exactly one profile row, so the run's
-   region totals are sums (and a max) over the rows. *)
-let region_stats profile =
-  Hashtbl.fold
-    (fun _ bp r ->
+(* Every closed region lands in exactly one row, so the run's region
+   totals are sums (and a max) over the rows. *)
+let region_stats rows =
+  Array.fold_left
+    (fun acc r ->
       {
-        regions_executed = r.regions_executed + bp.instances;
-        total_instrs = r.total_instrs + bp.p_instrs;
-        total_stores = r.total_stores + bp.p_stores;
-        max_stores_in_region = Int.max r.max_stores_in_region bp.p_max_stores;
+        regions_executed = acc.regions_executed + r.executions;
+        total_instrs = acc.total_instrs + r.instrs;
+        total_stores = acc.total_stores + r.stores;
+        max_stores_in_region = Int.max acc.max_stores_in_region r.max_stores;
       })
-    profile
     {
       regions_executed = 0;
       total_instrs = 0;
       total_stores = 0;
       max_stores_in_region = 0;
     }
+    rows
 
 let finish s =
   Hierarchy.publish s.hier;
@@ -896,8 +895,8 @@ let finish s =
       stores = s.store_count;
       ckpt_stores = s.ckpt_count;
       boundaries = s.boundary_count;
-      region_stats = region_stats s.profile;
-      profile = s.profile;
+      region_stats = region_stats s.rows;
+      profile = s.rows;
       outputs;
       acks;
       memory = s.memory;
@@ -907,11 +906,9 @@ let finish s =
       stale_reads = s.stale_reads;
     }
 
-let livelock (th : thread) =
-  raise
-    (Livelock
-       { core = th.core; region = region_name th.cur_region_id;
-         steps = th.steps })
+let livelock s (th : thread) =
+  let id = if th.cur_row < 0 then -1 else s.rows.(th.cur_row).id in
+  raise (Livelock { core = th.core; region = region_name id; steps = th.steps })
 
 let fire_crash s crashed (th : thread) =
   if Tracer.enabled s.obs.Obs.tracer then begin
@@ -961,7 +958,7 @@ let run_reference ?crash_at_instr ?(max_steps = default_max_steps) s =
        | Some n when s.instr_count >= n -> fire_crash s crashed th
        | Some _ | None ->
          th.steps <- th.steps + 1;
-         if th.steps > max_steps then livelock th;
+         if th.steps > max_steps then livelock s th;
          exec_one s th;
          loop ())
   in
@@ -1050,7 +1047,7 @@ let run ?crash_at_instr ?(max_steps = default_max_steps) s =
           end
           else begin
             th.steps <- th.steps + 1;
-            if th.steps > max_steps then livelock th;
+            if th.steps > max_steps then livelock s th;
             exec_one s th
           end;
           if th.halted || s.instr_count >= crash_n then continue := false

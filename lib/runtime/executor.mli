@@ -37,8 +37,8 @@ exception Livelock of { core : int; region : string; steps : int }
     before the first boundary) and the step count reached. *)
 
 (** The run's closed regions in total: a fold over the result's
-    [profile] rows ([instances], [p_instrs] and [p_stores] summed,
-    [p_max_stores] maxed). *)
+    [profile] rows ([executions], [instrs] and [stores] summed,
+    [max_stores] maxed). *)
 type region_stats = {
   regions_executed : int;  (** dynamic boundary count *)
   total_instrs : int;  (** dynamic instructions inside regions *)
@@ -46,13 +46,28 @@ type region_stats = {
   max_stores_in_region : int;
 }
 
-(** Per-static-region dynamic profile, keyed by boundary id. Drives
-    profile-guided region formation (see {!Capri.compile_pgo}). *)
-type boundary_profile = {
-  mutable instances : int;
-  mutable p_instrs : int;
-  mutable p_stores : int;
-  mutable p_max_stores : int;
+(** One static region's tally, the run's only record of its regions. A
+    region close adds its execution, instructions, stores, checkpoint
+    stores and stall cycles to its region's row, and the persist engine
+    adds the close's commit, if it lands, through the commit marker
+    ({!Arch.Persist.set_commit_hook}). {!region_stats},
+    [Capri.compile_pgo] and [capri profile]'s hottest-regions table read
+    the rows. *)
+type region_row = {
+  id : int;  (** the region's boundary id *)
+  mutable executions : int;  (** closes *)
+  mutable instrs : int;  (** dynamic instructions, the boundary's included *)
+  mutable stores : int;  (** stores incl. checkpoint stores *)
+  mutable max_stores : int;  (** the most stores one close held *)
+  mutable ckpt_stores : int;
+      (** checkpoint stores, and a halt's 32 staged register slots *)
+  mutable stall_cycles : int;
+      (** store stalls, plus the closing boundary's or halt's stall *)
+  mutable commits : int;  (** closes whose commit landed *)
+  mutable commit_latency : int;
+      (** summed over the commits: commit cycle minus close cycle,
+          clamped at zero *)
+  mutable nvm_lines : int;  (** NVM line writes of the commits *)
 }
 
 type result = {
@@ -63,7 +78,9 @@ type result = {
   ckpt_stores : int;
   boundaries : int;
   region_stats : region_stats;
-  profile : (int, boundary_profile) Hashtbl.t;
+  profile : region_row array;
+      (** one row per static region, ascending by boundary id, rows of
+          regions that never closed included *)
   outputs : int list array;  (** per core, in emission order *)
   acks : (int * int) list array;
       (** per core: [(output, cycle)] — when each output became
@@ -111,9 +128,8 @@ val start :
     register in its metrics registry, every dynamic region opens a span
     on its core's trace track (with nested boundary-stall spans in the
     synchronous modes), fences/atomics/halts/crashes emit instant
-    events, and the region profiler receives one record per closed
-    region, joined with Persist's commit reports by (core, seq). A
-    region span's begin event carries the boundary's global instruction
+    events, and the region profiler observes each closed region's costs
+    and each commit of one. A region span's begin event carries the boundary's global instruction
     index ([instr]) and the store count of the region it closed
     ([stores]); {!boundary_instrs} and {!render_timeline} read them
     back.
@@ -206,6 +222,11 @@ val program : session -> Program.t
 val positions : session -> (string * string * int * int) array
 (** Per-core (function, block label, instruction index, cycle) — where
     each thread currently stands; for debugging and liveness tests. *)
+
+val region_name : int -> string
+(** A region's name from its boundary id: ["b<id>"], and ["entry"] for
+    a negative id (the code before a thread's first boundary). Region
+    spans, {!Livelock} and the hottest-regions table use it. *)
 
 (** {1 The region timeline}
 

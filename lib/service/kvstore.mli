@@ -79,20 +79,14 @@ val fault_skip_decision : bool Atomic.t
     transaction aborts. The fuzz campaign's serializability oracle must
     catch this. Default [false]. *)
 
-val capacity_for : int -> int
-(** Table slots used for a given key space (2x, minimum 8). *)
-
 val synthetic_preload : shards:int -> keys:int -> (int * int) array array
 (** Deterministic committed state for [?preload]: keys [1..keys] on every
     shard, key [k] of shard [s] holding [(k + 17 s) mod 251], so
     cross-shard confusion shows in the oracle's table scan. [\[||\]] (an
     empty store) when [keys <= 0]. Raises [Invalid_argument], before
-    building anything, when [shards] tables of [capacity_for keys] slots
-    (two words each) would not fit {!Capri_runtime.Layout.heap_words}, or
+    building anything, when [shards] tables of [2 * keys] slots (at
+    least 8; two words each) would not fit {!Capri_runtime.Layout.heap_words}, or
     when [shards < 1]. *)
-
-val stride_for : shards:int -> int
-(** Ctrl-block stride for a store with this many shards. *)
 
 val cores_for : ?sched:Sched.cfg -> shards:int -> txns:int -> unit -> int
 (** Cores a store with this many shards and transactions runs on: one

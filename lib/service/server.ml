@@ -362,11 +362,6 @@ let instrument obs t outcome =
             Tracer.int_arg tr "response" resp)
           core_acks)
       outcome.acks;
-    let tenant_label r =
-      match t.workload with
-      | None -> []
-      | Some _ -> [ ("tenant", string_of_int r.tenant) ]
-    in
     (* a request's trace arguments: its txn id, and its tenant when the
        store is multi-tenant *)
     let multi_tenant = Option.is_some t.workload in
@@ -374,26 +369,38 @@ let instrument obs t outcome =
       if r.meta.Sla.tid >= 0 then Tracer.int_arg tr "tid" r.meta.Sla.tid;
       if multi_tenant then Tracer.int_arg tr "tenant" r.tenant
     in
+    (* Latency histograms split by op kind (and tenant, when the store is
+       multi-tenant): txn tail latency must not hide inside (or inflate)
+       the point-op distribution, and one tenant's tail must not hide
+       inside another's. A request's cells, its latency histogram and
+       its tenant's served counter, are looked up once per (op kind,
+       tenant). *)
+    let cells = Hashtbl.create 16 in
+    let cells_of r =
+      let key = (r.meta.Sla.kind, r.tenant) in
+      match Hashtbl.find cells key with
+      | c -> c
+      | exception Not_found ->
+        let tenant =
+          if multi_tenant then [ ("tenant", string_of_int r.tenant) ] else []
+        in
+        let c =
+          ( Metrics.log2_histogram m "service_latency_cycles"
+              ~labels:(("op", r.meta.Sla.kind) :: tenant) ~buckets:24,
+            if multi_tenant then
+              Some (Metrics.counter ~labels:tenant m "service_tenant_served")
+            else None )
+        in
+        Hashtbl.add cells key c;
+        c
+    in
     Array.iteri
       (fun stream reqs ->
-        (* Latency histograms split by op kind (and tenant, when the
-           store is multi-tenant): txn tail latency must not hide
-           inside (or inflate) the point-op distribution, and one
-           tenant's tail must not hide inside another's. *)
         List.iter
           (fun r ->
-            let h =
-              Metrics.log2_histogram m "service_latency_cycles"
-                ~labels:(("op", r.meta.Sla.kind) :: tenant_label r)
-                ~buckets:24
-            in
-            Metrics.Histogram.observe h r.latency;
-            match tenant_label r with
-            | [] -> ()
-            | labels ->
-              Metrics.Counter.add
-                (Metrics.counter ~labels m "service_tenant_served")
-                1)
+            let latency, served = cells_of r in
+            Metrics.Histogram.observe latency r.latency;
+            Option.iter Metrics.Counter.inc served)
           reqs;
         (* Request-lifecycle spans, one per served request on the
            shard's [Request] track: admission -> batch enqueue -> shard

@@ -30,11 +30,6 @@ module Model : sig
   (** Mutates the model; returns the response word the shard handler
       must emit for this request. Raises on a [Txn] marker — those
       expand through the protocol replay. *)
-
-  val apply_item : t -> Wire.request -> int
-  (** Commit-time application of a transaction item: [Cas] was
-      validated at prepare, so put/cas store unconditionally; get reads
-      the current state. *)
 end
 
 val expected_responses : key_space:int -> Wire.request array -> int array

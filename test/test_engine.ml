@@ -39,16 +39,14 @@ let run_with ?config ?mode ?obs ?crash_at_instr ?max_steps ~(run : scheduler)
     compiled threads =
   run ?crash_at_instr ?max_steps (start_with ?config ?mode ?obs compiled threads)
 
-(* Canonical view of the per-boundary profile: hashtable bucket layout
-   may differ, bindings may not. *)
-let profile_list (p : (int, Executor.boundary_profile) Hashtbl.t) =
-  Hashtbl.fold
-    (fun k (bp : Executor.boundary_profile) acc ->
-      ( k, bp.Executor.instances, bp.Executor.p_instrs, bp.Executor.p_stores,
-        bp.Executor.p_max_stores )
-      :: acc)
-    p []
-  |> List.sort compare
+(* Every field of every region row. *)
+let profile_list (p : Executor.region_row array) =
+  Array.to_list p
+  |> List.map (fun (r : Executor.region_row) ->
+         ( (r.Executor.id, r.Executor.executions, r.Executor.instrs),
+           (r.Executor.stores, r.Executor.max_stores, r.Executor.ckpt_stores),
+           (r.Executor.stall_cycles, r.Executor.commits),
+           (r.Executor.commit_latency, r.Executor.nvm_lines) ))
 
 (* Field-by-field identity between a reference result [a] and a burst
    scheduler result [b]. *)

@@ -36,7 +36,7 @@ let test_merge_within_region () =
 let test_no_merge_across_regions () =
   let t = mk () in
   store t ~cycle:0 ~line:5 ~from:0 ~to_:1 ~version:1;
-  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0);
+  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0 ~row:(-1));
   store t ~cycle:2 ~line:5 ~from:1 ~to_:2 ~version:2;
   let s = Persist.stats t in
   Alcotest.(check int) "two entries" 2 s.Persist.entries_created;
@@ -45,18 +45,18 @@ let test_no_merge_across_regions () =
 let test_boundary_elision () =
   let t = mk () in
   (* empty region: elided *)
-  ignore (Persist.on_boundary t ~core:0 ~cycle:0 ~boundary:1 ~sp:0);
+  ignore (Persist.on_boundary t ~core:0 ~cycle:0 ~boundary:1 ~sp:0 ~row:(-1));
   Alcotest.(check int) "elided" 1 (Persist.stats t).Persist.boundaries_elided;
   (* a region with a checkpoint flush is NOT elided *)
   Persist.on_ckpt t ~core:0 ~slot:3 ~value:99;
-  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:2 ~sp:0);
+  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:2 ~sp:0 ~row:(-1));
   Alcotest.(check int) "not elided" 1
     (Persist.stats t).Persist.boundaries_elided
 
 let test_commit_reaches_nvm () =
   let t = mk () in
   store t ~cycle:0 ~line:7 ~from:0 ~to_:42 ~version:1;
-  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0);
+  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0 ~row:(-1));
   (* Give the path time to drain and commit. *)
   Persist.advance t ~cycle:10_000;
   Alcotest.(check int) "redo landed" 42 (Persist.nvm_line t 7).(0)
@@ -72,7 +72,9 @@ let test_crash_redo_committed () =
   let t = mk () in
   store t ~cycle:0 ~line:7 ~from:0 ~to_:42 ~version:1;
   Persist.on_ckpt t ~core:0 ~slot:4 ~value:77;
-  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:9 ~sp:500);
+  ignore
+    (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:9
+       ~sp:500 ~row:(-1));
   (* Crash immediately: everything is still in flight, but battery-backed
      buffers drain and the committed region replays. *)
   let image = Persist.crash_recover t ~cycle:2 in
@@ -89,7 +91,7 @@ let test_crash_undo_interrupted () =
   let t = mk () in
   (* Region A commits line 7 = 10. *)
   store t ~cycle:0 ~line:7 ~from:0 ~to_:10 ~version:1;
-  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0);
+  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0 ~row:(-1));
   (* Region B overwrites line 7 = 20 but never commits. *)
   store t ~cycle:2 ~line:7 ~from:10 ~to_:20 ~version:2;
   Persist.on_ckpt t ~core:0 ~slot:4 ~value:123;  (* staged, uncommitted *)
@@ -106,7 +108,7 @@ let test_figure7_writeback_race () =
      restore A=10 via region 2's undo. *)
   let t = mk () in
   store t ~cycle:0 ~line:7 ~from:0 ~to_:10 ~version:1;
-  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0);
+  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0 ~row:(-1));
   store t ~cycle:2 ~line:7 ~from:10 ~to_:20 ~version:2;
   (* cache writeback of the line carrying region 2's data arrives *)
   Persist.on_writeback t ~cycle:3 ~line:7 ~data:(line_data 20) ~version:2;
@@ -118,7 +120,7 @@ let test_figure7_writeback_race () =
 let test_scan_invalidation_saves_bandwidth () =
   let t = mk () in
   store t ~cycle:0 ~line:7 ~from:0 ~to_:10 ~version:1;
-  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0);
+  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0 ~row:(-1));
   (* Let the entry reach the back-end, then a NEWER writeback arrives
      before the commit marker is processed... simpler: send writeback
      after the commit already applied; the scan just must not corrupt. *)
@@ -128,7 +130,9 @@ let test_scan_invalidation_saves_bandwidth () =
   (* An older redo must never overwrite a newer writeback (version
      guard). *)
   store t ~cycle:10_002 ~line:7 ~from:99 ~to_:11 ~version:3 (* stale version *);
-  ignore (Persist.on_boundary t ~core:0 ~cycle:10_003 ~boundary:2 ~sp:0);
+  ignore
+    (Persist.on_boundary t ~core:0 ~cycle:10_003 ~boundary:2
+       ~sp:0 ~row:(-1));
   Persist.advance t ~cycle:20_000;
   Alcotest.(check int) "stale redo skipped" 99 (Persist.nvm_line t 7).(0)
 
@@ -138,7 +142,7 @@ let test_monitor_window () =
      controller before the entry: the window must invalidate it. *)
   store t ~cycle:0 ~line:7 ~from:0 ~to_:10 ~version:1;
   Persist.on_writeback t ~cycle:0 ~line:7 ~data:(line_data 10) ~version:1;
-  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0);
+  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0 ~row:(-1));
   Persist.advance t ~cycle:10_000;
   let s = Persist.stats t in
   Alcotest.(check bool) "window or scan invalidated the entry" true
@@ -148,14 +152,18 @@ let test_monitor_window () =
 let test_naive_sync_stalls () =
   let t = mk ~mode:Persist.Naive_sync () in
   store t ~cycle:0 ~line:7 ~from:0 ~to_:10 ~version:1;
-  let stall = Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0 in
+  let stall =
+    Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0 ~row:(-1)
+  in
   Alcotest.(check bool) "boundary stalls" true (stall > 0);
   Alcotest.(check int) "persisted on return" 10 (Persist.nvm_line t 7).(0)
 
 let test_capri_async () =
   let t = mk () in
   store t ~cycle:0 ~line:7 ~from:0 ~to_:10 ~version:1;
-  let stall = Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0 in
+  let stall =
+    Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0 ~row:(-1)
+  in
   Alcotest.(check int) "no stall" 0 stall
 
 let test_front_proxy_backpressure () =
@@ -194,7 +202,7 @@ let test_multi_core_isolation () =
   let t = mk ~cfg () in
   store t ~cycle:0 ~line:7 ~from:0 ~to_:10 ~version:1;
   ignore (store_on t ~core:1 ~cycle:0 ~line:9 ~from:0 ~to_:30 ~version:1);
-  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0);
+  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:0 ~row:(-1));
   (* core 1 never commits *)
   let image = Persist.crash_recover t ~cycle:5 in
   Alcotest.(check int) "core 0 redo" 10
@@ -209,7 +217,7 @@ let test_multi_core_isolation () =
 let test_halt_commits_in_background () =
   let t = mk () in
   store t ~cycle:0 ~line:7 ~from:0 ~to_:10 ~version:1;
-  let stall = Persist.on_halt t ~core:0 ~cycle:1 in
+  let stall = Persist.on_halt t ~core:0 ~cycle:1 ~row:(-1) in
   Alcotest.(check int) "no exit stall in capri mode" 0 stall;
   Persist.advance t ~cycle:100_000;
   Alcotest.(check int) "final region persisted" 10 (Persist.nvm_line t 7).(0);
@@ -237,7 +245,9 @@ let test_crash_undo_spans_back_path_front () =
   store ~cycle:0 ~line:7 ~from:0 ~to_:10 ~version:1;
   store ~cycle:0 ~line:8 ~from:0 ~to_:30 ~version:1;
   Persist.on_ckpt t ~core:0 ~slot:4 ~value:77;
-  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:3 ~sp:100);
+  ignore
+    (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:3
+       ~sp:100 ~row:(-1));
   (* interrupted region; a data entry drains 4 cycles after the previous
      one and arrives 40 cycles after it drains *)
   store ~cycle:200 ~line:7 ~from:10 ~to_:11 ~version:2;  (* drains 201, back *)
@@ -271,7 +281,7 @@ let close_with_slots t ~cycle ~slots ~boundary =
   for slot = 0 to slots - 1 do
     Persist.on_ckpt t ~core:0 ~slot ~value:(100 + slot)
   done;
-  Persist.on_boundary t ~core:0 ~cycle ~boundary ~sp:64
+  Persist.on_boundary t ~core:0 ~cycle ~boundary ~sp:64 ~row:(-1)
 
 (* A 20-slot region's commit leaves at cycle 20 and lands at 60, one
    marker gap per slot after its first slot would have landed (40). A
@@ -345,10 +355,10 @@ let power_cycle t =
   Persist.on_ckpt t ~core:0 ~slot:3 ~value:5;
   Persist.on_ckpt t ~core:1 ~slot:2 ~value:8;
   Persist.on_out t ~core:0 ~value:77;
-  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:4);
+  ignore (Persist.on_boundary t ~core:0 ~cycle:1 ~boundary:1 ~sp:4 ~row:(-1));
   ignore (store_on t ~core:0 ~cycle:2 ~line:8 ~from:0 ~to_:20 ~version:1);
   Persist.on_writeback t ~cycle:3 ~line:9 ~data:(line_data 30) ~version:1;
-  ignore (Persist.on_boundary t ~core:1 ~cycle:4 ~boundary:2 ~sp:6);
+  ignore (Persist.on_boundary t ~core:1 ~cycle:4 ~boundary:2 ~sp:6 ~row:(-1));
   Persist.on_ckpt t ~core:1 ~slot:2 ~value:9;
   ignore (store_on t ~core:1 ~cycle:5 ~line:11 ~from:0 ~to_:40 ~version:2);
   Persist.crash_recover t ~cycle:400
