@@ -292,9 +292,10 @@ let trace_cmd =
     let k = find_kernel name scale in
     let options = Options.with_threshold threshold Options.default in
     let compiled = Pipeline.compile options k.W.Kernel.program in
-    let obs = Capri_obs.Obs.create () in
+    let tracer = Capri_obs.Tracer.create () in
+    let obs = { Capri_obs.Obs.null with Capri_obs.Obs.tracer } in
     ignore (Verify.reference ~obs ~threads:k.W.Kernel.threads compiled);
-    print_string (Executor.render_timeline obs.Capri_obs.Obs.tracer)
+    print_string (Executor.render_timeline tracer)
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Show the dynamic region timeline of a kernel")
@@ -540,7 +541,13 @@ let serve_cmd =
     let want_report = slo || slo_p99 <> None || slo_avail <> None in
     if perfetto <> None || timeline || want_report then begin
       let t = plan_for focus in
-      let obs = Capri_obs.Obs.create () in
+      (* the registry too: the request spans are recorded only into an
+         enabled one *)
+      let obs =
+        { Capri_obs.Obs.null with
+          Capri_obs.Obs.metrics = Capri_obs.Metrics.create ();
+          tracer = Capri_obs.Tracer.create () }
+      in
       let outcome =
         Svc.Server.run ~obs ~crash_at:(Svc.Server.crash_schedule ~crashes t) t
       in

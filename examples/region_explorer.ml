@@ -42,11 +42,11 @@ let () =
   print_newline ();
   (* Dynamic region timeline under the full optimization set. *)
   let compiled = Pipeline.compile Options.all_opts kernel.W.Kernel.program in
-  let obs = Capri_obs.Obs.create () in
+  let tracer = Capri_obs.Tracer.create () in
+  let obs = { Capri_obs.Obs.null with Capri_obs.Obs.tracer } in
   ignore (Verify.reference ~obs ~threads:kernel.W.Kernel.threads compiled);
   print_endline "dynamic region timeline (all optimizations):";
-  print_string
-    (Executor.render_timeline ~max_rows:24 obs.Capri_obs.Obs.tracer);
+  print_string (Executor.render_timeline ~max_rows:24 tracer);
   print_newline ();
   (* Show the compiled IR of the smallest configuration for reading. *)
   let compiled = Pipeline.compile Options.up_to_ckpt kernel.W.Kernel.program in
