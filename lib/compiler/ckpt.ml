@@ -41,43 +41,28 @@ let region_live_out live (map : Region_map.t) (program : Program.t) =
   result
 
 (* Insert one Ckpt after the last def (in this block) of every register in
-   [want]. *)
+   [want]: walking back from the block's end, the first def of a wanted
+   register not yet checkpointed is its last. *)
 let instrument_block (b : Block.t) want =
-  if Reg.Set.is_empty want then 0
+  if Reg.Set.is_empty (Reg.Set.inter want (Block.defs b)) then 0
   else begin
-    let last_def = Hashtbl.create 8 in
-    List.iteri
-      (fun i instr ->
-        Reg.Set.iter
-          (fun r ->
-            if Reg.Set.mem r want then Hashtbl.replace last_def (Reg.to_int r) i)
-          (Instr.defs instr))
-      b.Block.instrs;
-    if Hashtbl.length last_def = 0 then 0
-    else begin
-      let inserted = ref 0 in
-      let rev =
-        List.fold_left
-          (fun (i, acc) instr ->
-            let acc = instr :: acc in
-            let acc =
-              Hashtbl.fold
-                (fun reg_idx pos acc ->
-                  if pos = i then begin
-                    incr inserted;
-                    Instr.Ckpt { reg = Reg.of_int reg_idx; slot = reg_idx }
-                    :: acc
-                  end
-                  else acc)
-                last_def acc
-            in
-            (i + 1, acc))
-          (0, []) b.Block.instrs
-        |> snd
-      in
-      b.Block.instrs <- List.rev rev;
-      !inserted
-    end
+    let inserted = ref 0 in
+    let rec go = function
+      | [] -> ([], want)
+      | instr :: rest ->
+        let rest, pending = go rest in
+        let fresh = Reg.Set.inter (Instr.defs instr) pending in
+        let rest =
+          Reg.Set.fold
+            (fun reg acc ->
+              incr inserted;
+              Instr.Ckpt { reg; slot = Reg.to_int reg } :: acc)
+            fresh rest
+        in
+        (instr :: rest, Reg.Set.diff pending fresh)
+    in
+    b.Block.instrs <- fst (go b.Block.instrs);
+    !inserted
   end
 
 let run (_options : Options.t) (program : Program.t) (map : Region_map.t) =

@@ -29,10 +29,10 @@ type region = {
 
 type t = {
   by_id : (int, region) Hashtbl.t;
-  by_block : (string * string, int) Hashtbl.t;  (* func, label *)
+  by_block : (string, int Label.Tbl.t) Hashtbl.t;  (* func -> label -> id *)
 }
 
-let create () = { by_id = Hashtbl.create 64; by_block = Hashtbl.create 256 }
+let create () = { by_id = Hashtbl.create 64; by_block = Hashtbl.create 8 }
 
 let add_region t r =
   if Hashtbl.mem t.by_id r.id then
@@ -40,7 +40,15 @@ let add_region t r =
   Hashtbl.replace t.by_id r.id r
 
 let set_block t ~func label id =
-  Hashtbl.replace t.by_block (func, Label.to_string label) id
+  let blocks =
+    match Hashtbl.find_opt t.by_block func with
+    | Some blocks -> blocks
+    | None ->
+      let blocks = Label.Tbl.create 64 in
+      Hashtbl.replace t.by_block func blocks;
+      blocks
+  in
+  Label.Tbl.replace blocks label id
 
 let region_count t = Hashtbl.length t.by_id
 
@@ -51,7 +59,7 @@ let regions t =
 let find t id = Hashtbl.find t.by_id id
 
 let region_of_block t ~func label =
-  Hashtbl.find t.by_block (func, Label.to_string label)
+  Label.Tbl.find (Hashtbl.find t.by_block func) label
 
 let head_of t id = (find t id).head
 

@@ -7,7 +7,7 @@ module Program = Capri_ir.Program
 module Builder = Capri_ir.Builder
 module Parser = Capri_ir.Parser
 module Validate = Capri_ir.Validate
-module Liveness = Capri_dataflow.Liveness
+module Cfg = Capri_dataflow.Cfg
 module Inter_liveness = Capri_dataflow.Inter_liveness
 module Dom = Capri_dataflow.Dom
 module Loops = Capri_dataflow.Loops

@@ -14,10 +14,10 @@
       reader without the caller touching the register, and the
       checkpoint analysis must see it live across the return.
 
-    Each block is summarised once as the registers it reads before writing
-    and the registers it writes, held as 32-bit masks, so a fixpoint
-    visit costs a few integer operations; the accessors convert to
-    [Reg.Set.t]. *)
+    Each function is numbered once ({!Cfg}), and each block is summarised
+    once as the registers it reads before writing and the registers it
+    writes. [Reg.Set.t] is a 32-bit mask, so a fixpoint visit costs a few
+    integer operations and a query returns the stored set as it is. *)
 
 open Capri_ir
 
@@ -37,4 +37,10 @@ val ret_live_out : t -> string -> Reg.Set.t
     any caller's continuation. *)
 
 val live_before_instrs : t -> Func.t -> Block.t -> Reg.Set.t array
-(** Per-instruction live-before sets, as {!Liveness.live_before_instrs}. *)
+(** [live_before_instrs t f b] has one entry per instruction of [b]: the
+    registers live just before it, plus a final entry for just before
+    the terminator. *)
+
+val cfg : t -> Func.t -> Cfg.t
+(** The numbering the analysis ran on: valid while no pass adds blocks to
+    the function or rewrites its terminators. *)

@@ -19,14 +19,15 @@ let defs b =
     b.instrs
 
 let uses_before_def b =
-  let gen, killed =
-    List.fold_left
-      (fun (gen, killed) i ->
-        let gen = Reg.Set.union gen (Reg.Set.diff (Instr.uses i) killed) in
-        (gen, Reg.Set.union killed (Instr.defs i)))
-      (Reg.Set.empty, Reg.Set.empty) b.instrs
+  let rec go gen killed = function
+    | [] -> Reg.Set.union gen (Reg.Set.diff (Instr.term_uses b.term) killed)
+    | i :: rest ->
+      go
+        (Reg.Set.union gen (Reg.Set.diff (Instr.uses i) killed))
+        (Reg.Set.union killed (Instr.defs i))
+        rest
   in
-  Reg.Set.union gen (Reg.Set.diff (Instr.term_uses b.term) killed)
+  go Reg.Set.empty Reg.Set.empty b.instrs
 
 let pp fmt b =
   Format.fprintf fmt "@[<v 2>%a:" Label.pp b.label;

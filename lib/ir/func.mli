@@ -11,7 +11,9 @@ val create : name:string -> entry:Label.t -> Block.t list -> t
 val name : t -> string
 val entry : t -> Label.t
 val blocks : t -> Block.t list
-(** Layout order; the entry block is always first. *)
+(** Layout order; the entry block is always first. The function keeps
+    this list, so asking for it costs nothing, and a rewrite that adds a
+    block replaces it without touching a list already handed out. *)
 
 val find : t -> Label.t -> Block.t
 (** Raises [Not_found]. *)
@@ -33,10 +35,6 @@ val split_block : t -> Block.t -> at:int -> Label.t
     [b.instrs]) onward, plus the terminator, into a fresh successor block;
     [b] then jumps to it. Returns the new block's label. [at] may equal the
     instruction count (splitting just before the terminator). *)
-
-val preds_map : t -> Label.Set.t Label.Map.t
-(** Map from each block label to the labels of its predecessors. Blocks
-    with no predecessors map to the empty set. *)
 
 val instr_count : t -> int
 val store_count : t -> int
