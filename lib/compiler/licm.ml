@@ -349,7 +349,7 @@ let run (options : Options.t) (program : Program.t) (map : Region_map.t) =
     List.fold_left
       (fun acc f ->
         let name = Func.name f in
-        let loops = Loops.compute f in
+        let loops = Loops.compute (Capri_dataflow.Cfg.of_func f) in
         List.fold_left
           (fun acc (region : Region_map.region) ->
             if String.equal region.Region_map.func name then

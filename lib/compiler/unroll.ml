@@ -56,7 +56,7 @@ let unroll_loop f (loop : Loops.loop) ~factor =
           (fun l m ->
             Label.Map.add l
               (Func.fresh_label f
-                 (Printf.sprintf "%s.u%d" (Label.to_string l) (k + 1)))
+                 (Label.to_string l ^ ".u" ^ string_of_int (k + 1)))
               m)
           loop.Loops.body Label.Map.empty)
   in
@@ -111,7 +111,7 @@ let innermost loops loop =
     (Loops.loops loops)
 
 let run_func ?hints options f =
-  let loops = Loops.compute f in
+  let loops = Loops.compute (Capri_dataflow.Cfg.of_func f) in
   let seen = ref 0 and unrolled = ref 0 and total = ref 0 in
   List.iter
     (fun (loop : Loops.loop) ->

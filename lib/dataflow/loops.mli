@@ -17,7 +17,8 @@ type loop = {
 
 type t
 
-val compute : Func.t -> t
+val compute : Cfg.t -> t
+(** The loops of the numbered function. *)
 
 val loops : t -> loop list
 (** Innermost first (deeper nesting sorts earlier). Loops sharing a header

@@ -5,7 +5,6 @@ let to_string s = s
 let equal = String.equal
 let compare = String.compare
 let pp fmt s = Format.pp_print_string fmt s
-let fresh ~base n = Printf.sprintf "%s.%d" base n
 
 module Set = Set.Make (String)
 module Map = Map.Make (String)

@@ -1,6 +1,6 @@
 (** Basic-block labels. Labels are interned strings, unique per function;
-    freshness is managed by {!Builder} and the compiler passes through
-    {!fresh}. *)
+    {!Func.fresh_label} derives fresh ones for {!Builder} and the compiler
+    passes. *)
 
 type t = private string
 
@@ -9,10 +9,6 @@ val to_string : t -> string
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
-
-val fresh : base:t -> int -> t
-(** [fresh ~base n] derives a label like ["base.n"], used when passes clone
-    or split blocks. Callers guarantee uniqueness via [n]. *)
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
