@@ -130,6 +130,69 @@ let test_split_block () =
     (List.length suffix.Block.instrs);
   Alcotest.(check bool) "labels differ" false (Label.equal orig_label new_label)
 
+(* The layout after appends, inserts and splits interleaved with reads,
+   against a list model; then the cost of appending: k blocks added to
+   an n-block function and read back allocate O(n + k) words, not the
+   O(k * n) of copying the layout per block. *)
+let test_layout_order () =
+  let l = Label.of_string in
+  let mk name =
+    Block.create (l name) [ Instr.Out (Instr.Imm 1); Instr.Out (Instr.Imm 2) ]
+      Instr.Halt
+  in
+  let f = Func.create ~name:"main" ~entry:(l "entry") [ mk "a"; mk "entry" ] in
+  let model = ref [ "entry"; "a" ] in
+  let check what =
+    Alcotest.(check (list string)) what !model
+      (List.map (fun (b : Block.t) -> Label.to_string b.Block.label)
+         (Func.blocks f))
+  in
+  let insert_model after name =
+    model :=
+      List.concat_map (fun x -> if x = after then [ x; name ] else [ x ]) !model
+  in
+  check "create puts the entry first";
+  Func.add_block f (mk "b");
+  Func.add_block f (mk "c");
+  model := !model @ [ "b"; "c" ];
+  check "two appends";
+  let handed_out = Func.blocks f in
+  Func.add_block f (mk "d");
+  Func.insert_after f (l "c") (mk "c2");
+  model := !model @ [ "d" ];
+  insert_model "c" "c2";
+  check "insert after a block appended before the last read";
+  Alcotest.(check int) "a list handed out is untouched" 4
+    (List.length handed_out);
+  Func.add_block f (mk "e");
+  Func.insert_after f (l "e") (mk "e2");
+  model := !model @ [ "e" ];
+  insert_model "e" "e2";
+  Func.add_block f (mk "g");
+  model := !model @ [ "g" ];
+  let split = Func.split_block f (Func.find f (l "g")) ~at:1 in
+  insert_model "g" (Label.to_string split);
+  Func.add_block f (mk "h");
+  let split = Func.split_block f (Func.find f (l "a")) ~at:0 in
+  model := !model @ [ "h" ];
+  insert_model "a" (Label.to_string split);
+  check "splits and inserts between appends, read once at the end";
+  check "a second read";
+  let grow k =
+    let f = Func.create ~name:"main" ~entry:(l "entry") [ mk "entry" ] in
+    let blocks = List.init k (fun i -> mk ("x" ^ string_of_int i)) in
+    let w0 = Gc.minor_words () in
+    List.iter (Func.add_block f) blocks;
+    ignore (Func.blocks f);
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check int) "every block listed" (k + 1)
+      (List.length (Func.blocks f));
+    words /. float_of_int k
+  in
+  let per_block = grow 2000 in
+  if per_block > 50. then
+    Alcotest.failf "appending 2000 blocks: %.1f words per block" per_block
+
 let test_validate_catches () =
   let open Instr in
   let dangling =
@@ -216,6 +279,7 @@ let suite =
     Alcotest.test_case "terminators" `Quick test_terminators;
     Alcotest.test_case "block helpers" `Quick test_block_helpers;
     Alcotest.test_case "split block" `Quick test_split_block;
+    Alcotest.test_case "layout order" `Quick test_layout_order;
     Alcotest.test_case "validator catches errors" `Quick test_validate_catches;
     Alcotest.test_case "builder misuse" `Quick test_builder_errors;
     Alcotest.test_case "builder data segment" `Quick test_builder_data;
