@@ -51,14 +51,11 @@ let instance_loops (region : Region_map.region) loops =
       && Label.Set.subset loop.Loops.body region.Region_map.members)
     (Loops.loops loops)
 
-(* Availability of "a Ckpt r executed since entering this instance" at each
-   block's end, within the instance subgraph (edges into the region head
-   are instance exits, not internal). [meet_all = true] computes
-   must-availability (AND over predecessors), [false] may-availability
-   (OR). *)
-let availability f (region : Region_map.region) ~meet_all reg =
+(* Each member's predecessors within the instance subgraph: edges into
+   the region head are instance exits, not internal. *)
+let internal_preds f (region : Region_map.region) =
   let members = region.Region_map.members in
-  let internal_preds = Label.Tbl.create 8 in
+  let preds = Label.Tbl.create 8 in
   Label.Set.iter
     (fun l ->
       let b = Func.find f l in
@@ -66,17 +63,17 @@ let availability f (region : Region_map.region) ~meet_all reg =
         (fun s ->
           if Label.Set.mem s members && not (Label.equal s region.Region_map.head)
           then
-            Label.Tbl.replace internal_preds s
-              (l :: (Option.value ~default:[]
-                       (Label.Tbl.find_opt internal_preds s))))
+            Label.Tbl.replace preds s
+              (l :: (Option.value ~default:[] (Label.Tbl.find_opt preds s))))
         (Instr.term_succs b.Block.term))
     members;
+  preds
+
+(* May-availability of "a Ckpt r executed since entering this instance"
+   at each block's end, within the instance subgraph. *)
+let availability f (region : Region_map.region) preds reg =
   let at_end = Label.Tbl.create 8 in
-  let get l =
-    match Label.Tbl.find_opt at_end l with
-    | Some v -> v
-    | None -> meet_all  (* optimistic start for must; pessimistic for may *)
-  in
+  let get l = Option.value ~default:false (Label.Tbl.find_opt at_end l) in
   let block_has_ckpt l =
     List.exists (is_ckpt_of reg) (Func.find f l).Block.instrs
   in
@@ -85,29 +82,21 @@ let availability f (region : Region_map.region) ~meet_all reg =
     changed := false;
     Label.Set.iter
       (fun l ->
-        let preds =
-          Option.value ~default:[] (Label.Tbl.find_opt internal_preds l)
-        in
         let incoming =
-          if Label.equal l region.Region_map.head || preds = [] then false
-          else if meet_all then List.for_all get preds
-          else List.exists get preds
+          List.exists get
+            (Option.value ~default:[] (Label.Tbl.find_opt preds l))
         in
         let v = incoming || block_has_ckpt l in
         if v <> get l then begin
           Label.Tbl.replace at_end l v;
           changed := true
         end)
-      members
+      region.Region_map.members
   done;
   get
 
-(* A checkpoint site can sink only when every exit it can reach is a
-   "must" exit — all paths arriving there have staged the register — so
-   one staging at those exits subsumes it. A site that can reach a
-   "mixed" exit (some arriving paths staged, some did not: a collision
-   counter's rare-path checkpoint feeding the hot exit) must stay where
-   it is, otherwise sinking would fire on every instance. *)
+(* A block with an edge that ends the instance: a call or return, or a
+   jump out of the region or back to its head. *)
 let is_exit_block (region : Region_map.region) (b : Block.t) =
   match b.Block.term with
   | Instr.Call _ | Instr.Ret -> true
@@ -185,9 +174,12 @@ let sink_in_region options map f loops (region : Region_map.region) =
        value. *)
     let removed_total = ref 0 in
     let stage_at : Reg.Set.t Label.Tbl.t = Label.Tbl.create 8 in
+    (* Removing checkpoints leaves every terminator as it is, so one
+       predecessor table serves all candidates. *)
+    let preds = internal_preds f region in
     Reg.Set.iter
       (fun reg ->
-        let may = availability f region ~meet_all:false reg in
+        let may = availability f region preds reg in
         let sites =
           Label.Set.filter
             (fun l ->
