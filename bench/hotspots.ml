@@ -95,21 +95,14 @@ let run_kernel (k : W.Kernel.t) =
   simulate ~config:Config.sim_default ~mode:Persist.Volatile k.W.Kernel.program;
   simulate ~config:shifted ~mode:Persist.Volatile k.W.Kernel.program;
   List.iter
-    (fun threshold ->
+    (fun (threshold, cells) ->
       List.iter
-        (fun (_, options) ->
-          let compiled =
-            Pipeline.compile (Options.with_threshold threshold options)
-              k.W.Kernel.program
-          in
-          let config =
-            { (Config.with_threshold threshold Config.sim_default) with
-              Config.conflict_fence = false }
-          in
+        (fun (_, options, config) ->
+          let compiled = Pipeline.compile options k.W.Kernel.program in
           simulate ~config ~mode:Persist.Capri ~check_threshold:threshold
             compiled.Compiled.program)
-        (List.tl Options.fig9_configs))
-    Options.fig8_thresholds
+        cells)
+    Capri.fig8_matrix
 
 (* perfbench's crash-fuzz repetition. *)
 let crash_fuzz () =

@@ -22,6 +22,7 @@
 
 open Capri_bench
 module W = Capri_workloads
+module Metrics = Capri_obs.Metrics
 
 let scale = W.Suite.bench_scale
 
@@ -41,17 +42,17 @@ let rows_of_per_kernel per_kernel =
     (fun ((k : W.Kernel.t), vs) -> { rname = k.W.Kernel.name; values = vs })
     per_kernel
 
-let experiments : (string * (unit -> row list)) list =
+let experiments : (string * (Runner.t -> row list)) list =
   [
-    ("table1", fun () -> table1 (); []);
-    ("fig8", fun () -> rows_of_per_kernel (Figures.figure8 ~scale ()));
-    ("fig9", fun () -> rows_of_per_kernel (Figures.figure9 ~scale ()));
-    ("fig10", fun () -> rows_of_per_kernel (Figures.figure10 ~scale ()));
-    ("fig11", fun () -> rows_of_per_kernel (Figures.figure11 ~scale ()));
+    ("table1", fun _ -> table1 (); []);
+    ("fig8", fun h -> rows_of_per_kernel (Figures.figure8 h ~scale ()));
+    ("fig9", fun h -> rows_of_per_kernel (Figures.figure9 h ~scale ()));
+    ("fig10", fun h -> rows_of_per_kernel (Figures.figure10 h ~scale ()));
+    ("fig11", fun h -> rows_of_per_kernel (Figures.figure11 h ~scale ()));
     ( "headline",
-      fun () ->
+      fun h ->
         let spec, stamp, splash3, overall, naive_overall, naive_max =
-          Figures.headline ~scale ()
+          Figures.headline h ~scale ()
         in
         [
           { rname = "cpu2017_gmean"; values = [ spec ] };
@@ -61,29 +62,15 @@ let experiments : (string * (unit -> row list)) list =
           { rname = "naive_overall_gmean"; values = [ naive_overall ] };
           { rname = "naive_max"; values = [ naive_max ] };
         ] );
-    ("nvmwrites", fun () -> rows_of_per_kernel (Figures.nvm_writes ~scale ()));
-    ("ablation", fun () -> Ablation.all ~scale (); []);
-    ("sensitivity", fun () -> Sensitivity.all (); []);
-    ("micro", fun () -> Micro.print (); []);
+    ("nvmwrites", fun h -> rows_of_per_kernel (Figures.nvm_writes h ~scale ()));
+    ("ablation", fun h -> Ablation.all h ~scale (); []);
+    ("sensitivity", fun h -> Sensitivity.all h (); []);
+    ("micro", fun _ -> Micro.print (); []);
   ]
 
 (* ------------------------------------------------------------------ *)
 (* JSON output (hand-rolled: the schema is flat and fixed).            *)
 (* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let json_float f =
   match Float.classify_float f with
@@ -98,13 +85,13 @@ let write_json oc ?registry entries =
       if i > 0 then Buffer.add_string buf ",\n";
       Buffer.add_string buf
         (Printf.sprintf "  {\"experiment\": \"%s\", \"wall_s\": %s, \"rows\": ["
-           (json_escape name) (json_float wall_s));
+           (Metrics.json_escape name) (json_float wall_s));
       List.iteri
         (fun j { rname; values } ->
           if j > 0 then Buffer.add_string buf ", ";
           Buffer.add_string buf
             (Printf.sprintf "{\"name\": \"%s\", \"values\": [%s]}"
-               (json_escape rname)
+               (Metrics.json_escape rname)
                (String.concat ", " (List.map json_float values))))
         rows;
       Buffer.add_string buf "]}")
@@ -177,21 +164,20 @@ let () =
         with Sys_error msg -> Printf.eprintf "--json: %s\n" msg; exit 1)
       !json_file
   in
-  Runner.init ~jobs;
-  if !want_metrics then Runner.enable_metrics ();
-  Fun.protect ~finally:Runner.shutdown @@ fun () ->
+  let harness = Runner.create ~jobs ~metrics:!want_metrics in
+  Fun.protect ~finally:(fun () -> Runner.shutdown harness) @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let entries =
     List.map
       (fun name ->
         let f = List.assoc name experiments in
         let e0 = Unix.gettimeofday () in
-        let rows = f () in
+        let rows = f harness in
         (name, Unix.gettimeofday () -. e0, rows))
       selected
   in
   let total = Unix.gettimeofday () -. t0 in
-  let registry = Runner.metrics_snapshot () in
+  let registry = Runner.metrics_snapshot harness in
   (match json_oc with
    | Some oc -> write_json oc ?registry entries
    | None ->

@@ -31,30 +31,36 @@ let test_compile =
   Test.make ~name:"compiler: full pipeline"
     (Staged.stage (fun () -> ignore (compile k.W.Kernel.program)))
 
-(* One store of the kv-hot benchmark's shape (2 shards, 64 keys, mix A,
-   200 requests per shard, 4 cross-shard transactions, seed 10): few
-   functions with many regions each, the shape where a per-region cost in
-   a pass shows. 505.mcf_r above has few regions per function. *)
+module Svc = Capri_service
+
+(* The kv-hot benchmark's store shape, at one client seed: 2 shards,
+   64 keys, mix A, zipf 0.99, 200 requests per shard, 4 cross-shard
+   transactions, Capri mode. *)
+let kv_hot ~seed =
+  {
+    Svc.Server.default_cfg with
+    Svc.Server.shards = 2;
+    client =
+      {
+        Svc.Client.default with
+        Svc.Client.mix = Svc.Client.A;
+        key_space = 64;
+        ops_per_shard = 200;
+        skew = 0.99;
+        loop = Svc.Client.Closed;
+        seed;
+        txns = 4;
+      };
+    mode = Persist.Capri;
+  }
+
+(* One kv-hot store, seed 10: few functions with many regions each, the
+   shape where a per-region cost in a pass shows. 505.mcf_r above has
+   few regions per function. *)
 let test_compile_kv =
-  let module Svc = Capri_service in
-  let cfg =
-    {
-      Svc.Server.default_cfg with
-      Svc.Server.shards = 2;
-      client =
-        {
-          Svc.Client.default with
-          Svc.Client.mix = Svc.Client.A;
-          key_space = 64;
-          ops_per_shard = 200;
-          skew = 0.99;
-          loop = Svc.Client.Closed;
-          seed = 10;
-          txns = 4;
-        };
-    }
+  let program =
+    (Svc.Server.plan (kv_hot ~seed:10)).Svc.Server.kv.Svc.Kvstore.program
   in
-  let program = (Svc.Server.plan cfg).Svc.Server.kv.Svc.Kvstore.program in
   Test.make ~name:"compiler: kv store pipeline"
     (Staged.stage (fun () -> ignore (compile program)))
 

@@ -142,46 +142,20 @@ let words_per_compile compiles =
     compiles;
   (Gc.minor_words () -. w0) /. float_of_int (List.length compiles)
 
-(* fig8's matrix: the 19 kernels at Suite.bench_scale x its thresholds x
-   the four fig9 configs that checkpoint. *)
+(* fig8's matrix over the 19 kernels at Suite.bench_scale. *)
 let fig8_compiles () =
   List.concat_map
     (fun (k : W.Kernel.t) ->
       List.concat_map
-        (fun threshold ->
-          List.filter_map
-            (fun (_, options) ->
-              if options.Options.ckpt then
-                Some
-                  (Options.with_threshold threshold options, k.W.Kernel.program)
-              else None)
-            Options.fig9_configs)
-        Options.fig8_thresholds)
+        (fun (_, cells) ->
+          List.map (fun (_, options, _) -> (options, k.W.Kernel.program)) cells)
+        Capri.fig8_matrix)
     (W.Suite.all ~scale:W.Suite.bench_scale ())
 
-(* The kv-hot benchmark's stores: 2 shards, 64 keys, mix A, zipf 0.99,
-   200 requests per shard, 4 cross-shard transactions, client seeds
-   10-19. *)
+(* The kv-hot benchmark's stores, client seeds 10-19. *)
 let kv_hot_compiles () =
   List.init 10 (fun i ->
-      let cfg =
-        {
-          Svc.Server.default_cfg with
-          Svc.Server.shards = 2;
-          client =
-            {
-              Svc.Client.default with
-              Svc.Client.mix = Svc.Client.A;
-              key_space = 64;
-              ops_per_shard = 200;
-              skew = 0.99;
-              loop = Svc.Client.Closed;
-              seed = 10 + i;
-              txns = 4;
-            };
-          mode = Persist.Capri;
-        }
-      in
+      let cfg = Capri_bench.Micro.kv_hot ~seed:(10 + i) in
       ( cfg.Svc.Server.options,
         (Svc.Server.plan cfg).Svc.Server.kv.Svc.Kvstore.program ))
 

@@ -1,7 +1,9 @@
 (* bench-smoke: the parallel harness must be a pure scheduling change.
-   Run a tiny fig8-style measurement matrix sequentially and again under
-   a 2-domain pool (nested fan-out included: measure_best spreads its
-   candidates too) and require float-identical rows. Runs as part of
+   Run a tiny fig8-style measurement matrix through a 1-domain harness
+   and through a 2-domain one (nested fan-out included: measure_best
+   spreads its candidates too) and require float-identical rows. The two
+   harnesses are alive at once and each simulates its own baselines, so
+   the comparison covers the baselines too. Runs as part of
    `dune runtest`, so it is kept deliberately small. *)
 
 open Capri_bench
@@ -14,22 +16,25 @@ let kernels () =
 
 let thresholds = [ 64; 256 ]
 
-let rows ~jobs =
-  Runner.init ~jobs;
-  Fun.protect ~finally:Runner.shutdown @@ fun () ->
-  let ks = kernels () in
-  Runner.prewarm_baselines ks;
-  Runner.par_map
-    (fun k ->
-      List.map
-        (fun threshold ->
-          Runner.normalized (Runner.measure_best ~threshold k))
-        thresholds)
-    ks
+let rows h =
+  List.map snd
+    (Runner.measure_rows h
+       (fun k ->
+         List.map
+           (fun threshold ->
+             Runner.normalized (Runner.measure_best h ~threshold k))
+           thresholds)
+       (kernels ()))
 
 let () =
-  let seq = rows ~jobs:1 in
-  let par = rows ~jobs:2 in
+  let seq_h = Runner.create ~jobs:1 ~metrics:false in
+  let par_h = Runner.create ~jobs:2 ~metrics:false in
+  Fun.protect ~finally:(fun () ->
+      Runner.shutdown seq_h;
+      Runner.shutdown par_h)
+  @@ fun () ->
+  let seq = rows seq_h in
+  let par = rows par_h in
   if seq <> par then begin
     prerr_endline "bench-smoke: parallel results differ from sequential:";
     List.iter2

@@ -42,6 +42,22 @@ let run_volatile ?(config = Config.sim_default) ?threads program =
 
 let crash_sweep = Verify.crash_sweep
 
+let fig8_matrix =
+  List.map
+    (fun threshold ->
+      let config =
+        { (Config.with_threshold threshold Config.sim_default) with
+          Config.conflict_fence = false }
+      in
+      ( threshold,
+        List.filter_map
+          (fun (label, (options : Options.t)) ->
+            if options.Options.ckpt then
+              Some (label, Options.with_threshold threshold options, config)
+            else None)
+          Options.fig9_configs ))
+    Options.fig8_thresholds
+
 (* Profile-guided compilation (the paper's Section 6.3 future work):
    measure each unknown-trip loop's typical iteration count with an
    un-unrolled profiling build, then let the measured counts choose the

@@ -71,6 +71,14 @@ val crash_sweep :
   ?points:int -> Compiled.t -> (Verify.report, Verify.failure) result
 (** See {!Verify.crash_sweep}. *)
 
+val fig8_matrix : (int * (string * Options.t * Config.t) list) list
+(** The paper's Figure 8 matrix. For each of {!Options.fig8_thresholds},
+    in order: the {!Options.fig9_configs} that checkpoint (all but
+    [region]), in order and labelled, at that threshold, each with the
+    machine it runs on: [Config.sim_default] at the threshold with the
+    conflict fence off, as the paper's hardware has no such fence. The
+    figure plots the fastest of a threshold's configurations per kernel. *)
+
 val compile_pgo :
   ?options:Options.t -> ?config:Config.t ->
   ?threads:Executor.thread_spec list -> Program.t -> Compiled.t
