@@ -177,19 +177,14 @@ let journal h ~scale () =
    at the column's count and simulates that build's own baseline. *)
 let thread_scaling h ~scale () =
   print_endline "== Ablation: thread scaling (paper: 8 cores)";
-  let builds =
-    [ ("ocean", W.Splash3.ocean); ("raytrace", W.Splash3.raytrace);
-      ("barnes", W.Splash3.barnes); ("radix", W.Splash3.radix) ]
-  in
   let threads = [ 2; 4; 8 ] in
   print_table h
     ~columns:(List.map (fun n -> (string_of_int n ^ " threads", 2)) threads)
     ~footer:Runner.No_footer
     (fun (k : W.Kernel.t) ->
-      let build = List.assoc k.W.Kernel.name builds in
       List.map
         (fun threads ->
-          let k : W.Kernel.t = build ~threads ~scale () in
+          let k = W.Suite.by_name ~threads ~scale k.W.Kernel.name in
           let baseline =
             run_volatile ~threads:k.W.Kernel.threads k.W.Kernel.program
           in
@@ -199,7 +194,8 @@ let thread_scaling h ~scale () =
           in
           overhead ~baseline (run ~config ~threads:k.W.Kernel.threads compiled))
         threads)
-    (List.map (fun (_, build) -> build ?threads:None ~scale ()) builds)
+    (List.map (fun n -> W.Suite.by_name ~scale n)
+       [ "ocean"; "raytrace"; "barnes"; "radix" ])
 
 let all h ~scale () =
   thread_scaling h ~scale ();

@@ -5,21 +5,11 @@
      dune exec bench/main.exe -- table1 fig8 fig9 fig10 fig11 headline \
                                  ablation micro
 
-   Options:
-     --jobs N     measurement parallelism (default: $CAPRI_JOBS if set,
-                  else the machine's recommended domain count). Results
-                  are byte-identical at any job count.
-     --json FILE  also write the machine-readable results as a JSON array
-                  of {"experiment":..., "wall_s":..., "rows":[...]}.
-     --metrics    run every measurement with an enabled metrics registry
-                  and embed the merged (mode-labelled) snapshot in the
-                  JSON report as a final {"experiment": "metrics",
-                  "registry": {...}} entry (printed to stdout when no
-                  --json sink is given). Deterministic at any job count.
+   `--help` documents the options. Data goes to stdout; timing lines go
+   to stderr so stdout stays deterministic across job counts and
+   machines. *)
 
-   Data goes to stdout; timing lines go to stderr so stdout stays
-   deterministic across job counts and machines. *)
-
+open Cmdliner
 open Capri_bench
 module W = Capri_workloads
 module Metrics = Capri_obs.Metrics
@@ -111,66 +101,13 @@ let write_json oc ?registry entries =
 (* Entry point.                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let usage () =
-  Printf.eprintf
-    "usage: main.exe [--jobs N] [--json FILE] [experiment ...]\n\
-     available experiments: %s\n"
-    (String.concat ", " (List.map fst experiments))
-
-let () =
-  let jobs = ref 0 in
-  let json_file = ref None in
-  let want_metrics = ref false in
-  let selected = ref [] in
-  let bad msg = Printf.eprintf "%s\n" msg; usage (); exit 1 in
-  let int_arg flag v =
-    match int_of_string_opt v with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> bad (Printf.sprintf "%s expects a positive integer" flag)
-  in
-  let rec parse = function
-    | [] -> ()
-    | "--" :: rest -> parse rest
-    | "--help" :: _ | "-h" :: _ -> usage (); exit 0
-    | "--jobs" :: v :: rest -> jobs := int_arg "--jobs" v; parse rest
-    | [ "--jobs" ] -> bad "--jobs expects an argument"
-    | "--json" :: f :: rest -> json_file := Some f; parse rest
-    | [ "--json" ] -> bad "--json expects an argument"
-    | "--metrics" :: rest -> want_metrics := true; parse rest
-    | a :: rest when String.length a >= 7 && String.sub a 0 7 = "--jobs=" ->
-      jobs := int_arg "--jobs" (String.sub a 7 (String.length a - 7));
-      parse rest
-    | a :: rest when String.length a >= 7 && String.sub a 0 7 = "--json=" ->
-      json_file := Some (String.sub a 7 (String.length a - 7));
-      parse rest
-    | a :: rest ->
-      if not (List.mem_assoc a experiments) then
-        bad (Printf.sprintf "unknown experiment %s" a);
-      selected := a :: !selected;
-      parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let selected =
-    match List.rev !selected with
-    | [] -> List.map fst experiments
-    | l -> l
-  in
-  let jobs = if !jobs > 0 then !jobs else Capri_util.Pool.default_jobs () in
-  (* Open the JSON sink before hours of simulation, not after. *)
-  let json_oc =
-    Option.map
-      (fun file ->
-        try open_out file
-        with Sys_error msg -> Printf.eprintf "--json: %s\n" msg; exit 1)
-      !json_file
-  in
-  let harness = Runner.create ~jobs ~metrics:!want_metrics in
+let run jobs want_metrics selected json_oc =
+  let harness = Runner.create ~jobs ~metrics:want_metrics in
   Fun.protect ~finally:(fun () -> Runner.shutdown harness) @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let entries =
     List.map
-      (fun name ->
-        let f = List.assoc name experiments in
+      (fun (name, f) ->
         let e0 = Unix.gettimeofday () in
         let rows = f harness in
         (name, Unix.gettimeofday () -. e0, rows))
@@ -186,4 +123,51 @@ let () =
          print_endline "== merged metrics registry";
          print_string doc)
        registry);
-  Printf.eprintf "total harness time: %.1fs (%d jobs)\n" total jobs
+  Printf.eprintf "total harness time: %.1fs (%d jobs)\n" total jobs;
+  true
+
+let () =
+  let metrics =
+    let doc =
+      "Run every measurement with an enabled metrics registry and embed the \
+       merged (mode-labelled) snapshot in the JSON report as a final \
+       {\"experiment\": \"metrics\", \"registry\": {...}} entry (printed to \
+       stdout when no $(b,--json) sink is given). Deterministic at any job \
+       count."
+    in
+    Arg.(value & flag & info [ "metrics" ] ~doc)
+  in
+  let selected =
+    let doc =
+      "Experiments to run, in order: "
+      ^ String.concat ", " (List.map fst experiments)
+      ^ "."
+    in
+    let named = List.map (fun ((name, _) as e) -> (name, e)) experiments in
+    Arg.(
+      value & pos_all (enum named) experiments
+      & info [] ~docv:"EXPERIMENT" ~doc ~absent:"all")
+  in
+  (* Open the JSON sink before hours of simulation, not after. *)
+  let json =
+    let doc =
+      "Also write the machine-readable results to $(docv) as a JSON array \
+       of {\"experiment\":..., \"wall_s\":..., \"rows\":[...]}."
+    in
+    let sink file =
+      match Option.map open_out file with
+      | oc -> `Ok oc
+      | exception Sys_error msg -> `Error (false, "option '--json': " ^ msg)
+    in
+    Term.(
+      ret
+        (const sink
+        $ Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)))
+  in
+  let info =
+    Cli.info "bench/main.exe"
+      ~doc:"Regenerate the tables and figures of the paper's evaluation"
+  in
+  exit
+    (Cli.eval
+       (Cmd.v info Term.(const run $ Cli.jobs $ metrics $ selected $ json)))

@@ -30,7 +30,7 @@ type t = {
 
 let create ~jobs ~metrics =
   {
-    pool = Pool.create ~jobs ();
+    pool = Pool.create ~jobs;
     metrics = (if metrics then Some (Metrics.create ()) else None);
     baselines = Hashtbl.create 32;
     lock = Mutex.create ();

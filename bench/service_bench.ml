@@ -29,17 +29,20 @@ type ('cell, 'row) scenario = {
 }
 
 (* The checked trial: a scenario's schedule makes a crash-free reference
-   run only when it asks for crashes; a failed oracle names the
-   scenario. *)
+   run only when it asks for crashes; a failed oracle raises [Violated],
+   naming the scenario. *)
+exception Violated of string
+
 let trial sc cell =
   let t = Svc.Server.plan (sc.cfg cell) in
   let outcome = Svc.Server.run ~crash_at:(sc.schedule t) t in
   (match Svc.Server.check t outcome with
   | Ok () -> ()
   | Error v ->
-    failwith
-      (Format.asprintf "%s bench: oracle violated: %a" sc.name
-         Svc.Sla.pp_violation v));
+    raise
+      (Violated
+         (Format.asprintf "%s bench: oracle violated: %a" sc.name
+            Svc.Sla.pp_violation v)));
   (cell, sc.row t outcome)
 
 (* Every trial's [(cell, row)], in cell order, and the rendered table. *)

@@ -72,7 +72,7 @@ let publish_compile_provenance m (compiled : Compiled.t) =
     compiled.Compiled.licm_report.Licm.ckpts_deduped;
   set "compile_ckpts_remaining" (Compiled.static_ckpt_count compiled)
 
-let run ?jobs ?(config = Config.sim_default) ?(focus = Persist.Capri)
+let run ?(jobs = 1) ?(config = Config.sim_default) ?(focus = Persist.Capri)
     ?(modes = Persist.all_modes) ~(options : Options.t) ~program ~threads () =
   let modes = if List.mem focus modes then modes else focus :: modes in
   let config = Config.with_threshold options.Options.threshold config in
@@ -94,7 +94,7 @@ let run ?jobs ?(config = Config.sim_default) ?(focus = Persist.Capri)
       obs.Obs.regions obs.Obs.metrics;
     (mode, compiled, obs, result)
   in
-  let runs = Pool.with_pool ?jobs (fun p -> Pool.map_list p run_mode modes) in
+  let runs = Pool.with_pool ~jobs (fun p -> Pool.map_list p run_mode modes) in
   let merged = Metrics.create () in
   let _, compiled, _, _ = List.find (fun (m, _, _, _) -> m = focus) runs in
   publish_compile_provenance merged compiled;

@@ -32,7 +32,8 @@ val run :
   t
 (** Profile [program] under [modes] (default
     {!Capri_arch.Persist.all_modes}; [focus],
-    default [Capri], is added if absent). Only the focus run records
+    default [Capri], is added if absent), over [jobs] domains (default
+    1). Only the focus run records
     spans; every run contributes mode-labelled counters and region
     distributions. Compile-time boundary-reason and checkpoint-pruning
     provenance is published unlabelled ([compile_*] series). *)

@@ -13,10 +13,9 @@
    Callers keep experiment output byte-identical to a sequential run by
    doing all printing after the awaits.
 
-   With [jobs = 1] (or on a machine where [Domain.recommended_domain_count]
-   is 1 and the caller asked for the default) no domains are spawned and
-   [submit] runs the task immediately in the calling domain — the exact
-   sequential execution order. *)
+   With [jobs = 1] no domains are spawned and [submit] runs the task
+   immediately in the calling domain — the exact sequential execution
+   order. *)
 
 type 'a state = Pending | Value of 'a | Error of exn * Printexc.raw_backtrace
 
@@ -36,11 +35,6 @@ type t = {
   mutable shutting_down : bool;
   mutable workers : unit Domain.t list;
 }
-
-let default_jobs () =
-  match Sys.getenv_opt "CAPRI_JOBS" with
-  | Some s -> (try max 1 (int_of_string (String.trim s)) with _ -> 1)
-  | None -> Domain.recommended_domain_count ()
 
 let finish (fut : 'a future) (st : 'a state) =
   Mutex.lock fut.fmutex;
@@ -79,10 +73,8 @@ let worker t () =
   in
   loop ()
 
-let create ?jobs () =
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> default_jobs ()
-  in
+let create ~jobs =
+  if jobs < 1 then invalid_arg "Pool.create: jobs must be positive";
   let t =
     {
       jobs;
@@ -154,6 +146,6 @@ let shutdown t =
   Mutex.unlock t.qmutex;
   List.iter Domain.join t.workers
 
-let with_pool ?jobs f =
-  let t = create ?jobs () in
+let with_pool ~jobs f =
+  let t = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

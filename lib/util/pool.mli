@@ -13,12 +13,8 @@
 type t
 type 'a future
 
-val default_jobs : unit -> int
-(** [CAPRI_JOBS] if set (clamped to at least 1), otherwise
-    [Domain.recommended_domain_count ()]. *)
-
-val create : ?jobs:int -> unit -> t
-(** [jobs] defaults to {!default_jobs}; values below 1 are clamped. *)
+val create : jobs:int -> t
+(** Raises [Invalid_argument] if [jobs] is below 1. *)
 
 val jobs : t -> int
 
@@ -37,5 +33,5 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 val shutdown : t -> unit
 (** Joins the worker domains. The pool must not be used afterwards. *)
 
-val with_pool : ?jobs:int -> (t -> 'a) -> 'a
+val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [create] / run / [shutdown], exception-safe. *)

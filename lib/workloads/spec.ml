@@ -326,6 +326,3 @@ let lbm ~scale =
     program;
     threads = single program;
   }
-
-let all ~scale =
-  [ mcf ~scale; deepsjeng ~scale; leela ~scale; namd ~scale; lbm ~scale ]

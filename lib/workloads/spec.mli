@@ -22,5 +22,3 @@ val namd : scale:int -> Kernel.t
 val lbm : scale:int -> Kernel.t
 (** 519.lbm_r: streaming stencil with high store density and short
     counted inner loops. *)
-
-val all : scale:int -> Kernel.t list

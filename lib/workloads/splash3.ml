@@ -512,16 +512,3 @@ let radix ?(threads = default_threads) ~scale () =
       "radix-sort phases: per-thread histogram updates, barrier, dense \
        scatter stores"
     program
-
-let all ?(threads = default_threads) ~scale () =
-  [
-    barnes ~threads ~scale ();
-    fmm ~threads ~scale ();
-    ocean ~threads ~scale ();
-    radiosity ~threads ~scale ();
-    raytrace ~threads ~scale ();
-    volrend ~threads ~scale ();
-    water_nsquared ~threads ~scale ();
-    water_spatial ~threads ~scale ();
-    radix ~threads ~scale ();
-  ]

@@ -13,5 +13,3 @@ val volrend : ?threads:int -> scale:int -> unit -> Kernel.t
 val water_nsquared : ?threads:int -> scale:int -> unit -> Kernel.t
 val water_spatial : ?threads:int -> scale:int -> unit -> Kernel.t
 val radix : ?threads:int -> scale:int -> unit -> Kernel.t
-
-val all : ?threads:int -> scale:int -> unit -> Kernel.t list

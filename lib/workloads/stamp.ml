@@ -316,7 +316,3 @@ let vacation ~scale =
     program;
     threads = single program;
   }
-
-let all ~scale =
-  [ genome ~scale; intruder ~scale; labyrinth ~scale; ssca2 ~scale;
-    vacation ~scale ]

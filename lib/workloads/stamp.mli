@@ -21,5 +21,3 @@ val ssca2 : scale:int -> Kernel.t
 val vacation : scale:int -> Kernel.t
 (** vacation: reservation tables — binary-search-tree insert/lookup over
     an index, pointer allocation from a bump arena. *)
-
-val all : scale:int -> Kernel.t list

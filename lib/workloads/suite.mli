@@ -2,10 +2,14 @@
     STAMP, 9 Splash3), in the paper's Figure 8 ordering. *)
 
 val all : ?threads:int -> scale:int -> unit -> Kernel.t list
-val by_name : ?threads:int -> scale:int -> string -> Kernel.t
-(** Raises [Not_found] for unknown names. *)
+(** Every kernel, built in order; [threads] sets the Splash3 kernels'
+    core count (default 4). *)
 
 val names : string list
+
+val by_name : ?threads:int -> scale:int -> string -> Kernel.t
+(** Builds that kernel alone. Raises [Not_found] for unknown names. *)
+
 val of_suite : Kernel.suite -> scale:int -> Kernel.t list
 
 val bench_scale : int
